@@ -17,19 +17,17 @@ _VERSION = 1
 
 
 def save_checkpoint(params: ParamStore, path: str) -> None:
-    emb_ids = sorted(params.embeddings)
-    cat_ids = sorted(params.category_embeddings)
+    emb, cat = params.embeddings, params.category_embeddings
+    emb_ids, cat_ids = emb.ids(), cat.ids()
     with open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<IQQQQQ", _VERSION, params.dim, params.label_dim,
                             params.seed if params.seed >= 0 else 0,
                             len(emb_ids), len(cat_ids)))
-        f.write(np.array(emb_ids, dtype="<i8").tobytes())
-        for v in emb_ids:
-            f.write(params.embeddings[v].astype("<f8").tobytes())
-        f.write(np.array(cat_ids, dtype="<i8").tobytes())
-        for c in cat_ids:
-            f.write(params.category_embeddings[c].astype("<f8").tobytes())
+        f.write(emb_ids.astype("<i8").tobytes())
+        f.write(emb.data[emb_ids].astype("<f8").tobytes())
+        f.write(cat_ids.astype("<i8").tobytes())
+        f.write(cat.data[cat_ids].astype("<f8").tobytes())
         f.write(params.weights.astype("<f8").tobytes())
         f.write(params.bias.astype("<f8").tobytes())
 
@@ -41,15 +39,14 @@ def load_checkpoint(path: str) -> ParamStore:
         version, dim, label_dim, seed, n_emb, n_cat = struct.unpack("<IQQQQQ", f.read(44))
         if version != _VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        params = ParamStore(int(dim), int(label_dim), int(seed))
-        emb_ids = np.frombuffer(f.read(8 * n_emb), dtype="<i8")
-        for v in emb_ids:
-            params.embeddings[int(v)] = np.frombuffer(f.read(8 * dim), dtype="<f8").copy()
-        cat_ids = np.frombuffer(f.read(8 * n_cat), dtype="<i8")
-        for c in cat_ids:
-            params.category_embeddings[int(c)] = np.frombuffer(f.read(8 * dim), dtype="<f8").copy()
+        dim, label_dim = int(dim), int(label_dim)
+        params = ParamStore(dim, label_dim, int(seed))
+        for table, n in ((params.embeddings, int(n_emb)), (params.category_embeddings, int(n_cat))):
+            ids = np.frombuffer(f.read(8 * n), dtype="<i8").astype(np.int64)
+            rows = np.frombuffer(f.read(8 * dim * n), dtype="<f8").reshape(n, dim)
+            table.put(ids, rows)
         params.weights = np.frombuffer(f.read(8 * dim * label_dim),
-                                       dtype="<f8").reshape(int(dim), int(label_dim)).copy()
+                                       dtype="<f8").reshape(dim, label_dim).copy()
         params.bias = np.frombuffer(f.read(8 * label_dim), dtype="<f8").copy()
     return params
 

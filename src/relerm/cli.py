@@ -97,7 +97,17 @@ def _loss_config(cfg, errors) -> LossConfig:
     return lc
 
 
+# keys of features that were removed; a config that sets one is rejected,
+# not silently run without it
+REMOVED_KEYS = {
+    "train.workers": "threaded training was removed; training runs in one thread",
+    "train.concurrent_updates": "lock-free concurrent updates were removed",
+}
+
+
 def _train_config(cfg, errors, seed) -> TrainConfig:
+    errors.extend(f"key {key!r} is not supported: {why}"
+                  for key, why in REMOVED_KEYS.items() if key in cfg)
     tc = TrainConfig(
         sampler=_sampler_config(cfg, errors),
         loss=_loss_config(cfg, errors),
@@ -105,7 +115,6 @@ def _train_config(cfg, errors, seed) -> TrainConfig:
         lr_start=_get(cfg, "train.lr_start", float, 0.025, errors),
         lr_end=_get(cfg, "train.lr_end", float, 1e-4, errors),
         embedding_dim=_get(cfg, "train.embedding_dim", int, 128, errors),
-        workers=_get(cfg, "train.workers", int, 1, errors),
         seed=seed,
         eval_every=_get(cfg, "train.eval_every", int, 0, errors),
         eval_samples=_get(cfg, "train.eval_samples", int, 25, errors),

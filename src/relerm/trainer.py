@@ -8,8 +8,6 @@ the sampler's outcome space on small graphs.
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
 from dataclasses import dataclass, field, replace
 
@@ -17,7 +15,7 @@ import numpy as np
 
 from .graph import Graph, LabelTable, CategoryMap, induced_pairs
 from .losses import LossConfig, ParamStore, SparseGradient, combined_loss, gradient
-from .samplers import (SampledSubgraph, SamplerConfig, build_unigram, draw,
+from .samplers import (SampledSubgraph, SamplerConfig, UnigramTable, build_unigram, draw,
                        negative_induced, skipgram_pairs, _empty_pairs, _first_seen)
 
 
@@ -44,8 +42,6 @@ class TrainConfig:
     lr_start: float = 0.025
     lr_end: float = 1e-4
     embedding_dim: int = 128
-    workers: int = 1
-    concurrent_updates: bool = False
     seed: int = 0
     eval_every: int = 0
     eval_samples: int = 25
@@ -56,8 +52,6 @@ class TrainConfig:
             errs.append("learning rates must be > 0")
         if self.steps < 0:
             errs.append("steps must be >= 0")
-        if self.workers < 1:
-            errs.append("workers must be >= 1")
         if self.embedding_dim < 1:
             errs.append("embedding_dim must be >= 1")
         return errs
@@ -281,13 +275,15 @@ def _simulated_outcome_counts(graph: Graph, config: SamplerConfig, n: int,
 def estimate_risk(graph: Graph, labels: LabelTable | None, params: ParamStore,
                   sampler: SamplerConfig, loss: LossConfig, n_samples: int,
                   rng: np.random.Generator, cats: CategoryMap | None = None,
-                  method: str = "auto") -> RiskEstimate:
+                  method: str = "auto",
+                  unigram_table: UnigramTable | None = None) -> RiskEstimate:
     """Monte-Carlo mean and standard error of the loss over n_samples
     independent draws of the sampler.
 
     On small graphs with enumerable outcomes, draws are simulated in bulk
     and aggregated per distinct outcome; this is statistically identical
-    to the per-draw loop and much faster at large n_samples.
+    to the per-draw loop and much faster at large n_samples. The per-draw
+    loop builds the unigram table when it needs one and none is given.
     """
     if n_samples < 1:
         raise TrainerError("n_samples must be >= 1")
@@ -305,8 +301,9 @@ def estimate_risk(graph: Graph, labels: LabelTable | None, params: ParamStore,
             var = 0.0
         return RiskEstimate(mean, float(np.sqrt(var / n_samples)), n_samples)
 
-    table = build_unigram(graph, sampler.unigram_power) \
-        if sampler.negative == "unigram" else None
+    table = unigram_table
+    if table is None and sampler.negative == "unigram":
+        table = build_unigram(graph, sampler.unigram_power)
     vals = np.empty(n_samples)
     for i in range(n_samples):
         sub = draw(graph, sampler, rng, unigram_table=table)
@@ -319,11 +316,11 @@ def estimate_risk(graph: Graph, labels: LabelTable | None, params: ParamStore,
 # -- gradient flattening ------------------------------------------------------
 
 def _flatten_gradient(grad: SparseGradient, graph: Graph, params: ParamStore) -> np.ndarray:
-    d = params.dim
-    out = np.zeros(graph.vertex_count * d + params.weights.size + params.bias.size)
-    for v, vec in grad.embeddings.items():
-        out[v * d:(v + 1) * d] = vec
-    base = graph.vertex_count * d
+    base = graph.vertex_count * params.dim
+    out = np.zeros(base + params.weights.size + params.bias.size)
+    if len(grad.embeddings):
+        out[:base].reshape(graph.vertex_count, params.dim)[grad.embeddings.rows] = \
+            grad.embeddings.data
     out[base:base + params.weights.size] = grad.weights.reshape(-1)
     out[base + params.weights.size:] = grad.bias
     return out
@@ -347,8 +344,8 @@ def check_unbiasedness(graph: Graph, params: ParamStore, sampler: SamplerConfig,
     """Compare the empirical mean of n stochastic gradients (real sampler
     draws, aggregated per distinct outcome) against the analytic gradient
     of the exact enumerated risk; report per-coordinate z-scores."""
-    for v in range(graph.vertex_count):
-        params.embedding(v)  # materialize so every coordinate is live
+    # materialize so every coordinate is live
+    params.embeddings.materialise(np.arange(graph.vertex_count))
 
     exact_outcomes = _outcomes_for_config(graph, sampler)
     exact = np.zeros(graph.vertex_count * params.dim
@@ -376,11 +373,12 @@ def check_unbiasedness(graph: Graph, params: ParamStore, sampler: SamplerConfig,
 # -- SGD ----------------------------------------------------------------------
 
 def sgd_step(params: ParamStore, grad: SparseGradient, lr: float) -> None:
-    """In-place SGD update: touched entries move by -lr * gradient."""
-    for v, g in grad.embeddings.items():
-        params.embeddings[v] = params.embedding(v) - lr * g
-    for c, g in grad.categories.items():
-        params.category_embeddings[c] = params.category_embedding(c) - lr * g
+    """In-place SGD update: touched rows move by -lr * gradient."""
+    for table, g in ((params.embeddings, grad.embeddings),
+                     (params.category_embeddings, grad.categories)):
+        if len(g):
+            table.materialise(g.rows)
+            table.data[g.rows] -= lr * g.data
     if grad.weights is not None:
         params.weights -= lr * grad.weights
         params.bias -= lr * grad.bias
@@ -398,8 +396,8 @@ def train(graph: Graph, labels: LabelTable | None, cats: CategoryMap | None,
           trace_wallclock: bool = False) -> tuple[ParamStore, list[dict]]:
     """Run `steps` iterations of draw -> gradient -> sgd_step.
 
-    Fully reproducible for workers=1 and a fixed seed. The trace records a
-    risk estimate every eval_every steps (step 0 included).
+    Fully reproducible for a fixed seed. The trace records a risk estimate
+    every eval_every steps (step 0 included).
     """
     errs = config.validate()
     if errs:
@@ -407,6 +405,7 @@ def train(graph: Graph, labels: LabelTable | None, cats: CategoryMap | None,
     if params is None:
         label_dim = labels.label_dim if labels is not None else 0
         params = ParamStore(config.embedding_dim, label_dim, seed=config.seed)
+    params.embeddings.reserve(graph.vertex_count)
     rng = np.random.default_rng(config.seed)
     eval_rng = np.random.default_rng((config.seed, 0xE7A1))
     table = build_unigram(graph, config.sampler.unigram_power) \
@@ -416,7 +415,8 @@ def train(graph: Graph, labels: LabelTable | None, cats: CategoryMap | None,
 
     def record(step):
         est = estimate_risk(graph, labels, params, config.sampler, config.loss,
-                            config.eval_samples, eval_rng, cats)
+                            config.eval_samples, eval_rng, cats,
+                            unigram_table=table)
         if not np.isfinite(est.mean) or est.mean > DIVERGENCE_LIMIT:
             raise DivergenceError(f"risk diverged at step {step}: {est.mean}")
         rec = {"step": step, "risk_mean": est.mean, "risk_stderr": est.std_error}
@@ -425,69 +425,12 @@ def train(graph: Graph, labels: LabelTable | None, cats: CategoryMap | None,
 
     record(0)
 
-    if config.workers == 1:
-        for step in range(config.steps):
-            sub = draw(graph, config.sampler, rng, unigram_table=table)
-            g = gradient(sub, labels, params, config.loss, cats)
-            sgd_step(params, g, _learning_rate(config, step))
-            if config.eval_every and (step + 1) % config.eval_every == 0:
-                record(step + 1)
-    else:
-        _train_threaded(graph, labels, cats, config, params, table)
+    for step in range(config.steps):
+        sub = draw(graph, config.sampler, rng, unigram_table=table)
+        g = gradient(sub, labels, params, config.loss, cats)
+        sgd_step(params, g, _learning_rate(config, step))
+        if config.eval_every and (step + 1) % config.eval_every == 0:
+            record(step + 1)
     if not trace or trace[-1]["step"] != config.steps:
         record(config.steps)
     return params, trace
-
-
-def _train_threaded(graph, labels, cats, config, params, table):
-    """Multi-worker training: sampler threads fill a bounded queue; updates
-    are applied either by a single consumer (default) or by the workers
-    themselves (concurrent_updates; nondeterministic, last-writer-wins)."""
-    steps = config.steps
-    counter = {"applied": 0}
-    lock = threading.Lock()
-
-    if config.concurrent_updates:
-        def run(widx):
-            wrng = np.random.default_rng((config.seed, widx))
-            while True:
-                with lock:
-                    if counter["applied"] >= steps:
-                        return
-                    step = counter["applied"]
-                    counter["applied"] += 1
-                sub = draw(graph, config.sampler, wrng, unigram_table=table)
-                g = gradient(sub, labels, params, config.loss, cats)
-                sgd_step(params, g, _learning_rate(config, step))
-
-        threads = [threading.Thread(target=run, args=(w,)) for w in range(config.workers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        return
-
-    q: queue.Queue = queue.Queue(maxsize=4 * config.workers)
-    stop = threading.Event()
-
-    def producer(widx):
-        wrng = np.random.default_rng((config.seed, widx))
-        while not stop.is_set():
-            sub = draw(graph, config.sampler, wrng, unigram_table=table)
-            try:
-                q.put(sub, timeout=0.1)
-            except queue.Full:
-                continue
-
-    threads = [threading.Thread(target=producer, args=(w,)) for w in range(config.workers)]
-    for t in threads:
-        t.start()
-    try:
-        for step in range(steps):
-            sub = q.get()
-            g = gradient(sub, labels, params, config.loss, cats)
-            sgd_step(params, g, _learning_rate(config, step))
-    finally:
-        stop.set()
-        for t in threads:
-            t.join()

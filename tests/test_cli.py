@@ -92,6 +92,18 @@ def test_cli_missing_seed_is_config_error(tmp_path, capsys):
     assert any("seed" in v for v in err["violations"])
 
 
+def test_cli_rejects_removed_train_keys(tmp_path, capsys):
+    edges = write_path3(tmp_path)
+    for key, value in (("train.workers", "2"), ("train.concurrent_updates", "true")):
+        rc = main(["train", "--set", "seed=1", "--set", f"graph.edges={edges}",
+                   "--set", f"{key}={value}", "--set", f"output.dir={tmp_path}"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["kind"] == "config"
+        assert any(key in v for v in err["violations"])
+    assert not (tmp_path / "checkpoint.bin").exists()
+
+
 def test_cli_collects_multiple_violations(tmp_path, capsys):
     rc = main(["train", "--set", "sampler.algorithm=bogus",
                "--set", "train.steps=-5"])

@@ -101,6 +101,22 @@ def test_induced_edges_mask(path3):
     assert pairs_set(induced_edges(path3, mask)) == {(0, 1)}
 
 
+def test_induced_edges_matches_edge_list_mask():
+    # the neighbour-list gather returns exactly the edge-list mask's rows,
+    # in the same order and dtype, isolated vertices and extreme masks included
+    rng = np.random.default_rng(3)
+    for trial in range(40):
+        v = int(rng.integers(2, 30))
+        edges = rng.integers(v, size=(int(rng.integers(0, 3 * v)), 2))
+        g = from_edges(v, edges[edges[:, 0] != edges[:, 1]])
+        for mask in (np.zeros(v, dtype=bool), np.ones(v, dtype=bool),
+                     rng.random(v) < rng.random()):
+            want = g.edge_list[mask[g.edge_list[:, 0]] & mask[g.edge_list[:, 1]]]
+            got = induced_edges(g, mask)
+            assert got.dtype == np.int64 and got.shape == (len(want), 2)
+            assert np.array_equal(got, want.astype(np.int64))
+
+
 def test_validate_clean(path3, triangle, cycle4):
     for g in (path3, triangle, cycle4):
         assert validate(g) == []

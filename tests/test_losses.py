@@ -26,6 +26,20 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def test_sigmoid_matches_two_branch_formula():
+    from relerm.losses import _sigmoid
+    rng = np.random.default_rng(2)
+    x = np.concatenate([rng.normal(scale=s, size=500) for s in (0.1, 3.0, 300.0)]
+                       + [[0.0, -0.0, 745.0, -745.0, np.inf, -np.inf]])
+    want = np.empty_like(x)
+    pos = x >= 0
+    want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    want[~pos] = np.exp(x[~pos]) / (1.0 + np.exp(x[~pos]))
+    got = _sigmoid(x)
+    assert np.array_equal(got, want) and np.isfinite(got).all()
+    assert np.array_equal(_sigmoid(x.reshape(-1, 3)), want.reshape(-1, 3))
+
+
 # -- edge loss ----------------------------------------------------------------
 
 def test_edge_loss_hand_value():

@@ -1,0 +1,188 @@
+"""Dense parameter rows (RowTable, ParamStore) and the pair-scoring kernel."""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+from relerm import (CategoryMap, LabelTable, LossConfig, ParamStore, SparseGradient,
+                    combined_loss, edge_loss, gradient, sgd_step)
+from relerm.losses import RowTable, SparseRows
+from relerm.samplers import SampledSubgraph
+
+
+# -- row table ----------------------------------------------------------------
+
+def test_row_table_mapping_semantics():
+    t = RowTable(3)
+    assert len(t) == 0 and list(t) == []
+    t[7] = [1.0, 2.0, 3.0]          # grows the table
+    t[2] = np.array([0.5, 0.0, -1.0])
+    assert len(t.data) >= 8
+    assert list(t) == [2, 7] and sorted(t) == [2, 7]
+    assert [k for k, _ in t.items()] == [2, 7]
+    assert 7 in t and 3 not in t and -1 not in t
+    t[7][1] += 10.0                 # in-place row edits stick
+    assert np.array_equal(t[7], [1.0, 12.0, 3.0])
+    with pytest.raises(KeyError):
+        t[3]
+    with pytest.raises(KeyError):
+        t[-1] = np.zeros(3)
+    with pytest.raises(KeyError):
+        t.rows([3])                 # no initialiser: a missing row is an error
+    del t[2]
+    assert list(t) == [7] and t.get(2) is None
+
+
+def test_row_table_copy_is_independent():
+    t = RowTable(2)
+    t.update({0: np.array([1.0, 1.0]), 4: np.array([2.0, 2.0])})
+    c = t.copy()
+    c[0][0] = -5.0
+    c[9] = np.zeros(2)
+    assert np.array_equal(t[0], [1.0, 1.0])
+    assert list(t) == [0, 4] and list(c) == [0, 4, 9]
+
+
+def test_param_store_mapping_callers():
+    ps = ParamStore(2, 1, seed=3)
+    ps.embeddings = {5: np.array([1.0, 2.0]), 1: np.array([0.0, 1.0])}
+    assert sorted(ps.embeddings) == [1, 5]
+    ps.embeddings.update({0: np.array([3.0, 3.0])})
+    assert np.array_equal(ps.embedding_matrix([5, 0]), [[1.0, 2.0], [3.0, 3.0]])
+    assert np.array_equal(ps.embedding(5), [1.0, 2.0])
+    ps.category_embeddings = {2: np.array([4.0, 4.0])}
+    assert list(ps.category_embeddings) == [2]
+    other = ps.copy()
+    other.embeddings[5][0] = 9.0
+    other.weights[0, 0] = 1.0
+    assert ps.embeddings[5][0] == 1.0 and ps.weights[0, 0] == 0.0
+    # a lazily drawn row is the same in the original and the copy
+    assert np.array_equal(ps.embedding(8), other.embedding(8))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 16, 128])
+def test_lazy_init_matches_generator_uniform(dim):
+    seed, lo, hi = 11, -0.5 / dim, 0.5 / dim
+    ids = np.array([0, 3, 17, 4096, 5])
+    stable = np.array([40, 41, 42, 43, 44, 45])
+    for init_ids, keys in ((None, ids), (stable, stable[ids % 6])):
+        ps = ParamStore(dim, 0, seed=seed, init_ids=init_ids)
+        vertices = ids if init_ids is None else ids % 6
+        for row, key in zip(ps.embedding_matrix(vertices), keys):
+            want = np.random.default_rng((seed, 0, int(key))).uniform(lo, hi, dim)
+            assert np.array_equal(row, want)
+    cat = ParamStore(dim, 0, seed=seed).category_embedding(9)
+    assert np.array_equal(cat, np.random.default_rng((seed, 1, 9)).uniform(lo, hi, dim))
+
+
+def test_store_is_freed_without_cyclic_gc():
+    gc.disable()
+    try:
+        ps = ParamStore(4, 0, seed=0)
+        ps.embedding_matrix(np.arange(50))
+        ps.category_embedding(3)
+        ref = weakref.ref(ps)
+        del ps
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_sgd_step_moves_rows_by_exactly_lr_g():
+    ps = ParamStore(3, 0, seed=2)
+    ps.embeddings[4] = np.array([1.0, -2.0, 0.5])
+    before = {v: ps.embedding(v).copy() for v in (1, 4)}
+    g = SparseGradient(embeddings={4: np.array([0.3, 0.1, -0.7]),
+                                   1: np.array([1.0, 1.0, 1.0])})
+    assert isinstance(g.embeddings, SparseRows) and list(g.embeddings) == [1, 4]
+    sgd_step(ps, g, 0.37)
+    for v, row in g.embeddings.items():
+        assert np.array_equal(ps.embedding(v), before[v] - 0.37 * row)
+
+
+# -- pair scoring, loss and gradient ------------------------------------------
+
+def _sample(rng, n):
+    """Pairs over vertices 0..n-1 with repeated pairs, both orientations of a
+    pair, and sample vertices listed more than once."""
+    pos = rng.integers(n, size=(9, 2))
+    pos = pos[pos[:, 0] != pos[:, 1]]
+    pos = np.concatenate([pos, pos[:2], pos[:1, ::-1]])
+    neg = rng.integers(n, size=(6, 2))
+    neg = np.concatenate([neg[neg[:, 0] != neg[:, 1]], pos[:1]])
+    verts = np.concatenate([[2], rng.permutation(n), [0, 1]]).astype(np.int64)
+    return SampledSubgraph(verts, pos.astype(np.int64), neg.astype(np.int64),
+                           base_vertex_count=n)
+
+
+def _setup(mode, rng, n=6, dim=3, L=2):
+    params = ParamStore(dim, L if mode == "node_classification" else 0, seed=1)
+    params.embeddings = {v: rng.normal(scale=0.7, size=dim) for v in range(n)}
+    params.weights = rng.normal(scale=0.5, size=params.weights.shape)
+    params.bias = rng.normal(scale=0.5, size=params.bias.shape)
+    cats = None
+    if mode == "category_embedding":
+        params.category_embeddings = {c: rng.normal(scale=0.7, size=dim) for c in range(4)}
+        cats = CategoryMap(4, tuple(np.sort(rng.choice(4, size=rng.integers(0, 3),
+                                                       replace=False)).astype(np.int64)
+                                    for _ in range(n)))
+    labels = LabelTable(L, rng.random((n, L)) < 0.5, rng.random(n) < 0.8)
+    return params, cats, labels
+
+
+def _vectors(params, cats, mode, n):
+    if mode != "category_embedding":
+        return {v: params.embeddings[v].copy() for v in range(n)}
+    return {v: sum((params.category_embeddings[int(c)] for c in cats.memberships[v]),
+                   np.zeros(params.dim)) for v in range(n)}
+
+
+@pytest.mark.parametrize("mode", ["edge_only", "node_classification", "category_embedding"])
+def test_edge_loss_hand_value_with_repeats(mode):
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        params, cats, _ = _setup(mode, rng)
+        sample = _sample(rng, 6)
+        vec = _vectors(params, cats, mode, 6)
+        eps = LossConfig().prob_clip
+        want = 0.0
+        for (a, b), sign in [(p, 1) for p in sample.positive_pairs.tolist()] + \
+                            [(p, 0) for p in sample.negative_pairs.tolist()]:
+            p = min(max(1.0 / (1.0 + np.exp(-vec[a] @ vec[b])), eps), 1.0 - eps)
+            want -= np.log(p) if sign else np.log(1.0 - p)
+        got = edge_loss(sample, params, LossConfig(mode=mode), cats)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("mode", ["edge_only", "node_classification", "category_embedding"])
+def test_gradient_matches_central_differences_with_repeats(mode):
+    rng = np.random.default_rng(6)
+    h = 1e-6
+    for _ in range(4):
+        params, cats, labels = _setup(mode, rng)
+        sample = _sample(rng, 6)
+        cfg = LossConfig(q=0.4 if mode == "node_classification" else 0.0, mode=mode)
+        grad = gradient(sample, labels, params, cfg, cats)
+        tables = [(params.category_embeddings, grad.categories)] \
+            if mode == "category_embedding" else [(params.embeddings, grad.embeddings)]
+        slots = [(t, g, k, i) for t, g in tables for k in list(t) for i in range(params.dim)]
+        slots += [(params.weights, grad.weights, None, i) for i in range(params.weights.size)]
+        slots += [(params.bias, grad.bias, None, i) for i in range(params.bias.size)]
+        num, ana = [], []
+        for table, g, key, i in slots:
+            cell = table[key] if key is not None else table.reshape(-1)
+            old = cell[i]
+            cell[i] = old + h
+            up = combined_loss(sample, labels, params, cfg, cats)
+            cell[i] = old - h
+            dn = combined_loss(sample, labels, params, cfg, cats)
+            cell[i] = old
+            num.append((up - dn) / (2 * h))
+            if key is None:
+                ana.append(g.reshape(-1)[i])
+            else:
+                ana.append(g[key][i] if key in g else 0.0)
+        num, ana = np.array(num), np.array(ana)
+        assert np.linalg.norm(ana - num) <= 1e-6 * max(np.linalg.norm(num), 1e-8)

@@ -56,6 +56,30 @@ def test_walk_degree_proportional_start(path3):
     assert np.abs(freq - [0.25, 0.5, 0.25]).max() < 0.02
 
 
+def test_random_walk_law_irregular_graph():
+    # full walks from the sampler `draw` uses, against
+    # P(walk) = P(start) * prod 1/deg, on star4 plus a pendant and an
+    # isolated vertex: center 0, leaves 1..3, pendant 4 on leaf 1, 5 alone
+    g = from_edges(6, np.array([[0, 1], [0, 2], [0, 3], [1, 4]]))
+    deg = g.degrees.astype(float)
+    n, r = 40_000, 2
+    for start, p_start in (("uniform_vertex", (deg > 0) / (deg > 0).sum()),
+                           ("degree_proportional", deg / deg.sum())):
+        walks, want = [], []
+        for v0 in range(6):
+            for v1 in g.neighbors_of(v0):
+                for v2 in g.neighbors_of(v1):
+                    walks.append((v0, int(v1), int(v2)))
+                    want.append(p_start[v0] / (deg[v0] * deg[v1]))
+        index = {w: i for i, w in enumerate(walks)}
+        counts = np.zeros(len(walks))
+        rng = np.random.default_rng(11)
+        for _ in range(n):
+            counts[index[tuple(random_walk(g, r, rng, start).tolist())]] += 1
+        assert abs(sum(want) - 1.0) < 1e-12
+        assert chisquare(counts, n * np.array(want)).pvalue > 1e-3, start
+
+
 # -- skipgram pairs -----------------------------------------------------------
 
 def test_skipgram_window3():
@@ -228,6 +252,33 @@ def test_unigram_probabilities_path3(path3):
     assert np.allclose(t.probabilities, [1 / z, 2 ** 0.75 / z, 1 / z])
     t = build_unigram(path3, tau=1.0)
     assert np.allclose(t.probabilities, [0.25, 0.5, 0.25])
+
+
+def _alias_reference(probs):
+    # Vose's method stepped on numpy float64 scalars
+    n = len(probs)
+    scaled = probs * n
+    accept = np.ones(n)
+    alias = np.arange(n, dtype=np.int64)
+    small = [i for i in range(n) if scaled[i] < 1.0]
+    large = [i for i in range(n) if scaled[i] >= 1.0]
+    while small and large:
+        s, g = small.pop(), large.pop()
+        accept[s], alias[s] = scaled[s], g
+        scaled[g] = (scaled[g] + scaled[s]) - 1.0
+        (small if scaled[g] < 1.0 else large).append(g)
+    return accept, alias
+
+
+def test_unigram_alias_table_matches_numpy_scalar_arithmetic():
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        edges = rng.integers(300, size=(900, 2))
+        g = from_edges(300, edges[edges[:, 0] != edges[:, 1]])
+        t = build_unigram(g, tau=0.75)
+        accept, alias = _alias_reference(t.probabilities)
+        assert np.array_equal(t._accept, accept) and np.array_equal(t._alias, alias)
+        assert t._accept.dtype == np.float64 and t._alias.dtype == np.int64
 
 
 def test_unigram_skips_isolated():

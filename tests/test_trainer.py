@@ -308,18 +308,36 @@ def test_train_rejects_invalid_config(path3):
         train(path3, None, None, TrainConfig(steps=-1))
 
 
-def test_train_threaded_runs(path3):
-    cfg = TrainConfig(sampler=SamplerConfig(algorithm="p_sampling", retention=0.6),
-                      steps=40, embedding_dim=4, seed=10, workers=3)
-    params, trace = train(path3, None, None, cfg)
-    assert trace[-1]["step"] == 40
-    assert np.isfinite(trace[-1]["risk_mean"])
+def test_train_builds_the_unigram_table_once(path3, monkeypatch):
+    import relerm.trainer as T
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    build = T.build_unigram
+    monkeypatch.setattr(T, "build_unigram", counted)
+    cfg = TrainConfig(sampler=SamplerConfig(algorithm="rw_skipgram", walk_length=3,
+                                            window=2, negative="unigram"),
+                      steps=10, embedding_dim=2, seed=3, eval_every=5)
+    _, trace = train(path3, None, None, cfg)
+    assert len(trace) == 3 and len(calls) == 1
 
 
-def test_train_hogwild_runs(path3):
-    cfg = TrainConfig(sampler=SamplerConfig(algorithm="p_sampling", retention=0.6),
-                      steps=40, embedding_dim=4, seed=11, workers=3,
-                      concurrent_updates=True)
-    params, trace = train(path3, None, None, cfg)
-    assert trace[-1]["step"] == 40
-    assert np.isfinite(trace[-1]["risk_mean"])
+def test_estimate_risk_uses_given_unigram_table(path3, monkeypatch):
+    import relerm.trainer as T
+    sampler = SamplerConfig(algorithm="rw_skipgram", walk_length=3, window=2,
+                            negative="unigram")
+    params = ParamStore(2, 0, seed=1)
+    built = estimate_risk(path3, None, params, sampler, LossConfig(), 50,
+                          np.random.default_rng(2), method="loop")
+    table = T.build_unigram(path3, 0.75)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("table rebuilt")
+
+    monkeypatch.setattr(T, "build_unigram", refuse)
+    given = estimate_risk(path3, None, params, sampler, LossConfig(), 50,
+                          np.random.default_rng(2), method="loop", unigram_table=table)
+    assert given == built
