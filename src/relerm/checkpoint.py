@@ -10,6 +10,7 @@ import struct
 
 import numpy as np
 
+from .graph import unpack_sections
 from .losses import ParamStore
 
 _MAGIC = b"RECK"
@@ -34,20 +35,26 @@ def save_checkpoint(params: ParamStore, path: str) -> None:
 
 def load_checkpoint(path: str) -> ParamStore:
     with open(path, "rb") as f:
-        if f.read(4) != _MAGIC:
-            raise ValueError("not a checkpoint file")
-        version, dim, label_dim, seed, n_emb, n_cat = struct.unpack("<IQQQQQ", f.read(44))
-        if version != _VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        dim, label_dim = int(dim), int(label_dim)
-        params = ParamStore(dim, label_dim, int(seed))
-        for table, n in ((params.embeddings, int(n_emb)), (params.category_embeddings, int(n_cat))):
-            ids = np.frombuffer(f.read(8 * n), dtype="<i8").astype(np.int64)
-            rows = np.frombuffer(f.read(8 * dim * n), dtype="<f8").reshape(n, dim)
-            table.put(ids, rows)
-        params.weights = np.frombuffer(f.read(8 * dim * label_dim),
-                                       dtype="<f8").reshape(dim, label_dim).copy()
-        params.bias = np.frombuffer(f.read(8 * label_dim), dtype="<f8").copy()
+        data = f.read()
+    if data[:4] != _MAGIC:
+        raise ValueError("not a checkpoint file")
+    if len(data) < 48:
+        raise ValueError(f"truncated checkpoint: header needs 44 bytes at offset 4, "
+                         f"{len(data) - 4} left")
+    version, dim, label_dim, seed, n_emb, n_cat = struct.unpack_from("<IQQQQQ", data, 4)
+    if version != _VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    dim, label_dim = int(dim), int(label_dim)
+    emb_ids, emb_rows, cat_ids, cat_rows, weights, bias = unpack_sections(
+        data, 48, (("embedding ids", "<i8", n_emb), ("embedding rows", "<f8", n_emb * dim),
+                   ("category ids", "<i8", n_cat), ("category rows", "<f8", n_cat * dim),
+                   ("weights", "<f8", dim * label_dim), ("bias", "<f8", label_dim)),
+        ValueError, "checkpoint")
+    params = ParamStore(dim, label_dim, int(seed))
+    params.embeddings.put(emb_ids.astype(np.int64), emb_rows.reshape(n_emb, dim))
+    params.category_embeddings.put(cat_ids.astype(np.int64), cat_rows.reshape(n_cat, dim))
+    params.weights = weights.reshape(dim, label_dim).copy()
+    params.bias = bias.copy()
     return params
 
 

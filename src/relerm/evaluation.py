@@ -65,6 +65,11 @@ def make_split(graph: Graph, fraction: float, scheme: str,
             else:
                 hi = p
     else:  # random_walk
+        # walks reach only non-isolated vertices
+        reachable = int((graph.degrees > 0).sum())
+        if target > reachable:
+            raise EvalError(f"random_walk split needs {target} test vertices, but only "
+                            f"{reachable} of {v} vertices have an edge")
         seen: list[int] = []
         seen_set: set[int] = set()
         while len(seen_set) < target:

@@ -330,15 +330,37 @@ def save_cache(graph: Graph, path: str, relabel_map: dict[int, int] | None = Non
             json.dump({str(k): v for k, v in relabel_map.items()}, f, sort_keys=True)
 
 
+def unpack_sections(data: bytes, pos: int, sections, error: type[Exception],
+                    what: str) -> list[np.ndarray]:
+    """Little-endian arrays read from `data` at `pos`, one per (name, dtype,
+    count) section in order. Raises `error` naming the first section the
+    data cuts short, or the bytes left over after the last section."""
+    out = []
+    for name, dtype, count in sections:
+        size = np.dtype(dtype).itemsize * count
+        if len(data) - pos < size:
+            raise error(f"truncated {what}: {name} needs {size} bytes at offset {pos}, "
+                        f"{len(data) - pos} left")
+        out.append(np.frombuffer(data, dtype=dtype, count=count, offset=pos))
+        pos += size
+    if pos != len(data):
+        raise error(f"{len(data) - pos} trailing bytes after the {what}'s {name}")
+    return out
+
+
 def load_cache(path: str) -> Graph:
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != _CACHE_MAGIC:
-            raise GraphError(f"bad cache magic {magic!r}")
-        version, v, e = struct.unpack("<IQQ", f.read(20))
-        if version != _CACHE_VERSION:
-            raise GraphError(f"unsupported cache version {version}")
-        offsets = np.frombuffer(f.read(8 * (v + 1)), dtype="<i8").astype(np.int64)
-        neighbors = np.frombuffer(f.read(4 * 2 * e), dtype="<i4").astype(np.int32)
-        edge_list = np.frombuffer(f.read(4 * 2 * e), dtype="<i4").astype(np.int32).reshape(e, 2)
-    return Graph(offsets=offsets, neighbors=neighbors, edge_list=edge_list)
+        data = f.read()
+    if data[:4] != _CACHE_MAGIC:
+        raise GraphError(f"bad cache magic {data[:4]!r}")
+    if len(data) < 24:
+        raise GraphError(f"truncated cache: header needs 20 bytes at offset 4, "
+                         f"{len(data) - 4} left")
+    version, v, e = struct.unpack_from("<IQQ", data, 4)
+    if version != _CACHE_VERSION:
+        raise GraphError(f"unsupported cache version {version}")
+    offsets, neighbors, edge_list = unpack_sections(
+        data, 24, (("offsets", "<i8", v + 1), ("neighbors", "<i4", 2 * e),
+                   ("edge_list", "<i4", 2 * e)), GraphError, "cache")
+    return Graph(offsets=offsets.astype(np.int64), neighbors=neighbors.astype(np.int32),
+                 edge_list=edge_list.astype(np.int32).reshape(e, 2))

@@ -1,10 +1,14 @@
 """Graph subsampling algorithms and negative-sampling add-ons.
 
-Each sampler maps (graph, config, rng) to a SampledSubgraph of positive
-pairs (observed edges, or skipgram-hallucinated pairs) and negative pairs
-(observed non-edges). The choice of sampler defines the empirical risk
-the trainer minimizes. All samplers are pure functions of their inputs;
-give each worker its own rng stream.
+A draw is an outcome key, drawn by `draw_key` (a retention mask, a walk, or
+edge indices), that `outcome_subgraph` maps to the SampledSubgraph of
+positive pairs (observed edges, or skipgram-hallucinated pairs) and
+negative pairs (observed non-edges). `draw`, the per-sampler functions and
+the trainer's exact enumeration and bulk simulation all use this one map;
+`draw` adds unigram negatives afterwards from further randomness. The
+choice of sampler defines the empirical risk the trainer minimizes. All
+samplers are pure functions of their inputs; give each worker its own rng
+stream.
 """
 
 from __future__ import annotations
@@ -98,31 +102,31 @@ def _first_seen(seq: np.ndarray) -> np.ndarray:
 
 
 def random_walk(graph: Graph, r: int, rng: np.random.Generator,
-                start: str = "uniform_vertex") -> np.ndarray:
+                start: str = "uniform_vertex", size: int | None = None) -> np.ndarray:
     """Simple random walk of r steps (r+1 vertices); each next vertex is
-    drawn uniformly from the current vertex's neighbors."""
+    drawn uniformly from the current vertex's neighbors. With `size`, an
+    (size, r+1) array of independent walks stepped together."""
     if graph.edge_count == 0:
         raise NoWalkError("cannot walk on a graph with no edges")
-    degrees = graph.degrees
+    offsets, neighbors, deg = graph.offsets, graph.neighbors, graph.degrees
     if start == "uniform_vertex":
         # isolated vertices cannot start a walk; resampling until non-isolated
         # is uniform over the non-isolated vertices
-        candidates = np.flatnonzero(degrees > 0)
-        cur = int(candidates[rng.integers(len(candidates))])
+        candidates = np.flatnonzero(deg > 0)
+        cur = candidates[rng.integers(len(candidates), size=size)]
     elif start == "degree_proportional":
         # stationary start: pick a uniform edge endpoint
-        e = int(rng.integers(graph.edge_count))
-        cur = int(graph.edge_list[e, int(rng.integers(2))])
+        e = rng.integers(graph.edge_count, size=size)
+        cur = graph.edge_list[e, rng.integers(2, size=size)]
     else:
         raise SamplerError(f"unknown walk start {start!r}")
-    walk = np.empty(r + 1, dtype=np.int64)
+    # one row per step, so that each step writes and reads contiguous memory
+    walk = np.empty((r + 1,) + np.shape(cur), dtype=np.int64)
     walk[0] = cur
-    offsets, neighbors = graph.offsets, graph.neighbors
     for i in range(1, r + 1):
-        d = offsets[cur + 1] - offsets[cur]
-        cur = int(neighbors[offsets[cur] + rng.integers(d)])
-        walk[i] = cur
-    return walk
+        cur = walk[i - 1]
+        walk[i] = neighbors[offsets[cur] + rng.integers(deg[cur])]
+    return walk.T
 
 
 def skipgram_pairs(walk: np.ndarray, window: int) -> np.ndarray:
@@ -143,32 +147,71 @@ def skipgram_pairs(walk: np.ndarray, window: int) -> np.ndarray:
     return np.stack([us[keep], vs[keep]], axis=1).astype(np.int64)
 
 
+def draw_key(graph: Graph, config: SamplerConfig, rng: np.random.Generator,
+             size: int | None = None) -> np.ndarray:
+    """The randomness of one draw as its outcome key: a boolean retention
+    mask over the vertices (p_sampling), a walk of walk_length + 1 vertices
+    (rw_*), or edge_count edge indices drawn with replacement
+    (uniform_edge). With `size`, one key per row for that many draws."""
+    shape = () if size is None else (size,)
+    if config.algorithm == "p_sampling":
+        return rng.random(shape + (graph.vertex_count,)) < config.retention
+    if config.algorithm == "uniform_edge":
+        return rng.integers(graph.edge_count, size=shape + (config.edge_count,))
+    return random_walk(graph, config.walk_length, rng, config.walk_start, size)
+
+
+def outcome_subgraph(graph: Graph, config: SamplerConfig,
+                     key: np.ndarray) -> SampledSubgraph:
+    """The subgraph the configured sampler reports for one outcome key.
+
+    p_sampling: the edges induced by the retained vertices, isolated
+    survivors deleted, induced non-edges among the survivors as negatives.
+    rw_skipgram: the walk's skipgram-window pairs (pairs at walk distance
+    >= 2 may be non-edges; they are still positives). rw_induced: the edges
+    induced by the walk's vertices. uniform_edge: the drawn edges and their
+    endpoints. `induced` negatives then replace the pairs with every induced
+    edge and non-edge on the vertices. Under `unigram` negatives the
+    subgraph carries none: `draw` samples them afterwards.
+    """
+    algorithm = config.algorithm
+    negatives = _empty_pairs()
+    if algorithm == "p_sampling":
+        pos = induced_edges(graph, key)
+        verts = np.unique(pos)
+        if config.negative == "none" and len(verts):
+            _, negatives = induced_pairs(graph, verts)
+    elif algorithm == "uniform_edge":
+        pos = graph.edge_list[key].astype(np.int64)
+        verts = _first_seen(pos.reshape(-1))
+    else:
+        verts = _first_seen(key)
+        if algorithm == "rw_skipgram":
+            pos = skipgram_pairs(key, config.window)
+        else:
+            pos, _ = induced_pairs(graph, verts)
+    sample = SampledSubgraph(verts, pos, negatives, source=algorithm)
+    if config.negative == "induced":
+        sample = negative_induced(graph, sample)
+    return sample
+
+
+def _sample(graph: Graph, config: SamplerConfig,
+            rng: np.random.Generator) -> SampledSubgraph:
+    return outcome_subgraph(graph, config, draw_key(graph, config, rng))
+
+
 def rw_skipgram_sample(graph: Graph, config: SamplerConfig,
                        rng: np.random.Generator) -> SampledSubgraph:
     """Walk + skipgram window augmentation. Pairs at walk distance >= 2 may
     be non-edges of the graph; they are still reported as positives."""
-    walk = random_walk(graph, config.walk_length, rng, config.walk_start)
-    pairs = skipgram_pairs(walk, config.window)
-    return SampledSubgraph(
-        vertices=_first_seen(walk),
-        positive_pairs=pairs,
-        negative_pairs=_empty_pairs(),
-        source="rw_skipgram",
-    )
+    return _sample(graph, replace(config, algorithm="rw_skipgram", negative="none"), rng)
 
 
 def rw_induced_sample(graph: Graph, config: SamplerConfig,
                       rng: np.random.Generator) -> SampledSubgraph:
     """Walk, then report the vertex-induced subgraph of the walk."""
-    walk = random_walk(graph, config.walk_length, rng, config.walk_start)
-    verts = _first_seen(walk)
-    pos, _ = induced_pairs(graph, verts)
-    return SampledSubgraph(
-        vertices=verts,
-        positive_pairs=pos,
-        negative_pairs=_empty_pairs(),
-        source="rw_induced",
-    )
+    return _sample(graph, replace(config, algorithm="rw_induced", negative="none"), rng)
 
 
 def p_sample(graph: Graph, p: float, rng: np.random.Generator,
@@ -179,34 +222,15 @@ def p_sample(graph: Graph, p: float, rng: np.random.Generator,
     overrides them; pass with_negatives=False to skip computing them)."""
     if not 0.0 <= p <= 1.0:
         raise SamplerError("retention probability must be in [0, 1]")
-    mask = rng.random(graph.vertex_count) < p
-    pos = induced_edges(graph, mask)
-    if len(pos) == 0:
-        return SampledSubgraph(np.zeros(0, dtype=np.int64), _empty_pairs(),
-                               _empty_pairs(), source="p_sampling")
-    survivors = np.unique(pos)
-    if with_negatives:
-        _, neg = induced_pairs(graph, survivors)
-    else:
-        neg = _empty_pairs()
-    return SampledSubgraph(
-        vertices=survivors,
-        positive_pairs=pos,
-        negative_pairs=neg,
-        source="p_sampling",
-    )
+    # under unigram negatives the map leaves the negatives to that pass
+    return _sample(graph, SamplerConfig(algorithm="p_sampling", retention=p,
+                                        negative="none" if with_negatives else "unigram"),
+                   rng)
 
 
 def uniform_edge_sample(graph: Graph, k: int, rng: np.random.Generator) -> SampledSubgraph:
     """k edges drawn uniformly with replacement, plus their endpoints."""
-    idx = rng.integers(graph.edge_count, size=k)
-    pos = graph.edge_list[idx].astype(np.int64)
-    return SampledSubgraph(
-        vertices=_first_seen(pos.reshape(-1)),
-        positive_pairs=pos,
-        negative_pairs=_empty_pairs(),
-        source="uniform_edge",
-    )
+    return _sample(graph, SamplerConfig(algorithm="uniform_edge", edge_count=k), rng)
 
 
 def negative_induced(graph: Graph, sample: SampledSubgraph) -> SampledSubgraph:
@@ -307,28 +331,15 @@ def negative_unigram(graph: Graph, sample: SampledSubgraph, table: UnigramTable,
 
 def draw(graph: Graph, config: SamplerConfig, rng: np.random.Generator,
          unigram_table: UnigramTable | None = None) -> SampledSubgraph:
-    """Dispatch to the configured base sampler, then apply the configured
-    negative sampler. Deterministic given the rng state."""
+    """Draw an outcome key, map it to its subgraph, then apply unigram
+    negative sampling when configured. Deterministic given the rng state."""
     errs = config.validate()
     if errs:
         raise SamplerError("; ".join(errs))
-    if config.algorithm == "rw_skipgram":
-        sample = rw_skipgram_sample(graph, config, rng)
-    elif config.algorithm == "rw_induced":
-        sample = rw_induced_sample(graph, config, rng)
-    elif config.algorithm == "p_sampling":
-        sample = p_sample(graph, config.retention, rng,
-                          with_negatives=config.negative == "none")
-    else:
-        sample = uniform_edge_sample(graph, config.edge_count, rng)
-
-    if config.negative == "induced":
-        sample = negative_induced(graph, sample)
-    elif config.negative == "unigram":
+    sample = _sample(graph, config, rng)
+    if config.negative == "unigram":
         if unigram_table is None:
             unigram_table = build_unigram(graph, config.unigram_power)
-        # the negative-sampling pass replaces any built-in negatives
-        sample = replace(sample, negative_pairs=_empty_pairs())
         sample = negative_unigram(graph, sample, unigram_table,
                                   config.negatives_per_vertex, rng)
     return sample

@@ -3,20 +3,26 @@
 The empirical risk is the expected loss over draws of the configured
 sampler; its stochastic gradient (gradient of the loss on one draw) is
 unbiased, and the oracles here verify that by exhaustive enumeration of
-the sampler's outcome space on small graphs.
+the sampler's outcome space on small graphs. They work on outcome keys
+(retention masks, walks) and leave the subgraphs to
+`samplers.outcome_subgraph`: keys are enumerated with probabilities that
+state the sampler's law independently of its code, simulated in bulk by
+the sampler's own `draw_key`, and their losses and gradients averaged by
+one weighted mean/variance helper.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, LabelTable, CategoryMap, induced_pairs
+from .graph import Graph, LabelTable, CategoryMap
+from .graph import induced_pairs  # noqa: F401 - unused; a span target of benchmarks/spans.py
 from .losses import LossConfig, ParamStore, SparseGradient, combined_loss, gradient
-from .samplers import (SampledSubgraph, SamplerConfig, UnigramTable, build_unigram, draw,
-                       negative_induced, skipgram_pairs, _empty_pairs, _first_seen)
+from .samplers import (WALK_STARTS, SamplerConfig, UnigramTable, build_unigram, draw,
+                       draw_key, outcome_subgraph)
 
 
 class TrainerError(Exception):
@@ -64,92 +70,126 @@ class RiskEstimate:
     n_samples: int
 
 
-# -- outcome enumeration ------------------------------------------------------
+# -- outcome keys -------------------------------------------------------------
 
-def enumerate_psample_outcomes(graph: Graph, p: float):
-    """All retention subsets of a small graph with their probabilities and
-    resulting subgraphs (induced edges, isolated survivors deleted,
-    induced non-edges among survivors as negatives)."""
-    v = graph.vertex_count
-    if v > 20:
-        raise OracleError("exact p-sampling enumeration limited to <= 20 vertices")
-    outcomes = []
-    for code in range(1 << v):
-        members = np.flatnonzero([(code >> i) & 1 for i in range(v)]).astype(np.int64)
-        prob = p ** len(members) * (1.0 - p) ** (v - len(members))
-        if prob == 0.0:
-            continue
-        pos, _ = induced_pairs(graph, members)
-        if len(pos):
-            survivors = np.unique(pos)
-            _, neg = induced_pairs(graph, survivors)
-            sub = SampledSubgraph(survivors, pos, neg, source="p_sampling")
-        else:
-            sub = SampledSubgraph(np.zeros(0, dtype=np.int64), _empty_pairs(),
-                                  _empty_pairs(), source="p_sampling")
-        outcomes.append((prob, sub))
-    return outcomes
+PSAMPLE_MAX_VERTICES = 20
+SIM_CHUNK = 2 * 10 ** 6  # random numbers per bulk-simulation chunk
+ESTIMATE_METHODS = ("auto", "aggregated", "loop")
 
 
-def _start_distribution(graph: Graph, start: str) -> np.ndarray:
-    deg = graph.degrees.astype(np.float64)
-    if start == "uniform_vertex":
-        probs = (deg > 0).astype(np.float64)
-    elif start == "degree_proportional":
-        probs = deg
-    else:
-        raise OracleError(f"unknown walk start {start!r}")
-    return probs / probs.sum()
+def _key_dims(graph: Graph, config: SamplerConfig) -> tuple[int, ...]:
+    """Digits of an outcome key's integer code: one binary digit per
+    vertex of a retention mask, one vertex id per position of a walk."""
+    if config.negative == "unigram":
+        raise OracleError("unigram negatives are not enumerable")
+    if config.algorithm == "p_sampling":
+        if graph.vertex_count > PSAMPLE_MAX_VERTICES:
+            raise OracleError("exact p-sampling enumeration limited to "
+                              f"<= {PSAMPLE_MAX_VERTICES} vertices")
+        return (2,) * graph.vertex_count
+    if config.algorithm in ("rw_induced", "rw_skipgram"):
+        return (graph.vertex_count,) * (config.walk_length + 1)
+    raise OracleError(f"no enumeration for algorithm {config.algorithm!r}")
 
 
-def enumerate_walk_outcomes(graph: Graph, r: int, start: str = "uniform_vertex",
-                            algorithm: str = "rw_induced", window: int = 10,
-                            negative: str = "none", max_walks: int = 10 ** 6):
-    """All length-r walks with P(walk) = P(start) * prod 1/deg, mapped to
-    the sampler's reported subgraph."""
-    n_walks = float((graph.degrees.astype(np.float64) ** r)[graph.degrees > 0].sum())
+def _encode(keys: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    try:
+        return np.ravel_multi_index(tuple(keys.T), dims)
+    except ValueError:
+        raise OracleError(f"outcome keys of {len(dims)} digits in base {dims[0]} "
+                          "do not fit int64 codes") from None
+
+
+def _decode(codes: np.ndarray, dims: tuple[int, ...], config: SamplerConfig) -> np.ndarray:
+    keys = np.empty((len(codes), len(dims)),
+                    dtype=bool if config.algorithm == "p_sampling" else np.int64)
+    rest = codes
+    for i in range(len(dims) - 1, -1, -1):
+        rest, keys[:, i] = np.divmod(rest, dims[i])
+    return keys
+
+
+def _enumerate_keys(graph: Graph, config: SamplerConfig,
+                    max_walks: int = 10 ** 6) -> tuple[np.ndarray, np.ndarray]:
+    """Every outcome key of positive probability, one per row, with its
+    probability: the 2^V retention masks with p^k (1-p)^(V-k), or every
+    walk with P(start) * prod 1/deg."""
+    dims = _key_dims(graph, config)
+    if config.algorithm == "p_sampling":
+        p = config.retention
+        masks = _decode(np.arange(1 << graph.vertex_count), dims, config)
+        kept = masks.sum(axis=1)
+        probs = p ** kept * (1.0 - p) ** (graph.vertex_count - kept)
+        return masks[probs > 0], probs[probs > 0]
+    deg = graph.degrees
+    r = config.walk_length
+    n_walks = float((deg.astype(np.float64) ** r)[deg > 0].sum())
     if n_walks > max_walks:
         raise OracleError(f"{n_walks:.0f} walks exceeds enumeration limit {max_walks}")
-    start_probs = _start_distribution(graph, start)
-    outcomes = []
-
-    def expand(walk, prob):
-        if len(walk) == r + 1:
-            wk = np.array(walk, dtype=np.int64)
-            if algorithm == "rw_induced":
-                verts = _first_seen(wk)
-                pos, _ = induced_pairs(graph, verts)
-                sub = SampledSubgraph(verts, pos, _empty_pairs(), source="rw_induced")
-            elif algorithm == "rw_skipgram":
-                sub = SampledSubgraph(_first_seen(wk), skipgram_pairs(wk, window),
-                                      _empty_pairs(), source="rw_skipgram")
-            else:
-                raise OracleError(f"cannot enumerate algorithm {algorithm!r}")
-            if negative == "induced":
-                sub = negative_induced(graph, sub)
-            elif negative != "none":
-                raise OracleError("only none/induced negatives are enumerable")
-            outcomes.append((prob, sub))
-            return
-        cur = walk[-1]
-        nbrs = graph.neighbors_of(cur)
-        for nxt in nbrs:
-            expand(walk + [int(nxt)], prob / len(nbrs))
-
-    for v0 in np.flatnonzero(start_probs > 0):
-        expand([int(v0)], float(start_probs[v0]))
-    return outcomes
+    if config.walk_start not in WALK_STARTS:
+        raise OracleError(f"unknown walk start {config.walk_start!r}")
+    weights = deg if config.walk_start == "degree_proportional" else deg > 0
+    start_probs = weights / weights.sum()
+    walks = np.flatnonzero(start_probs > 0)[:, None]
+    probs = start_probs[walks[:, 0]]
+    for _ in range(r):
+        last = walks[:, -1]
+        d = deg[last]
+        rows = np.repeat(np.arange(len(walks)), d)
+        # position in graph.neighbors of each walk end's neighbours
+        at = np.arange(d.sum()) + np.repeat(graph.offsets[last] - np.cumsum(d) + d, d)
+        walks = np.column_stack([walks[rows], graph.neighbors[at]])
+        probs = probs[rows] / d[rows]
+    return walks, probs
 
 
-def _outcomes_for_config(graph: Graph, config: SamplerConfig):
-    if config.algorithm == "p_sampling":
-        if config.negative not in ("none", "induced"):
-            raise OracleError("unigram negatives are not enumerable")
-        return enumerate_psample_outcomes(graph, config.retention)
-    if config.algorithm in ("rw_induced", "rw_skipgram"):
-        return enumerate_walk_outcomes(graph, config.walk_length, config.walk_start,
-                                       config.algorithm, config.window, config.negative)
-    raise OracleError(f"no enumeration for algorithm {config.algorithm!r}")
+def enumerate_outcomes(graph: Graph, config: SamplerConfig, max_walks: int = 10 ** 6):
+    """Every outcome of the sampler with positive probability, as
+    (probability, subgraph) pairs: all retention subsets of a small graph
+    under p-sampling, all walks (at most max_walks) under the walk samplers."""
+    keys, probs = _enumerate_keys(graph, config, max_walks)
+    return [(float(p), outcome_subgraph(graph, config, key)) for key, p in zip(keys, probs)]
+
+
+def _simulate_key_counts(graph: Graph, config: SamplerConfig, n: int,
+                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct key codes (ascending) and their counts over n draws of the
+    sampler's key step, simulated in chunks of SIM_CHUNK random numbers."""
+    dims = _key_dims(graph, config)
+    chunk = max(1, min(n, SIM_CHUNK // max(len(dims), 1)))
+    codes, counts = [], []
+    for done in range(0, n, chunk):
+        keys = draw_key(graph, config, rng, size=min(chunk, n - done))
+        c, k = np.unique(_encode(keys, dims), return_counts=True)
+        codes.append(c)
+        counts.append(k)
+    codes, inverse = np.unique(np.concatenate(codes), return_inverse=True)
+    return codes, np.bincount(inverse, weights=np.concatenate(counts))
+
+
+def _weighted_moments(weights: np.ndarray, values: np.ndarray, total: float,
+                      ddof: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of the rows of `values` with row i taken weights[i]
+    times out of `total`: draw counts over n draws give the sample moments,
+    probabilities with total 1 the exact ones."""
+    w = weights.reshape((-1,) + (1,) * (values.ndim - 1))
+    mean = (w * values).sum(axis=0) / total
+    # a single draw has no spread: its one deviation is exactly 0
+    return mean, (w * (values - mean) ** 2).sum(axis=0) / max(total - ddof, 1)
+
+
+def _key_losses(graph: Graph, config: SamplerConfig, keys: np.ndarray,
+                labels: LabelTable | None, params: ParamStore, loss: LossConfig,
+                cats: CategoryMap | None) -> np.ndarray:
+    return np.array([combined_loss(outcome_subgraph(graph, config, key), labels,
+                                   params, loss, cats) for key in keys])
+
+
+def _exact_risk(graph: Graph, config: SamplerConfig, labels: LabelTable | None,
+                params: ParamStore, loss: LossConfig, cats: CategoryMap | None) -> float:
+    keys, probs = _enumerate_keys(graph, config)
+    losses = _key_losses(graph, config, keys, labels, params, loss, cats)
+    return float(_weighted_moments(probs, losses, 1.0)[0])
 
 
 def exact_risk_psample(graph: Graph, labels: LabelTable | None, params: ParamStore,
@@ -157,8 +197,8 @@ def exact_risk_psample(graph: Graph, labels: LabelTable | None, params: ParamSto
                        cats: CategoryMap | None = None) -> float:
     """Exact empirical risk under p-sampling by summing over all 2^V
     retention subsets."""
-    return float(sum(prob * combined_loss(sub, labels, params, loss, cats)
-                     for prob, sub in enumerate_psample_outcomes(graph, p)))
+    return _exact_risk(graph, SamplerConfig(algorithm="p_sampling", retention=p),
+                       labels, params, loss, cats)
 
 
 def exact_risk_walk(graph: Graph, labels: LabelTable | None, params: ParamStore,
@@ -168,109 +208,24 @@ def exact_risk_walk(graph: Graph, labels: LabelTable | None, params: ParamStore,
                     cats: CategoryMap | None = None) -> float:
     """Exact empirical risk under random-walk sampling by enumerating every
     walk of length r."""
-    outcomes = enumerate_walk_outcomes(graph, r, start, algorithm, window, negative)
-    return float(sum(prob * combined_loss(sub, labels, params, loss, cats)
-                     for prob, sub in outcomes))
+    if algorithm not in ("rw_induced", "rw_skipgram"):
+        raise OracleError(f"cannot enumerate algorithm {algorithm!r} as walks")
+    config = SamplerConfig(algorithm=algorithm, walk_length=r, window=window,
+                           negative=negative, walk_start=start)
+    return _exact_risk(graph, config, labels, params, loss, cats)
 
 
-# -- vectorized outcome simulation (small graphs) -----------------------------
-
-def _simulate_psample_counts(graph: Graph, p: float, n: int,
-                             rng: np.random.Generator) -> np.ndarray:
-    """Counts of retention-subset codes over n independent Bernoulli draws."""
-    v = graph.vertex_count
-    counts = np.zeros(1 << v, dtype=np.int64)
-    bits = 1 << np.arange(v, dtype=np.int64)
-    chunk = max(1, min(n, 2 * 10 ** 6 // max(v, 1)))
-    done = 0
-    while done < n:
-        m = min(chunk, n - done)
-        masks = rng.random((m, v)) < p
-        codes = masks @ bits
-        counts += np.bincount(codes, minlength=1 << v)
-        done += m
-    return counts
-
-
-def _psample_outcome_for_code(graph: Graph, code: int) -> SampledSubgraph:
-    v = graph.vertex_count
-    members = np.flatnonzero([(code >> i) & 1 for i in range(v)]).astype(np.int64)
-    pos, _ = induced_pairs(graph, members)
-    if len(pos):
-        survivors = np.unique(pos)
-        _, neg = induced_pairs(graph, survivors)
-        return SampledSubgraph(survivors, pos, neg, source="p_sampling")
-    return SampledSubgraph(np.zeros(0, dtype=np.int64), _empty_pairs(),
-                           _empty_pairs(), source="p_sampling")
-
-
-def _simulate_walk_counts(graph: Graph, r: int, start: str, n: int,
-                          rng: np.random.Generator) -> dict[int, int]:
-    """Counts of base-V-encoded walks over n independent simulated walks."""
-    v = graph.vertex_count
-    deg = graph.degrees
-    if start == "uniform_vertex":
-        candidates = np.flatnonzero(deg > 0)
-        cur = candidates[rng.integers(len(candidates), size=n)]
-    else:
-        e = rng.integers(graph.edge_count, size=n)
-        side = rng.integers(2, size=n)
-        cur = graph.edge_list[e, side].astype(np.int64)
-    codes = cur.astype(np.int64)
-    for _ in range(r):
-        step = np.floor(rng.random(n) * deg[cur]).astype(np.int64)
-        cur = graph.neighbors[graph.offsets[cur] + step].astype(np.int64)
-        codes = codes * v + cur
-    uniq, cnt = np.unique(codes, return_counts=True)
-    return dict(zip(uniq.tolist(), cnt.tolist()))
-
-
-def _decode_walk(code: int, v: int, length: int) -> np.ndarray:
-    walk = np.empty(length, dtype=np.int64)
-    for i in range(length - 1, -1, -1):
-        walk[i] = code % v
-        code //= v
-    return walk
-
-
-def _walk_outcome(graph: Graph, walk: np.ndarray, config: SamplerConfig) -> SampledSubgraph:
-    if config.algorithm == "rw_induced":
-        verts = _first_seen(walk)
-        pos, _ = induced_pairs(graph, verts)
-        sub = SampledSubgraph(verts, pos, _empty_pairs(), source="rw_induced")
-    else:
-        sub = SampledSubgraph(_first_seen(walk), skipgram_pairs(walk, config.window),
-                              _empty_pairs(), source="rw_skipgram")
-    if config.negative == "induced":
-        sub = negative_induced(graph, sub)
-    return sub
-
+# -- risk estimation ----------------------------------------------------------
 
 def _fast_path_applicable(graph: Graph, config: SamplerConfig, n_samples: int) -> bool:
     if n_samples < 1000 or config.negative == "unigram":
         return False
     if config.algorithm == "p_sampling":
-        return graph.vertex_count <= 20
+        return graph.vertex_count <= PSAMPLE_MAX_VERTICES
     if config.algorithm in ("rw_induced", "rw_skipgram"):
         return graph.vertex_count ** (config.walk_length + 1) <= 5 * 10 ** 7
     return False
 
-
-def _simulated_outcome_counts(graph: Graph, config: SamplerConfig, n: int,
-                              rng: np.random.Generator):
-    """(count, SampledSubgraph) per distinct outcome over n real draws of
-    the sampler, simulated vectorized."""
-    if config.algorithm == "p_sampling":
-        counts = _simulate_psample_counts(graph, config.retention, n, rng)
-        return [(int(c), _psample_outcome_for_code(graph, code))
-                for code, c in enumerate(counts) if c > 0]
-    counts = _simulate_walk_counts(graph, config.walk_length, config.walk_start, n, rng)
-    v = graph.vertex_count
-    return [(int(c), _walk_outcome(graph, _decode_walk(code, v, config.walk_length + 1), config))
-            for code, c in sorted(counts.items())]
-
-
-# -- risk estimation ----------------------------------------------------------
 
 def estimate_risk(graph: Graph, labels: LabelTable | None, params: ParamStore,
                   sampler: SamplerConfig, loss: LossConfig, n_samples: int,
@@ -280,37 +235,33 @@ def estimate_risk(graph: Graph, labels: LabelTable | None, params: ParamStore,
     """Monte-Carlo mean and standard error of the loss over n_samples
     independent draws of the sampler.
 
-    On small graphs with enumerable outcomes, draws are simulated in bulk
-    and aggregated per distinct outcome; this is statistically identical
-    to the per-draw loop and much faster at large n_samples. The per-draw
-    loop builds the unigram table when it needs one and none is given.
+    "aggregated" simulates the draws' outcome keys in bulk and scores each
+    distinct key once, which is statistically identical to the per-draw
+    "loop" and much faster at large n_samples; it raises OracleError where
+    keys are not enumerable. "auto" picks it on small graphs. The loop
+    builds the unigram table when it needs one and none is given.
     """
     if n_samples < 1:
         raise TrainerError("n_samples must be >= 1")
+    if method not in ESTIMATE_METHODS:
+        raise TrainerError(f"unknown method {method!r}; expected one of {ESTIMATE_METHODS}")
     if method == "auto" and _fast_path_applicable(graph, sampler, n_samples):
         method = "aggregated"
     if method == "aggregated":
-        weighted = _simulated_outcome_counts(graph, sampler, n_samples, rng)
-        losses = np.array([combined_loss(sub, labels, params, loss, cats)
-                           for _, sub in weighted])
-        counts = np.array([c for c, _ in weighted], dtype=np.float64)
-        mean = float((counts * losses).sum() / n_samples)
-        if n_samples > 1:
-            var = float((counts * (losses - mean) ** 2).sum() / (n_samples - 1))
-        else:
-            var = 0.0
-        return RiskEstimate(mean, float(np.sqrt(var / n_samples)), n_samples)
-
-    table = unigram_table
-    if table is None and sampler.negative == "unigram":
-        table = build_unigram(graph, sampler.unigram_power)
-    vals = np.empty(n_samples)
-    for i in range(n_samples):
-        sub = draw(graph, sampler, rng, unigram_table=table)
-        vals[i] = combined_loss(sub, labels, params, loss, cats)
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return RiskEstimate(mean, se, n_samples)
+        codes, counts = _simulate_key_counts(graph, sampler, n_samples, rng)
+        keys = _decode(codes, _key_dims(graph, sampler), sampler)
+        vals = _key_losses(graph, sampler, keys, labels, params, loss, cats)
+    else:
+        table = unigram_table
+        if table is None and sampler.negative == "unigram":
+            table = build_unigram(graph, sampler.unigram_power)
+        vals = np.empty(n_samples)
+        for i in range(n_samples):
+            sub = draw(graph, sampler, rng, unigram_table=table)
+            vals[i] = combined_loss(sub, labels, params, loss, cats)
+        counts = np.ones(n_samples)
+    mean, var = _weighted_moments(counts, vals, n_samples, ddof=1)
+    return RiskEstimate(float(mean), float(np.sqrt(var) / np.sqrt(n_samples)), n_samples)
 
 
 # -- gradient flattening ------------------------------------------------------
@@ -342,25 +293,27 @@ def check_unbiasedness(graph: Graph, params: ParamStore, sampler: SamplerConfig,
                        loss: LossConfig, n: int, rng: np.random.Generator,
                        labels: LabelTable | None = None) -> UnbiasednessReport:
     """Compare the empirical mean of n stochastic gradients (real sampler
-    draws, aggregated per distinct outcome) against the analytic gradient
-    of the exact enumerated risk; report per-coordinate z-scores."""
+    draws, aggregated per distinct outcome key) against the analytic
+    gradient of the exact enumerated risk; report per-coordinate z-scores.
+    Each key's gradient is computed once and weighted both ways."""
     # materialize so every coordinate is live
     params.embeddings.materialise(np.arange(graph.vertex_count))
-
-    exact_outcomes = _outcomes_for_config(graph, sampler)
-    exact = np.zeros(graph.vertex_count * params.dim
-                     + params.weights.size + params.bias.size)
-    for prob, sub in exact_outcomes:
-        g = gradient(sub, labels, params, loss)
-        exact += prob * _flatten_gradient(g, graph, params)
-
-    weighted = _simulated_outcome_counts(graph, sampler, n, rng)
-    grads = np.stack([_flatten_gradient(gradient(sub, labels, params, loss),
-                                        graph, params)
-                      for _, sub in weighted])
-    counts = np.array([c for c, _ in weighted], dtype=np.float64)
-    mean = (counts[:, None] * grads).sum(axis=0) / n
-    var = (counts[:, None] * (grads - mean) ** 2).sum(axis=0) / n
+    dims = _key_dims(graph, sampler)
+    sim_codes, counts = _simulate_key_counts(graph, sampler, n, rng)
+    keys, probs = _enumerate_keys(graph, sampler)
+    exact_codes = _encode(keys, dims)
+    # one gradient per key that was enumerated or simulated
+    codes = np.union1d(exact_codes, sim_codes)
+    prob_w = np.zeros(len(codes))
+    prob_w[np.searchsorted(codes, exact_codes)] = probs
+    count_w = np.zeros(len(codes))
+    count_w[np.searchsorted(codes, sim_codes)] = counts
+    grads = np.stack([
+        _flatten_gradient(gradient(outcome_subgraph(graph, sampler, key), labels,
+                                   params, loss), graph, params)
+        for key in _decode(codes, dims, sampler)])
+    exact, _ = _weighted_moments(prob_w, grads, 1.0)
+    mean, var = _weighted_moments(count_w, grads, n)
     se = np.sqrt(var / n)
     diff = mean - exact
     z = np.zeros_like(diff)

@@ -428,6 +428,6 @@ def test_determinism_bit_identical(tmp_path, capsys):
     capsys.readouterr()
     mismatched = [rel for rel in outputs["first"]
                   if outputs["first"][rel] != outputs["second"][rel]]
-    report("train/eval/simulate reruns with the same seed are bit-identical "
-           "(workers=1)", not mismatched,
+    report("train/eval/simulate reruns with the same seed are bit-identical",
+           not mismatched,
            "all outputs identical" if not mismatched else f"differ: {mismatched}")

@@ -44,6 +44,29 @@ def test_checkpoint_bytes_deterministic(tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
+def test_checkpoint_rejects_truncated_and_padded_files(tmp_path):
+    params = ParamStore(3, 2, seed=5)
+    params.embedding(0)
+    params.embedding(7)
+    params.category_embedding(1)
+    path = tmp_path / "c.bin"
+    save_checkpoint(params, str(path))
+    data = path.read_bytes()
+    # magic and header 48 bytes, embedding ids 2 * 8, rows 2 * 3 * 8, category
+    # ids 8, rows 3 * 8, weights 3 * 2 * 8, bias 2 * 8
+    assert len(data) == 208
+    for cut, field in ((20, "header"), (48 + 10, "embedding ids"),
+                       (64 + 47, "embedding rows"), (112 + 4, "category ids"),
+                       (120 + 1, "category rows"), (208 - 30, "weights"),
+                       (208 - 5, "bias")):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match=field):
+            load_checkpoint(str(path))
+    path.write_bytes(data + b"\0")
+    with pytest.raises(ValueError, match="1 trailing bytes after the checkpoint's bias"):
+        load_checkpoint(str(path))
+
+
 def test_checkpoint_rejects_junk(tmp_path):
     p = tmp_path / "x.bin"
     p.write_bytes(b"JUNKxxxxxxxx")

@@ -46,6 +46,13 @@ def test_split_random_walk_scheme():
     t = np.sort(split.test_vertices)
 
 
+def test_split_random_walk_rejects_unreachable_target():
+    # walks never visit the isolated vertex 3, so 4 test vertices are out of reach
+    g = from_edges(4, np.array([[0, 1], [1, 2]]))
+    with pytest.raises(EvalError, match="needs 4 test vertices, but only 3 of 4"):
+        make_split(g, 1.0, "random_walk", np.random.default_rng(0))
+
+
 def test_split_rejects_bad_args():
     g = ring(10)
     with pytest.raises(EvalError):

@@ -156,3 +156,20 @@ def test_cache_rejects_bad_magic(tmp_path):
     p.write_bytes(b"XXXXrest")
     with pytest.raises(GraphError):
         load_cache(str(p))
+
+
+def test_cache_rejects_truncated_and_padded_files(tmp_path, cycle4):
+    path = tmp_path / "g.bin"
+    save_cache(cycle4, str(path))
+    data = path.read_bytes()
+    # magic 4 bytes, header 20, offsets 5 * 8, neighbors 8 * 4, edge_list 8 * 4
+    assert len(data) == 128
+    for cut, field in ((0, "magic"), (2, "magic"), (10, "header"), (30, "offsets"),
+                       (64 + 5, "neighbors"), (128 - 5, "edge_list"),
+                       (128 - 1, "edge_list")):
+        path.write_bytes(data[:cut])
+        with pytest.raises(GraphError, match=field):
+            load_cache(str(path))
+    path.write_bytes(data + b"\0" * 3)
+    with pytest.raises(GraphError, match="3 trailing bytes after the cache's edge_list"):
+        load_cache(str(path))

@@ -57,7 +57,8 @@ def test_walk_degree_proportional_start(path3):
 
 
 def test_random_walk_law_irregular_graph():
-    # full walks from the sampler `draw` uses, against
+    # full walks from the sampler `draw` uses, one at a time and as the
+    # rows of one batch (the bulk simulation's draws), against
     # P(walk) = P(start) * prod 1/deg, on star4 plus a pendant and an
     # isolated vertex: center 0, leaves 1..3, pendant 4 on leaf 1, 5 alone
     g = from_edges(6, np.array([[0, 1], [0, 2], [0, 3], [1, 4]]))
@@ -72,12 +73,15 @@ def test_random_walk_law_irregular_graph():
                     walks.append((v0, int(v1), int(v2)))
                     want.append(p_start[v0] / (deg[v0] * deg[v1]))
         index = {w: i for i, w in enumerate(walks)}
-        counts = np.zeros(len(walks))
         rng = np.random.default_rng(11)
-        for _ in range(n):
-            counts[index[tuple(random_walk(g, r, rng, start).tolist())]] += 1
+        single = [random_walk(g, r, rng, start) for _ in range(n)]
+        batch = random_walk(g, r, np.random.default_rng(11), start, size=n)
         assert abs(sum(want) - 1.0) < 1e-12
-        assert chisquare(counts, n * np.array(want)).pvalue > 1e-3, start
+        for drawn in (single, batch):
+            counts = np.zeros(len(walks))
+            for walk in drawn:
+                counts[index[tuple(walk.tolist())]] += 1
+            assert chisquare(counts, n * np.array(want)).pvalue > 1e-3, start
 
 
 # -- skipgram pairs -----------------------------------------------------------

@@ -6,8 +6,7 @@ from relerm import (LossConfig, ParamStore, SamplerConfig, TrainConfig,
                     exact_risk_walk, sgd_step, train)
 from relerm.losses import SparseGradient, combined_loss, _sigmoid
 from relerm.samplers import draw
-from relerm.trainer import (OracleError, TrainerError,
-                            enumerate_psample_outcomes, enumerate_walk_outcomes)
+from relerm.trainer import OracleError, TrainerError, enumerate_outcomes
 from relerm.graph import from_edges
 
 LN2 = float(np.log(2))
@@ -24,7 +23,7 @@ def zero_params(v, dim=2, label_dim=0):
 
 def test_psample_subset_table_path3(path3):
     # re-derive the per-subset pair counts, including isolated-deletion
-    outcomes = enumerate_psample_outcomes(path3, 0.5)
+    outcomes = enumerate_outcomes(path3, SamplerConfig(algorithm="p_sampling", retention=0.5))
     assert len(outcomes) == 8
     assert all(abs(p - 0.125) < 1e-15 for p, _ in outcomes)
     by_pairs = {}
@@ -53,11 +52,11 @@ def test_exact_risk_psample_extremes(path3):
 def test_psample_enumeration_size_limit():
     g = from_edges(21, np.array([[i, i + 1] for i in range(20)]))
     with pytest.raises(OracleError):
-        enumerate_psample_outcomes(g, 0.5)
+        enumerate_outcomes(g, SamplerConfig(algorithm="p_sampling", retention=0.5))
 
 
 def test_walk_enumeration_path3(path3):
-    outcomes = enumerate_walk_outcomes(path3, 1)
+    outcomes = enumerate_outcomes(path3, SamplerConfig(algorithm="rw_induced", walk_length=1))
     probs = {tuple(np.sort(sub.vertices).tolist()): 0.0 for _, sub in outcomes}
     walks = {}
     for p, sub in outcomes:
@@ -86,7 +85,8 @@ def test_exact_risk_walk_k2(k2):
 
 def test_walk_enumeration_limit(triangle):
     with pytest.raises(OracleError):
-        enumerate_walk_outcomes(triangle, 30, max_walks=1000)
+        enumerate_outcomes(triangle, SamplerConfig(algorithm="rw_induced", walk_length=30),
+                           max_walks=1000)
 
 
 # -- Monte-Carlo risk estimation ----------------------------------------------
@@ -150,6 +150,46 @@ def test_estimate_risk_rejects_bad_n(path3):
                       LossConfig(), 0, np.random.default_rng(0))
 
 
+def test_estimate_risk_rejects_unknown_method(path3):
+    with pytest.raises(TrainerError, match="unknown method 'fast'"):
+        estimate_risk(path3, None, zero_params(3), SamplerConfig(), LossConfig(), 10,
+                      np.random.default_rng(0), method="fast")
+
+
+def _aggregated(g, cfg):
+    return estimate_risk(g, None, ParamStore(2, 0, seed=0), cfg, LossConfig(), 10 ** 4,
+                         np.random.default_rng(0), method="aggregated")
+
+
+def _unbiasedness(g, cfg):
+    return check_unbiasedness(g, ParamStore(2, 0, seed=0), cfg, LossConfig(), 10 ** 4,
+                              np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("oracle", [_aggregated, _unbiasedness])
+def test_oracles_reject_walk_keys_beyond_int64(oracle):
+    # the 327,680 walks of 14 steps on a 20-cycle are within the enumeration
+    # limit, but their codes over 20^15 > 2^63 possible walks are not
+    g = from_edges(20, np.array([[i, (i + 1) % 20] for i in range(20)]))
+    with pytest.raises(OracleError, match="do not fit int64"):
+        oracle(g, SamplerConfig(algorithm="rw_induced", walk_length=14))
+
+
+@pytest.mark.parametrize("oracle", [_aggregated, _unbiasedness])
+def test_oracles_reject_psampling_beyond_20_vertices(oracle):
+    g = from_edges(21, np.array([[i, i + 1] for i in range(20)]))
+    with pytest.raises(OracleError, match="<= 20 vertices"):
+        oracle(g, SamplerConfig(algorithm="p_sampling", retention=0.5))
+
+
+@pytest.mark.parametrize("cfg", [
+    SamplerConfig(algorithm="p_sampling", negative="unigram"),
+    SamplerConfig(algorithm="uniform_edge", edge_count=2)])
+def test_aggregated_rejects_outcomes_it_cannot_enumerate(path3, cfg):
+    with pytest.raises(OracleError):
+        _aggregated(path3, cfg)
+
+
 # -- gradient unbiasedness ----------------------------------------------------
 
 def test_unbiasedness_psample_path3(path3):
@@ -180,24 +220,44 @@ def test_unbiasedness_detects_bias(path3):
                                 LossConfig(), 10 ** 5, np.random.default_rng(2))
     # same exact risk is recomputed for p=0.9, so compare draws at p=0.9
     # against the p=0.5 enumerated gradient manually instead:
-    from relerm.trainer import _outcomes_for_config, _flatten_gradient, \
-        _simulated_outcome_counts
+    from relerm.trainer import _decode, _flatten_gradient, _key_dims, _simulate_key_counts
     from relerm.losses import gradient
+    from relerm.samplers import outcome_subgraph
     exact = np.zeros(path3.vertex_count * params.dim)
-    for prob, sub in _outcomes_for_config(
-            path3, SamplerConfig(algorithm="p_sampling", retention=0.5)):
+    exact_cfg = SamplerConfig(algorithm="p_sampling", retention=0.5)
+    for prob, sub in enumerate_outcomes(path3, exact_cfg):
         g = gradient(sub, None, params, LossConfig())
         exact += prob * _flatten_gradient(g, path3, params)[:len(exact)]
-    weighted = _simulated_outcome_counts(
-        path3, SamplerConfig(algorithm="p_sampling", retention=0.9),
-        10 ** 5, np.random.default_rng(5))
-    grads = np.stack([_flatten_gradient(gradient(sub, None, params, LossConfig()),
+    cfg = SamplerConfig(algorithm="p_sampling", retention=0.9)
+    codes, counts = _simulate_key_counts(path3, cfg, 10 ** 5, np.random.default_rng(5))
+    grads = np.stack([_flatten_gradient(gradient(outcome_subgraph(path3, cfg, key), None,
+                                                 params, LossConfig()),
                                         path3, params)[:len(exact)]
-                      for _, sub in weighted])
-    counts = np.array([c for c, _ in weighted], dtype=float)
+                      for key in _decode(codes, _key_dims(path3, cfg), cfg)])
     mean = (counts[:, None] * grads).sum(axis=0) / 10 ** 5
     assert np.abs(mean - exact).max() > 1e-3
     assert rep.max_abs_z < 4.0 and biased.max_abs_z < 4.0
+
+
+def test_unbiasedness_sees_the_production_walk(path5, monkeypatch):
+    # a start bias planted in the walk that `draw` resolves must reach the
+    # simulated side of the check: degree-proportional starts against the
+    # uniform start of the enumerated law
+    import relerm.samplers as S
+    walk = S.random_walk
+
+    def biased(graph, r, rng, start="uniform_vertex", size=None):
+        return walk(graph, r, rng, "degree_proportional", size)
+
+    cfg = SamplerConfig(algorithm="rw_induced", walk_length=3)
+    params = ParamStore(4, 0, seed=5)
+    honest = check_unbiasedness(path5, params, cfg, LossConfig(), 10 ** 5,
+                                np.random.default_rng(6))
+    monkeypatch.setattr(S, "random_walk", biased)
+    rep = check_unbiasedness(path5, params, cfg, LossConfig(), 10 ** 5,
+                             np.random.default_rng(6))
+    assert honest.max_abs_z < 4.0
+    assert rep.max_abs_z > 4.0
 
 
 # -- SGD ----------------------------------------------------------------------
