@@ -1,10 +1,17 @@
 """Experiment runner CLI.
 
-Configuration is one declarative file of flat dotted keys ("sampler.p =
-0.1"); every key can be overridden on the command line with --set
-key=value. All randomized subcommands require a seed and write the
-resolved seed into their output header, so a run is reproducible from
-its config alone.
+Configuration is one declarative file of flat dotted keys
+("sampler.retention = 0.1"); every key can be overridden on the command
+line with --set key=value. The `sampler.*`, `loss.*` and `train.*` keys are
+the fields of SamplerConfig, LossConfig and TrainConfig, defaults included;
+each subcommand's other keys and their defaults are in COMMANDS. Before a
+subcommand creates its output directory or does any work, one prologue
+reads the required `seed`, rejects every key the subcommand does not read,
+parses every value as the type of its default (booleans: 1/true/yes or
+0/false/no; a tuple: a comma list), validates the configs, and loads the
+graph and labels, reporting all violations at once (exit 2). Every
+subcommand writes the seed into its output header, so a run is
+reproducible from its config alone.
 """
 
 from __future__ import annotations
@@ -13,20 +20,20 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import Callable
 
 import numpy as np
 
 from . import graph as graph_mod
-from .checkpoint import export_embeddings, load_checkpoint, save_checkpoint
-from .evaluation import make_split, simultaneous_eval, two_stage_eval
+from .checkpoint import export_embeddings, save_checkpoint
+from .evaluation import SPLIT_SCHEMES, make_split, simultaneous_eval, two_stage_eval
 from .graphex import (GraphonSpec, MarkingKernel, risk_convergence_experiment,
                       sample_graphex, stability_experiment)
-from .losses import LossConfig
+from .losses import LossConfig, ParamStore
 from .samplers import SamplerConfig, build_unigram, draw
 from .trainer import TrainConfig, check_unbiasedness, estimate_risk, \
     exact_risk_psample, exact_risk_walk, train
-from .losses import ParamStore
 
 
 class ConfigError(Exception):
@@ -55,240 +62,210 @@ def parse_config(path: str | None, overrides: list[str]) -> dict[str, str]:
     return cfg
 
 
-def _get(cfg, key, cast, default=None, errors=None):
+# -- config schema ------------------------------------------------------------
+
+EDGE_LIST = {"graph.edges": "", "graph.drop_self_loops": True,
+             "graph.largest_component_only": False}
+GRAPH = {**EDGE_LIST, "graph.cache": ""}  # a cache wins over an edge list
+LABELS = {"labels.path": "", "labels.dim": 0}
+# keys whose value, or each item of whose list, must be one of these
+CHOICES = {"eval.protocol": ("two_stage", "simultaneous"), "eval.schemes": SPLIT_SCHEMES,
+           "simulate.experiment": ("mecke", "risk_convergence", "stability")}
+
+
+def _cast(raw: str, kind: type):
+    if kind is not bool:
+        return kind(raw)
+    if raw.lower() in ("1", "true", "yes"):
+        return True
+    if raw.lower() in ("0", "false", "no"):
+        return False
+    raise ValueError(raw)
+
+
+def _value(cfg: dict[str, str], key: str, default, errors: list[str]):
+    """cfg[key] as the type of `default`, or `default` when the key is
+    absent or its value does not parse (a violation). A tuple default
+    takes a comma list of its items' type."""
     if key not in cfg:
-        if default is None and errors is not None:
-            errors.append(f"missing required key {key!r}")
         return default
     raw = cfg[key]
+    listed = isinstance(default, tuple)
+    kind = type(default[0] if listed else default)
     try:
-        if cast is bool:
-            return raw.lower() in ("1", "true", "yes")
-        return cast(raw)
+        if listed:
+            return tuple(_cast(item.strip(), kind) for item in raw.split(","))
+        return _cast(raw, kind)
     except ValueError:
-        if errors is not None:
-            errors.append(f"key {key!r}: cannot parse {raw!r} as {cast.__name__}")
+        what = f"a comma list of {kind.__name__}" if listed else kind.__name__
+        errors.append(f"key {key!r}: cannot parse {raw!r} as {what}")
         return default
 
 
-def _sampler_config(cfg, errors) -> SamplerConfig:
-    sc = SamplerConfig(
-        algorithm=_get(cfg, "sampler.algorithm", str, "p_sampling"),
-        walk_length=_get(cfg, "sampler.walk_length", int, 80, errors),
-        window=_get(cfg, "sampler.window", int, 10, errors),
-        retention=_get(cfg, "sampler.retention", float, 0.1, errors),
-        edge_count=_get(cfg, "sampler.edge_count", int, 100, errors),
-        negative=_get(cfg, "sampler.negative", str, "none"),
-        unigram_power=_get(cfg, "sampler.unigram_power", float, 0.75, errors),
-        negatives_per_vertex=_get(cfg, "sampler.negatives_per_vertex", int, 5, errors),
-        walk_start=_get(cfg, "sampler.walk_start", str, "uniform_vertex"),
-    )
-    errors.extend(sc.validate())
-    return sc
+def _section(section: str, cls: type, value: Callable, seed: int):
+    """Config dataclass `cls` with each field set to value(`section.<field>`,
+    default). A field holding a config dataclass (TrainConfig's sampler and
+    loss) is read from its own section, named after the field; a `seed`
+    field takes `seed`."""
+    values = {}
+    for f in fields(cls):
+        if f.name == "seed":
+            values[f.name] = seed
+        elif f.default_factory is not MISSING:
+            values[f.name] = _section(f.name, f.default_factory, value, seed)
+        else:
+            values[f.name] = value(f"{section}.{f.name}", f.default)
+    return cls(**values)
 
 
-def _loss_config(cfg, errors) -> LossConfig:
-    lc = LossConfig(
-        q=_get(cfg, "loss.q", float, 0.0, errors),
-        prob_clip=_get(cfg, "loss.prob_clip", float, 1e-7, errors),
-        mode=_get(cfg, "loss.mode", str, "edge_only"),
-    )
-    errors.extend(lc.validate())
-    return lc
+# -- the prologue every subcommand shares -------------------------------------
+
+@dataclass
+class Run:
+    """A subcommand's checked config and loaded inputs."""
+    seed: int
+    opts: dict  # the subcommand's own keys, parsed, defaults filled in
+    config: SamplerConfig | TrainConfig | None = None
+    graph: graph_mod.Graph | None = None
+    ids: dict[int, int] | None = None
+    labels: graph_mod.LabelTable | None = None
+
+    def path(self, name: str) -> str:
+        return os.path.join(self.opts["output.dir"], name)
 
 
-# keys of features that were removed; a config that sets one is rejected,
-# not silently run without it
-REMOVED_KEYS = {
-    "train.workers": "threaded training was removed; training runs in one thread",
-    "train.concurrent_updates": "lock-free concurrent updates were removed",
-}
+@dataclass(frozen=True)
+class Command:
+    """A subcommand's body and the config it reads besides `seed` and
+    `output.dir`."""
+    run: Callable[[Run], int]
+    keys: dict  # its own keys, with their defaults
+    config: tuple[str, type] | None = None  # (section, SamplerConfig or TrainConfig)
+    required: tuple = ()  # groups of its own keys of which one must be set
 
 
-def _train_config(cfg, errors, seed) -> TrainConfig:
-    errors.extend(f"key {key!r} is not supported: {why}"
-                  for key, why in REMOVED_KEYS.items() if key in cfg)
-    tc = TrainConfig(
-        sampler=_sampler_config(cfg, errors),
-        loss=_loss_config(cfg, errors),
-        steps=_get(cfg, "train.steps", int, 1000, errors),
-        lr_start=_get(cfg, "train.lr_start", float, 0.025, errors),
-        lr_end=_get(cfg, "train.lr_end", float, 1e-4, errors),
-        embedding_dim=_get(cfg, "train.embedding_dim", int, 128, errors),
-        seed=seed,
-        eval_every=_get(cfg, "train.eval_every", int, 0, errors),
-        eval_samples=_get(cfg, "train.eval_samples", int, 25, errors),
-    )
-    return tc
+def accepted_keys(name: str) -> set[str]:
+    """Every config key subcommand `name` reads; any other is rejected."""
+    spec = COMMANDS[name]
+    keys = {"seed", "output.dir", *spec.keys}
+    if spec.config:  # a build that records each key it reads
+        _section(*spec.config, lambda key, default: keys.add(key) or default, 0)
+    return keys
 
+
+def prologue(name: str, cfg: dict[str, str]) -> Run:
+    """Check subcommand `name`'s whole config, raising one ConfigError that
+    lists every violation, then load its graph and labels and create its
+    output directory."""
+    spec = COMMANDS[name]
+    errors = [] if "seed" in cfg else ["missing required key 'seed'"]
+    errors.extend(f"unknown key {key!r} for {name}"
+                  for key in sorted(set(cfg) - accepted_keys(name)))
+    seed = _value(cfg, "seed", 0, errors)
+    opts = {key: _value(cfg, key, default, errors)
+            for key, default in {"output.dir": ".", **spec.keys}.items()}
+    run = Run(seed, opts)
+    if spec.config:
+        run.config = _section(*spec.config, lambda key, default: _value(cfg, key, default, errors),
+                              seed)
+        errors.extend(run.config.validate())  # a TrainConfig's covers sampler and loss
+    for key, allowed in CHOICES.items():
+        values = opts.get(key, ())
+        errors.extend(f"key {key!r}: {v!r} is not one of {allowed}"
+                      for v in (values if isinstance(values, tuple) else (values,))
+                      if v not in allowed)
+    for group in spec.required:
+        if not any(opts[key] for key in group):
+            errors.append(f"{name} requires {' or '.join(group)}")
+    if isinstance(run.config, TrainConfig) and run.config.loss.mode == "node_classification" \
+            and "labels.path" in opts and not opts["labels.path"] \
+            and ("labels.path",) not in spec.required:
+        errors.append("node_classification loss requires labels.path")
+    if opts.get("labels.path") and "labels.dim" not in cfg:
+        errors.append("missing required key 'labels.dim'")
+    errors.extend(f"{key} path {opts[key]!r} does not exist"
+                  for key in ("graph.cache", "graph.edges", "labels.path")
+                  if opts.get(key) and not os.path.exists(opts[key]))
+    if errors:
+        raise ConfigError(errors)
+    if opts.get("graph.cache"):
+        run.graph = graph_mod.load_cache(opts["graph.cache"])
+    elif opts.get("graph.edges"):
+        with open(opts["graph.edges"]) as f:
+            run.graph, run.ids = graph_mod.load_edge_list(
+                f, drop_self_loops=opts["graph.drop_self_loops"],
+                largest_component_only=opts["graph.largest_component_only"])
+    if opts.get("labels.path"):
+        with open(opts["labels.path"]) as f:
+            run.labels = graph_mod.load_labels(f, run.graph, opts["labels.dim"])
+    os.makedirs(opts["output.dir"], exist_ok=True)
+    return run
+
+
+def _write_jsonl(run: Run, name: str, records) -> str:
+    """Write `name` in the output directory: a header record with the seed,
+    then one line per record. Returns its path."""
+    path = run.path(name)
+    with open(path, "w") as f:
+        f.write(json.dumps({"record": "header", "seed": run.seed}) + "\n")
+        for rec in records:
+            f.write(json.dumps(rec) + "\n")
+    return path
+
+
+# -- subcommands --------------------------------------------------------------
 
 PATH3_EDGES = "0 1\n1 2\n"
 
 
-def _load_graph(cfg, errors):
-    cache = cfg.get("graph.cache")
-    edges = cfg.get("graph.edges")
-    if cache:
-        if not os.path.exists(cache):
-            errors.append(f"graph.cache path {cache!r} does not exist")
-            return None
-        return graph_mod.load_cache(cache)
-    if edges:
-        if not os.path.exists(edges):
-            errors.append(f"graph.edges path {edges!r} does not exist")
-            return None
-        with open(edges) as f:
-            g, _ = graph_mod.load_edge_list(
-                f,
-                drop_self_loops=_get(cfg, "graph.drop_self_loops", bool, True),
-                largest_component_only=_get(cfg, "graph.largest_component_only",
-                                            bool, False),
-            )
-        return g
-    errors.append("one of graph.edges or graph.cache is required")
-    return None
-
-
-def _load_labels(cfg, g, errors):
-    path = cfg.get("labels.path")
-    if not path:
-        return None
-    dim = _get(cfg, "labels.dim", int, None, errors)
-    if dim is None:
-        return None
-    if not os.path.exists(path):
-        errors.append(f"labels.path {path!r} does not exist")
-        return None
-    with open(path) as f:
-        return graph_mod.load_labels(f, g, dim)
-
-
-def _outdir(cfg, errors):
-    out = cfg.get("output.dir", ".")
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _require_seed(cfg, errors) -> int:
-    return _get(cfg, "seed", int, None, errors)
-
-
-def _header(seed):
-    return {"record": "header", "seed": seed}
-
-
-def cmd_ingest(cfg):
-    errors = []
-    seed = _require_seed(cfg, errors)
-    out = _outdir(cfg, errors)
-    edges = cfg.get("graph.edges")
-    if not edges:
-        errors.append("graph.edges is required for ingest")
-    elif not os.path.exists(edges):
-        errors.append(f"graph.edges path {edges!r} does not exist")
-    if errors:
-        raise ConfigError(errors)
-    with open(edges) as f:
-        g, ids = graph_mod.load_edge_list(
-            f,
-            drop_self_loops=_get(cfg, "graph.drop_self_loops", bool, True),
-            largest_component_only=_get(cfg, "graph.largest_component_only",
-                                        bool, False),
-        )
-    path = os.path.join(out, "graph.bin")
-    graph_mod.save_cache(g, path, ids)
-    print(json.dumps({"record": "ingest", "seed": seed, "cache": path,
-                      "vertices": g.vertex_count, "edges": g.edge_count}))
+def cmd_ingest(run: Run) -> int:
+    path = run.path("graph.bin")
+    graph_mod.save_cache(run.graph, path, run.ids)
+    print(json.dumps({"record": "ingest", "seed": run.seed, "cache": path,
+                      "vertices": run.graph.vertex_count, "edges": run.graph.edge_count}))
     return 0
 
 
-def cmd_sample(cfg):
-    errors = []
-    seed = _require_seed(cfg, errors)
-    out = _outdir(cfg, errors)
-    g = _load_graph(cfg, errors)
-    sc = _sampler_config(cfg, errors)
-    count = _get(cfg, "sample.count", int, 10, errors)
-    if errors:
-        raise ConfigError(errors)
-    rng = np.random.default_rng(seed)
+def cmd_sample(run: Run) -> int:
+    g, sc = run.graph, run.config
+    rng = np.random.default_rng(run.seed)
     table = build_unigram(g, sc.unigram_power) if sc.negative == "unigram" else None
-    path = os.path.join(out, "samples.jsonl")
-    with open(path, "w") as f:
-        f.write(json.dumps(_header(seed)) + "\n")
-        for i in range(count):
-            s = draw(g, sc, rng, unigram_table=table)
-            f.write(json.dumps({
-                "record": "sample", "index": i, "source": s.source,
-                "vertices": s.vertices.tolist(),
-                "positive_pairs": s.positive_pairs.tolist(),
-                "negative_pairs": s.negative_pairs.tolist(),
-            }) + "\n")
-    print(path)
+    samples = (draw(g, sc, rng, unigram_table=table) for _ in range(run.opts["sample.count"]))
+    print(_write_jsonl(run, "samples.jsonl", (
+        {"record": "sample", "index": i, "source": s.source,
+         "vertices": s.vertices.tolist(),
+         "positive_pairs": s.positive_pairs.tolist(),
+         "negative_pairs": s.negative_pairs.tolist()} for i, s in enumerate(samples))))
     return 0
 
 
-def cmd_train(cfg):
-    errors = []
-    seed = _require_seed(cfg, errors)
-    out = _outdir(cfg, errors)
-    g = _load_graph(cfg, errors)
-    tc = _train_config(cfg, errors, seed if seed is not None else 0)
-    errors.extend(tc.validate())
-    labels = _load_labels(cfg, g, errors) if g is not None else None
-    if tc.loss.mode == "node_classification" and labels is None:
-        errors.append("node_classification loss requires labels.path and labels.dim")
-    if errors:
-        raise ConfigError(errors)
-    wallclock = _get(cfg, "train.trace_wallclock", bool, False)
-    params, trace = train(g, labels, None, tc, trace_wallclock=wallclock)
-    ckpt = os.path.join(out, "checkpoint.bin")
+def cmd_train(run: Run) -> int:
+    params, trace = train(run.graph, run.labels, None, run.config,
+                          trace_wallclock=run.opts["train.trace_wallclock"])
+    ckpt = run.path("checkpoint.bin")
     save_checkpoint(params, ckpt)
-    trace_path = os.path.join(out, "trace.jsonl")
-    with open(trace_path, "w") as f:
-        f.write(json.dumps(_header(seed)) + "\n")
-        for rec in trace:
-            f.write(json.dumps(rec) + "\n")
-    emb_path = os.path.join(out, "embeddings.tsv")
-    export_embeddings(params.embeddings, emb_path)
-    print(json.dumps({"record": "train", "seed": seed, "checkpoint": ckpt,
+    trace_path = _write_jsonl(run, "trace.jsonl", trace)
+    export_embeddings(params.embeddings, run.path("embeddings.tsv"))
+    print(json.dumps({"record": "train", "seed": run.seed, "checkpoint": ckpt,
                       "trace": trace_path, "final_risk": trace[-1]["risk_mean"]}))
     return 0
 
 
-def cmd_eval(cfg):
-    errors = []
-    seed = _require_seed(cfg, errors)
-    out = _outdir(cfg, errors)
-    g = _load_graph(cfg, errors)
-    tc = _train_config(cfg, errors, seed if seed is not None else 0)
-    labels = _load_labels(cfg, g, errors) if g is not None else None
-    if labels is None:
-        errors.append("eval requires labels.path and labels.dim")
-    protocol = _get(cfg, "eval.protocol", str, "two_stage")
-    if protocol not in ("two_stage", "simultaneous"):
-        errors.append(f"unknown eval.protocol {protocol!r}")
-    fraction = _get(cfg, "eval.fraction", float, 0.5, errors)
-    schemes = _get(cfg, "eval.schemes", str, "uniform_vertex").split(",")
-    n_seeds = _get(cfg, "eval.seeds", int, 5, errors)
-    prediction = _get(cfg, "eval.prediction", str, "threshold")
-    if errors:
-        raise ConfigError(errors)
-    path = os.path.join(out, "results.csv")
+def cmd_eval(run: Run) -> int:
+    seed, tc, opts = run.seed, run.config, run.opts
+    protocol = opts["eval.protocol"]
+    evaluate = two_stage_eval if protocol == "two_stage" else simultaneous_eval
     rows = []
-    for scheme in schemes:
+    for scheme in opts["eval.schemes"]:
         scores = []
-        for s in range(n_seeds):
+        for s in range(opts["eval.seeds"]):
             rng = np.random.default_rng((seed, s))
-            split = make_split(g, fraction, scheme.strip(), rng)
+            split = make_split(run.graph, opts["eval.fraction"], scheme, rng)
             run_tc = replace(tc, seed=int(np.random.default_rng((seed, s, 1)).integers(2 ** 31)))
-            if protocol == "two_stage":
-                score = two_stage_eval(g, labels, split, run_tc, prediction)
-            else:
-                score = simultaneous_eval(g, labels, split, run_tc, prediction)
-            scores.append(score)
+            scores.append(evaluate(run.graph, run.labels, split, run_tc, opts["eval.prediction"]))
         rows.append((protocol, tc.sampler.algorithm + "+" + tc.sampler.negative,
-                     scheme.strip(), float(np.mean(scores))))
+                     scheme, float(np.mean(scores))))
+    path = run.path("results.csv")
     with open(path, "w") as f:
         f.write(f"# seed={seed}\n")
         f.write("protocol,sampler,test_scheme,macro_f1\n")
@@ -298,22 +275,11 @@ def cmd_eval(cfg):
     return 0
 
 
-def cmd_simulate(cfg):
-    errors = []
-    seed = _require_seed(cfg, errors)
-    out = _outdir(cfg, errors)
-    experiment = _get(cfg, "simulate.experiment", str, "risk_convergence")
-    sizes = [float(s) for s in _get(cfg, "simulate.sizes", str, "50,100,200").split(",")]
-    replicates = _get(cfg, "simulate.replicates", int, 10, errors)
-    delta = _get(cfg, "simulate.delta", float, 25.0, errors)
-    if experiment not in ("mecke", "risk_convergence", "stability"):
-        errors.append(f"unknown simulate.experiment {experiment!r}")
-    sc = _sampler_config(cfg, errors)
-    lc = _loss_config(cfg, errors)
-    tc = _train_config(cfg, errors, seed if seed is not None else 0)
-    if errors:
-        raise ConfigError(errors)
-    rng = np.random.default_rng(seed)
+def cmd_simulate(run: Run) -> int:
+    tc, opts = run.config, run.opts
+    experiment, sizes, replicates = (opts["simulate.experiment"], list(opts["simulate.sizes"]),
+                                     opts["simulate.replicates"])
+    rng = np.random.default_rng(run.seed)
     spec = GraphonSpec.exp_decay()
     if experiment == "mecke":
         records = []
@@ -326,32 +292,18 @@ def cmd_simulate(cfg):
     elif experiment == "risk_convergence":
         kernel = MarkingKernel(fn=lambda x: np.array([np.exp(-x), 1.0]),
                                dim=2, noise_scale=0.1)
-        records = risk_convergence_experiment(spec, kernel, sizes, sc, lc,
+        records = risk_convergence_experiment(spec, kernel, sizes, tc.sampler, tc.loss,
                                               replicates, rng)
     else:
-        records = stability_experiment(spec, sizes, delta, tc, replicates, rng)
-    path = os.path.join(out, "simulate.jsonl")
-    with open(path, "w") as f:
-        f.write(json.dumps(_header(seed)) + "\n")
-        for rec in records:
-            f.write(json.dumps(rec) + "\n")
-    print(path)
+        records = stability_experiment(spec, sizes, opts["simulate.delta"], tc, replicates, rng)
+    print(_write_jsonl(run, "simulate.jsonl", records))
     return 0
 
 
-def cmd_riskcheck(cfg):
-    errors = []
-    seed = _require_seed(cfg, errors)
-    out = _outdir(cfg, errors)
-    n = _get(cfg, "riskcheck.samples", int, 100000, errors)
-    if errors:
-        raise ConfigError(errors)
-    if cfg.get("graph.edges") or cfg.get("graph.cache"):
-        g = _load_graph(cfg, errors)
-        if errors:
-            raise ConfigError(errors)
-    else:
-        g, _ = graph_mod.load_edge_list(PATH3_EDGES.splitlines())
+def cmd_riskcheck(run: Run) -> int:
+    seed, n = run.seed, run.opts["riskcheck.samples"]
+    g = run.graph if run.graph is not None else \
+        graph_mod.load_edge_list(PATH3_EDGES.splitlines())[0]
     loss = LossConfig(mode="edge_only")
     rng = np.random.default_rng(seed)
     report = {"record": "riskcheck", "seed": seed, "checks": []}
@@ -381,20 +333,29 @@ def cmd_riskcheck(cfg):
         report["checks"].append({"sampler": name, "exact_risk": exact,
                                  "mc_risk": est.mean, "risk_z": float(risk_z),
                                  "max_grad_z": rep.max_abs_z, "pass": passed})
-    path = os.path.join(out, "riskcheck.json")
+    path = run.path("riskcheck.json")
     with open(path, "w") as f:
         json.dump(report, f, indent=2)
     print(json.dumps(report))
     return 0 if ok else 1
 
 
+GRAPH_REQUIRED = (("graph.edges", "graph.cache"),)
 COMMANDS = {
-    "ingest": cmd_ingest,
-    "sample": cmd_sample,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "simulate": cmd_simulate,
-    "riskcheck": cmd_riskcheck,
+    "ingest": Command(cmd_ingest, EDGE_LIST, required=(("graph.edges",),)),
+    "sample": Command(cmd_sample, {**GRAPH, "sample.count": 10}, ("sampler", SamplerConfig),
+                      GRAPH_REQUIRED),
+    "train": Command(cmd_train, {**GRAPH, **LABELS, "train.trace_wallclock": False},
+                     ("train", TrainConfig), GRAPH_REQUIRED),
+    "eval": Command(cmd_eval, {**GRAPH, **LABELS, "eval.protocol": "two_stage",
+                               "eval.fraction": 0.5, "eval.schemes": ("uniform_vertex",),
+                               "eval.seeds": 5, "eval.prediction": "threshold"},
+                    ("train", TrainConfig), GRAPH_REQUIRED + (("labels.path",),)),
+    "simulate": Command(cmd_simulate, {"simulate.experiment": "risk_convergence",
+                                       "simulate.sizes": (50.0, 100.0, 200.0),
+                                       "simulate.replicates": 10, "simulate.delta": 25.0},
+                        ("train", TrainConfig)),
+    "riskcheck": Command(cmd_riskcheck, {**GRAPH, "riskcheck.samples": 100000}),
 }
 
 
@@ -408,7 +369,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config, args.overrides)
-        return COMMANDS[args.command](cfg)
+        return COMMANDS[args.command].run(prologue(args.command, cfg))
     except ConfigError as exc:
         print(json.dumps({"record": "error", "kind": "config",
                           "violations": exc.violations}), file=sys.stderr)

@@ -273,39 +273,55 @@ def induced_edges(graph: Graph, vertex_mask: np.ndarray) -> np.ndarray:
 
 
 def validate(graph: Graph) -> list[str]:
-    """Return a list of violated invariants (empty iff the graph is valid)."""
-    report = []
+    """Return a list of violated invariants (empty iff the graph is valid):
+    one line per kind of violation, naming its first offender in adjacency
+    or edge-list order and how many more there are."""
     v = graph.vertex_count
     offsets, neighbors, edges = graph.offsets, graph.neighbors, graph.edge_list
-    if len(offsets) < 1 or offsets[0] != 0 or offsets[-1] != len(neighbors):
-        report.append("offsets malformed")
-        return report
+    if len(offsets) < 1 or offsets[0] != 0 or offsets[-1] != len(neighbors) \
+            or (np.diff(offsets) < 0).any():
+        return ["offsets malformed"]
     if len(neighbors) and (neighbors.min() < 0 or neighbors.max() >= v):
-        report.append("neighbor index out of range")
-        return report
-    for u in range(v):
-        nbrs = neighbors[offsets[u]:offsets[u + 1]]
-        if len(nbrs) > 1 and (np.diff(nbrs) <= 0).any():
-            report.append(f"neighbors of {u} not sorted strictly ascending (duplicate or disorder)")
-        if (nbrs == u).any():
-            report.append(f"self-loop at {u}")
-    # symmetry
-    deg = np.diff(offsets)
-    src = np.repeat(np.arange(v), deg)
-    fwd = set(zip(src.tolist(), neighbors.tolist()))
-    for a, b in fwd:
-        if (b, a) not in fwd:
-            report.append(f"asymmetric adjacency: {a}->{b} without reverse")
-    if len(edges):
-        if (edges[:, 0] >= edges[:, 1]).any():
-            report.append("edge_list rows not u < v")
-        codes = edges[:, 0].astype(np.int64) * v + edges[:, 1]
-        if len(np.unique(codes)) != len(codes):
-            report.append("duplicate edges in edge_list")
-        for a, b in edges:
-            if (int(a), int(b)) not in fwd:
-                report.append(f"edge_list pair ({a},{b}) missing from adjacency")
-    if deg.sum() != 2 * len(edges):
+        return ["neighbor index out of range"]
+    report = []
+
+    def flag(where, message):
+        if len(where):
+            more = f" (and {len(where) - 1} more)" if len(where) > 1 else ""
+            report.append(message(where[0]) + more)
+
+    src = np.repeat(np.arange(v, dtype=np.int64), np.diff(offsets))
+    dst = neighbors.astype(np.int64)
+    # entry i + 1 repeats or precedes entry i within one vertex's block
+    flag(np.flatnonzero((src[1:] == src[:-1]) & (dst[1:] <= dst[:-1])) + 1,
+         lambda i: f"neighbors of {src[i]} not sorted strictly ascending (duplicate or disorder)")
+    flag(np.flatnonzero(src == dst), lambda i: f"self-loop at {src[i]}")
+    adjacency = np.sort(src * v + dst)
+
+    def absent(codes):
+        """Positions of the codes u*V+w whose pair (u, w) the adjacency lacks."""
+        if not len(adjacency):
+            return np.arange(len(codes))
+        at = np.minimum(np.searchsorted(adjacency, codes), len(adjacency) - 1)
+        return np.flatnonzero(adjacency[at] != codes)
+
+    reverse = dst * v + src
+    if not np.array_equal(np.sort(reverse), adjacency):
+        flag(absent(reverse), lambda i: f"asymmetric adjacency: {src[i]}->{dst[i]} without reverse")
+    a, b = edges[:, 0].astype(np.int64), edges[:, 1].astype(np.int64)
+
+    def pair(i):
+        return f"({a[i]},{b[i]})"
+    flag(np.flatnonzero(a >= b), lambda i: f"edge_list rows not u < v: {pair(i)}")
+    in_range = (np.minimum(a, b) >= 0) & (np.maximum(a, b) < v)
+    flag(np.flatnonzero(~in_range), lambda i: f"edge_list pair {pair(i)} out of range")
+    order = np.lexsort((b, a))  # stable: a repeated row follows its first copy
+    repeat = (a[order][1:] == a[order][:-1]) & (b[order][1:] == b[order][:-1])
+    flag(np.sort(order[1:][repeat]), lambda i: f"duplicate edges in edge_list: {pair(i)}")
+    rows = np.flatnonzero(in_range)
+    flag(rows[absent(a[rows] * v + b[rows])],
+         lambda i: f"edge_list pair {pair(i)} missing from adjacency")
+    if len(dst) != 2 * len(edges):
         report.append("sum(degrees) != 2 * edge_count")
     return report
 

@@ -119,10 +119,7 @@ def _restrict(draw: _CandidateDraw, n: float, size: float) -> LatentGraph:
     else:
         edges = draw.edges
     survivors = np.unique(edges) if len(edges) else np.zeros(0, dtype=np.int64)
-    remap = {int(p): i for i, p in enumerate(survivors)}
-    dense = (np.array([[remap[int(a)], remap[int(b)]] for a, b in edges],
-                      dtype=np.int64) if len(edges) else np.zeros((0, 2), dtype=np.int64))
-    graph = from_edges(len(survivors), dense)
+    graph = from_edges(len(survivors), np.searchsorted(survivors, edges))
     return LatentGraph(graph=graph,
                        latents=draw.latents[survivors],
                        labels=draw.labels[survivors],

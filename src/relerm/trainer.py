@@ -13,6 +13,7 @@ one weighted mean/variance helper.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -75,6 +76,7 @@ class RiskEstimate:
 PSAMPLE_MAX_VERTICES = 20
 SIM_CHUNK = 2 * 10 ** 6  # random numbers per bulk-simulation chunk
 ESTIMATE_METHODS = ("auto", "aggregated", "loop")
+AUTO_MAX_KEYS = 5 * 10 ** 7  # possible key codes up to which "auto" aggregates
 
 
 def _key_dims(graph: Graph, config: SamplerConfig) -> tuple[int, ...]:
@@ -218,13 +220,14 @@ def exact_risk_walk(graph: Graph, labels: LabelTable | None, params: ParamStore,
 # -- risk estimation ----------------------------------------------------------
 
 def _fast_path_applicable(graph: Graph, config: SamplerConfig, n_samples: int) -> bool:
-    if n_samples < 1000 or config.negative == "unigram":
+    """Whether "auto" aggregates: enough draws, and keys that are
+    enumerable with at most AUTO_MAX_KEYS possible codes."""
+    if n_samples < 1000:
         return False
-    if config.algorithm == "p_sampling":
-        return graph.vertex_count <= PSAMPLE_MAX_VERTICES
-    if config.algorithm in ("rw_induced", "rw_skipgram"):
-        return graph.vertex_count ** (config.walk_length + 1) <= 5 * 10 ** 7
-    return False
+    try:
+        return math.prod(_key_dims(graph, config)) <= AUTO_MAX_KEYS
+    except OracleError:
+        return False
 
 
 def estimate_risk(graph: Graph, labels: LabelTable | None, params: ParamStore,

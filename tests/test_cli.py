@@ -1,13 +1,16 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from relerm.checkpoint import (export_embeddings, load_checkpoint,
                                save_checkpoint)
+from relerm import cli
 from relerm.cli import main, parse_config, ConfigError
 from relerm.losses import ParamStore
+from relerm.trainer import TrainConfig
 
 
 # -- checkpoints --------------------------------------------------------------
@@ -245,3 +248,92 @@ def test_cli_runtime_error_exit_code(tmp_path, capsys):
                "--set", "graph.cache=/nonexistent/g.bin",
                "--set", f"output.dir={tmp_path}"])
     assert rc == 2  # caught at config validation: path does not exist
+
+
+# -- config schema ------------------------------------------------------------
+
+def write_ring_and_labels(tmp_path, n=12):
+    edges = tmp_path / "ring.txt"
+    edges.write_text("".join(f"{i} {(i + 1) % n}\n" for i in range(n)))
+    labels = tmp_path / "labels.txt"
+    labels.write_text("".join(f"{i} {i % 2}\n" for i in range(n)))
+    return str(edges), str(labels)
+
+
+def valid_args(command, tmp_path):
+    """A minimal valid config of each subcommand, writing to tmp_path/out."""
+    edges, labels = write_ring_and_labels(tmp_path)
+    graph = ["--set", f"graph.edges={edges}"]
+    extra = {
+        "ingest": graph,
+        "sample": graph,
+        "train": graph,
+        "eval": graph + ["--set", f"labels.path={labels}", "--set", "labels.dim=2"],
+        "simulate": [],
+        "riskcheck": [],
+    }[command]
+    return [command, "--set", "seed=1", "--set", f"output.dir={tmp_path / 'out'}"] + extra
+
+
+def config_violations(capsys):
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["kind"] == "config"
+    return err["violations"]
+
+
+@pytest.mark.parametrize("command,typo", [
+    ("ingest", "graph.edge"), ("sample", "sample.cout"), ("train", "train.step"),
+    ("eval", "eval.seed"), ("simulate", "simulate.size"), ("riskcheck", "riskcheck.sample"),
+])
+def test_cli_rejects_unknown_key(tmp_path, capsys, command, typo):
+    rc = main(valid_args(command, tmp_path) + ["--set", f"{typo}=5"])
+    assert rc == 2
+    violations = config_violations(capsys)
+    assert len(violations) == 1 and repr(typo) in violations[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,setting,named", [
+    ("train", "sampler.algorithm=bogus", "bogus"),
+    ("simulate", "sampler.algorithm=bogus", "bogus"),
+    ("simulate", "simulate.sizes=a,b", "simulate.sizes"),
+    ("ingest", "graph.drop_self_loops=ture", "graph.drop_self_loops"),
+    ("eval", "train.steps=-1", "steps"),
+    ("eval", "eval.schemes=uniform_vertex,bogus", "bogus"),
+])
+def test_cli_bad_value_is_one_violation(tmp_path, capsys, monkeypatch, command, setting,
+                                        named):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training ran on a rejected config")
+    monkeypatch.setattr(cli, "two_stage_eval", no_training)
+    monkeypatch.setattr(cli, "train", no_training)
+    rc = main(valid_args(command, tmp_path) + ["--set", setting])
+    assert rc == 2
+    violations = config_violations(capsys)
+    assert len(violations) == 1 and named in violations[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_train_defaults_are_the_dataclass_defaults(tmp_path, capsys, monkeypatch):
+    edges, _ = write_ring_and_labels(tmp_path)
+    seen = []
+
+    def fake_train(graph, labels, cats, config, **kwargs):
+        seen.append(config)
+        return ParamStore(2, 0, seed=config.seed), [{"risk_mean": 0.0}]
+    monkeypatch.setattr(cli, "train", fake_train)
+    rc = main(["train", "--set", "seed=9", "--set", f"graph.edges={edges}",
+               "--set", f"output.dir={tmp_path / 'out'}"])
+    assert rc == 0
+    assert seen == [TrainConfig(seed=9)]
+
+
+def test_readme_cli_examples_use_accepted_keys():
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    commands = re.split(r"^relerm ", block.replace("\\\n", " "), flags=re.M)[1:]
+    assert len(commands) >= 4
+    for command in commands:
+        name = command.split()[0]
+        keys = re.findall(r"--set (\S+?)=", command)
+        assert keys and set(keys) <= cli.accepted_keys(name), (name, keys)

@@ -138,6 +138,76 @@ def test_validate_detects_duplicate_edge(path3):
     assert any("duplicate" in r for r in report)
 
 
+VIOLATION_KINDS = ("not sorted", "self-loop", "asymmetric", "not u < v", "out of range",
+                   "duplicate", "missing from adjacency", "sum(degrees)")
+
+
+def reference_report(g):
+    """validate's report built from a loop over every adjacency entry and
+    edge-list row: each kind of violation names its first offender and
+    counts the rest."""
+    v, offsets = g.vertex_count, g.offsets.tolist()
+    adj = [g.neighbors[offsets[u]:offsets[u + 1]].tolist() for u in range(v)]
+    entries = [(u, w) for u in range(v) for w in adj[u]]
+    rows = [tuple(r) for r in g.edge_list.tolist()]
+    found = {
+        "sorted": [f"neighbors of {u} not sorted strictly ascending (duplicate or disorder)"
+                   for u in range(v) for i in range(1, len(adj[u]))
+                   if adj[u][i] <= adj[u][i - 1]],
+        "self-loop": [f"self-loop at {u}" for u, w in entries if u == w],
+        "asymmetric": [f"asymmetric adjacency: {u}->{w} without reverse"
+                       for u, w in entries if (w, u) not in set(entries)],
+        "order": [f"edge_list rows not u < v: ({a},{b})" for a, b in rows if a >= b],
+        "range": [f"edge_list pair ({a},{b}) out of range" for a, b in rows
+                  if not (0 <= min(a, b) and max(a, b) < v)],
+        "duplicate": [f"duplicate edges in edge_list: ({a},{b})"
+                      for i, (a, b) in enumerate(rows) if (a, b) in rows[:i]],
+        "missing": [f"edge_list pair ({a},{b}) missing from adjacency" for a, b in rows
+                    if 0 <= min(a, b) and max(a, b) < v and (a, b) not in set(entries)],
+    }
+    report = [lines[0] + (f" (and {len(lines) - 1} more)" if len(lines) > 1 else "")
+              for lines in found.values() if lines]
+    return report + (["sum(degrees) != 2 * edge_count"] if len(entries) != 2 * len(rows) else [])
+
+
+def test_validate_matches_a_loop_over_entries_and_rows():
+    rng = np.random.default_rng(4)
+    kinds = set()
+    for trial in range(400):
+        v = int(rng.integers(1, 9))
+        edges = rng.integers(v, size=(int(rng.integers(0, 2 * v)), 2))
+        g = from_edges(v, edges[edges[:, 0] != edges[:, 1]])
+        neighbors, edge_list = g.neighbors.copy(), g.edge_list.copy()
+        corrupt = trial % 6
+        if corrupt == 0 and len(neighbors):     # rewire one half-edge
+            neighbors[rng.integers(len(neighbors))] = rng.integers(v)
+        elif corrupt == 1 and len(edge_list):   # duplicate a row
+            edge_list = np.vstack([edge_list, edge_list[rng.integers(len(edge_list), size=2)]])
+        elif corrupt == 2 and len(edge_list):   # flip a row
+            edge_list[rng.integers(len(edge_list))] = edge_list[0, ::-1]
+        elif corrupt == 3 and len(neighbors) > 1:
+            neighbors = rng.permutation(neighbors)
+        elif corrupt == 4 and len(edge_list):   # a row naming vertices out of range
+            edge_list[rng.integers(len(edge_list))] = (rng.integers(-1, 1), v + 1)
+        elif corrupt == 5 and len(edge_list):
+            edge_list[rng.integers(len(edge_list)), 1] = rng.integers(v)
+        bad = Graph(g.offsets, neighbors, edge_list)
+        report = validate(bad)
+        assert report == reference_report(bad)
+        kinds |= {kind for kind in VIOLATION_KINDS for line in report if kind in line}
+    assert kinds == set(VIOLATION_KINDS)  # the corruptions reach every kind
+
+
+def test_validate_rejects_malformed_offsets_and_indices(path3):
+    for offsets in ([1, 1, 3, 4], [0, 3, 2, 4], [0, 1, 3]):
+        bad = Graph(np.array(offsets), path3.neighbors, path3.edge_list)
+        assert validate(bad) == ["offsets malformed"]
+    neighbors = path3.neighbors.copy()
+    neighbors[0] = 3
+    assert validate(Graph(path3.offsets, neighbors, path3.edge_list)) == \
+        ["neighbor index out of range"]
+
+
 def test_cache_roundtrip(tmp_path, cycle4):
     path = str(tmp_path / "g.bin")
     save_cache(cycle4, path, {5: 0, 6: 1, 7: 2, 8: 3})

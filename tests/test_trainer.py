@@ -190,6 +190,24 @@ def test_aggregated_rejects_outcomes_it_cannot_enumerate(path3, cfg):
         _aggregated(path3, cfg)
 
 
+@pytest.mark.parametrize("graph,cfg,n,picks", [
+    ("path3", SamplerConfig(algorithm="p_sampling", retention=0.5), 2000, "aggregated"),
+    ("triangle", SamplerConfig(algorithm="rw_induced", walk_length=2), 2000, "aggregated"),
+    ("path3", SamplerConfig(algorithm="p_sampling", negative="unigram"), 2000, "loop"),
+    ("path3", SamplerConfig(algorithm="p_sampling", retention=0.5), 999, "loop"),
+    # 5^11 possible walk codes are within the limit of 5 * 10^7, 5^12 are not
+    ("path5", SamplerConfig(algorithm="rw_induced", walk_length=10), 2000, "aggregated"),
+    ("path5", SamplerConfig(algorithm="rw_induced", walk_length=11), 2000, "loop"),
+])
+def test_estimate_risk_auto_picks_its_method(request, graph, cfg, n, picks):
+    g = request.getfixturevalue(graph)
+
+    def estimate(method):
+        return estimate_risk(g, None, ParamStore(2, 0, seed=0), cfg, LossConfig(), n,
+                             np.random.default_rng(3), method=method)
+    assert estimate("auto") == estimate(picks)
+
+
 # -- gradient unbiasedness ----------------------------------------------------
 
 def test_unbiasedness_psample_path3(path3):
