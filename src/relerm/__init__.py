@@ -6,9 +6,7 @@ convergence behavior empirically."""
 from .graph import (CategoryMap, Graph, LabelTable, from_edges, induced_pairs,
                     load_cache, load_edge_list, load_labels, save_cache, validate)
 from .samplers import (SampledSubgraph, SamplerConfig, UnigramTable, build_unigram,
-                       draw, negative_induced, negative_unigram, p_sample,
-                       random_walk, rw_induced_sample, rw_skipgram_sample,
-                       skipgram_pairs, uniform_edge_sample)
+                       draw, negative_unigram, random_walk, skipgram_pairs)
 from .losses import (LossConfig, ParamStore, SparseGradient,
                      category_vertex_embedding, combined_loss, edge_loss,
                      gradient, label_loss)

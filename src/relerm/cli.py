@@ -27,13 +27,14 @@ import numpy as np
 
 from . import graph as graph_mod
 from .checkpoint import export_embeddings, save_checkpoint
-from .evaluation import SPLIT_SCHEMES, make_split, simultaneous_eval, two_stage_eval
+from .evaluation import (PREDICTION_MODES, SPLIT_SCHEMES, make_split, simultaneous_eval,
+                         two_stage_eval)
 from .graphex import (GraphonSpec, MarkingKernel, risk_convergence_experiment,
                       sample_graphex, stability_experiment)
 from .losses import LossConfig, ParamStore
 from .samplers import SamplerConfig, build_unigram, draw
-from .trainer import TrainConfig, check_unbiasedness, estimate_risk, \
-    exact_risk_psample, exact_risk_walk, train
+from .trainer import PSAMPLE_MAX_VERTICES, TrainConfig, check_unbiasedness, \
+    estimate_risk, exact_risk_psample, exact_risk_walk, train
 
 
 class ConfigError(Exception):
@@ -70,6 +71,7 @@ GRAPH = {**EDGE_LIST, "graph.cache": ""}  # a cache wins over an edge list
 LABELS = {"labels.path": "", "labels.dim": 0}
 # keys whose value, or each item of whose list, must be one of these
 CHOICES = {"eval.protocol": ("two_stage", "simultaneous"), "eval.schemes": SPLIT_SCHEMES,
+           "eval.prediction": PREDICTION_MODES,
            "simulate.experiment": ("mecke", "risk_convergence", "stability")}
 
 
@@ -198,6 +200,11 @@ def prologue(name: str, cfg: dict[str, str]) -> Run:
     if opts.get("labels.path"):
         with open(opts["labels.path"]) as f:
             run.labels = graph_mod.load_labels(f, run.graph, opts["labels.dim"])
+    if name == "riskcheck" and run.graph is not None \
+            and run.graph.vertex_count > PSAMPLE_MAX_VERTICES:
+        # its exact p-sampling risk enumerates every vertex subset
+        raise ConfigError([f"riskcheck accepts at most {PSAMPLE_MAX_VERTICES} vertices, "
+                           f"the graph has {run.graph.vertex_count}"])
     os.makedirs(opts["output.dir"], exist_ok=True)
     return run
 

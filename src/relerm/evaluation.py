@@ -1,9 +1,11 @@
 """Node-classification experiment protocols.
 
 Labels are censored on a test set drawn by a configurable sampling
-scheme; embeddings are trained either in two stages (structure first,
-then a frozen-embedding logistic regression) or simultaneously through
-the combined loss; scoring is average macro-F1.
+scheme: uniform vertices, the vertices of one p-sampling `draw`, or the
+first distinct vertices of random walks from `draw_key`. Embeddings are
+trained either in two stages (structure first, then a frozen-embedding
+logistic regression) or simultaneously through the combined loss; scoring
+is average macro-F1 under one of PREDICTION_MODES.
 """
 
 from __future__ import annotations
@@ -15,10 +17,12 @@ from scipy.optimize import minimize
 
 from .graph import Graph, LabelTable
 from .losses import LossConfig, ParamStore, _sigmoid
-from .samplers import SamplerConfig, p_sample, random_walk
+from .samplers import SamplerConfig, _first_seen, draw, draw_key
 from .trainer import TrainConfig, train
 
 SPLIT_SCHEMES = ("uniform_vertex", "p_sampling", "random_walk")
+PREDICTION_MODES = ("threshold", "top_k")
+SPLIT_WALK = SamplerConfig(algorithm="rw_induced", walk_length=100)  # the walks of a split
 
 
 class EvalError(Exception):
@@ -58,8 +62,8 @@ def make_split(graph: Graph, fraction: float, scheme: str,
         probe = np.random.default_rng(rng.integers(2 ** 63))
         for _ in range(25):
             p = 0.5 * (lo + hi)
-            sub = p_sample(graph, p, np.random.default_rng(probe.integers(2 ** 63)))
-            test = sub.vertices
+            test = draw(graph, SamplerConfig(retention=p),
+                        np.random.default_rng(probe.integers(2 ** 63))).vertices
             if len(test) < target:
                 lo = p
             else:
@@ -70,18 +74,13 @@ def make_split(graph: Graph, fraction: float, scheme: str,
         if target > reachable:
             raise EvalError(f"random_walk split needs {target} test vertices, but only "
                             f"{reachable} of {v} vertices have an edge")
-        seen: list[int] = []
-        seen_set: set[int] = set()
-        while len(seen_set) < target:
-            walk = random_walk(graph, 100, rng)
-            for u in walk:
-                u = int(u)
-                if u not in seen_set:
-                    seen_set.add(u)
-                    seen.append(u)
-                    if len(seen_set) >= target:
-                        break
-        test = np.sort(np.array(seen, dtype=np.int64))
+        # the first `target` distinct vertices in visiting order, over
+        # successive walks
+        seen = np.zeros(0, dtype=np.int64)
+        while len(seen) < target:
+            fresh = _first_seen(draw_key(graph, SPLIT_WALK, rng))
+            seen = np.concatenate([seen, fresh[~np.isin(fresh, seen)]])
+        test = np.sort(seen[:target])
     train_set = np.setdiff1d(np.arange(v, dtype=np.int64), test)
     return Split(train_set, test, scheme)
 
@@ -136,19 +135,19 @@ def predict_labels(params: ParamStore, vertices: np.ndarray, truth: LabelTable,
     threshold: probability > 0.5 per label. top_k: predict each vertex's
     true label count's top-scoring labels (the Node2Vec scoring protocol).
     """
+    if mode not in PREDICTION_MODES:
+        raise EvalError(f"unknown prediction mode {mode!r}")
     n = len(truth.mask)
     pred = np.zeros((n, truth.label_dim), dtype=bool)
     lam = params.embedding_matrix(np.asarray(vertices, dtype=np.int64))
     z = lam @ params.weights + params.bias
     if mode == "threshold":
         pred[vertices] = z > 0.0
-    elif mode == "top_k":
+    else:  # top_k
         counts = truth.labels[vertices].sum(axis=1)
         order = np.argsort(-z, axis=1)
         for row, (v, k) in enumerate(zip(vertices, counts)):
             pred[v, order[row, :k]] = True
-    else:
-        raise EvalError(f"unknown prediction mode {mode!r}")
     return pred
 
 

@@ -72,13 +72,10 @@ class Graph:
         """Vectorized edge membership for pairs (us[i], vs[i])."""
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
-        lo = np.minimum(us, vs)
-        hi = np.maximum(us, vs)
-        codes = lo * self.vertex_count + hi
-        idx = np.searchsorted(self._edge_codes, codes)
-        idx = np.minimum(idx, len(self._edge_codes) - 1) if len(self._edge_codes) else idx
         if len(self._edge_codes) == 0:
-            return np.zeros(len(codes), dtype=bool)
+            return np.zeros(len(us), dtype=bool)
+        codes = np.minimum(us, vs) * self.vertex_count + np.maximum(us, vs)
+        idx = np.minimum(np.searchsorted(self._edge_codes, codes), len(self._edge_codes) - 1)
         return self._edge_codes[idx] == codes
 
 

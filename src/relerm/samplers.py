@@ -1,19 +1,20 @@
 """Graph subsampling algorithms and negative-sampling add-ons.
 
-A draw is an outcome key, drawn by `draw_key` (a retention mask, a walk, or
-edge indices), that `outcome_subgraph` maps to the SampledSubgraph of
-positive pairs (observed edges, or skipgram-hallucinated pairs) and
-negative pairs (observed non-edges). `draw`, the per-sampler functions and
-the trainer's exact enumeration and bulk simulation all use this one map;
-`draw` adds unigram negatives afterwards from further randomness. The
-choice of sampler defines the empirical risk the trainer minimizes. All
-samplers are pure functions of their inputs; give each worker its own rng
-stream.
+`draw(graph, SamplerConfig(...), rng)` is the one way to sample: the config
+names the algorithm, its parameters and the negative mode, and so defines
+the empirical risk the trainer minimizes. A draw is an outcome key, drawn
+by `draw_key` (a retention mask, a walk, or edge indices), that
+`outcome_subgraph` maps to the SampledSubgraph of positive pairs (observed
+edges, or skipgram-hallucinated pairs) and negative pairs (observed
+non-edges); `draw` adds unigram negatives afterwards from further
+randomness. The trainer's exact enumeration and bulk simulation use the
+same key step and map. All samplers are pure functions of their inputs;
+give each worker its own rng stream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -169,82 +170,32 @@ def outcome_subgraph(graph: Graph, config: SamplerConfig,
     survivors deleted, induced non-edges among the survivors as negatives.
     rw_skipgram: the walk's skipgram-window pairs (pairs at walk distance
     >= 2 may be non-edges; they are still positives). rw_induced: the edges
-    induced by the walk's vertices. uniform_edge: the drawn edges and their
-    endpoints. `induced` negatives then replace the pairs with every induced
-    edge and non-edge on the vertices. Under `unigram` negatives the
-    subgraph carries none: `draw` samples them afterwards.
+    induced by the walk's vertices. uniform_edge: the drawn edges (with
+    replacement) and their endpoints. `induced` negatives then replace the
+    pairs with every induced edge and non-edge on the vertices, from one
+    `induced_pairs` call. Under `unigram` negatives the subgraph carries
+    none: `draw` samples them afterwards.
     """
-    algorithm = config.algorithm
-    negatives = _empty_pairs()
+    algorithm, negative = config.algorithm, config.negative
+    pos = negatives = _empty_pairs()
     if algorithm == "p_sampling":
         pos = induced_edges(graph, key)
         verts = np.unique(pos)
-        if config.negative == "none" and len(verts):
-            _, negatives = induced_pairs(graph, verts)
     elif algorithm == "uniform_edge":
         pos = graph.edge_list[key].astype(np.int64)
         verts = _first_seen(pos.reshape(-1))
     else:
         verts = _first_seen(key)
-        if algorithm == "rw_skipgram":
+        if algorithm == "rw_skipgram" and negative != "induced":
             pos = skipgram_pairs(key, config.window)
-        else:
-            pos, _ = induced_pairs(graph, verts)
-    sample = SampledSubgraph(verts, pos, negatives, source=algorithm)
-    if config.negative == "induced":
-        sample = negative_induced(graph, sample)
-    return sample
-
-
-def _sample(graph: Graph, config: SamplerConfig,
-            rng: np.random.Generator) -> SampledSubgraph:
-    return outcome_subgraph(graph, config, draw_key(graph, config, rng))
-
-
-def rw_skipgram_sample(graph: Graph, config: SamplerConfig,
-                       rng: np.random.Generator) -> SampledSubgraph:
-    """Walk + skipgram window augmentation. Pairs at walk distance >= 2 may
-    be non-edges of the graph; they are still reported as positives."""
-    return _sample(graph, replace(config, algorithm="rw_skipgram", negative="none"), rng)
-
-
-def rw_induced_sample(graph: Graph, config: SamplerConfig,
-                      rng: np.random.Generator) -> SampledSubgraph:
-    """Walk, then report the vertex-induced subgraph of the walk."""
-    return _sample(graph, replace(config, algorithm="rw_induced", negative="none"), rng)
-
-
-def p_sample(graph: Graph, p: float, rng: np.random.Generator,
-             with_negatives: bool = True) -> SampledSubgraph:
-    """Retain each vertex independently with probability p, take the
-    induced subgraph, delete isolated vertices. Induced non-edges among the
-    survivors are reported as negatives (a negative-sampling pass
-    overrides them; pass with_negatives=False to skip computing them)."""
-    if not 0.0 <= p <= 1.0:
-        raise SamplerError("retention probability must be in [0, 1]")
-    # under unigram negatives the map leaves the negatives to that pass
-    return _sample(graph, SamplerConfig(algorithm="p_sampling", retention=p,
-                                        negative="none" if with_negatives else "unigram"),
-                   rng)
-
-
-def uniform_edge_sample(graph: Graph, k: int, rng: np.random.Generator) -> SampledSubgraph:
-    """k edges drawn uniformly with replacement, plus their endpoints."""
-    return _sample(graph, SamplerConfig(algorithm="uniform_edge", edge_count=k), rng)
-
-
-def negative_induced(graph: Graph, sample: SampledSubgraph) -> SampledSubgraph:
-    """Replace the sample's pairs with the full induced subgraph on its
-    vertices: all induced edges as positives, all induced non-edges as
-    negatives."""
-    pos, neg = induced_pairs(graph, sample.vertices)
-    return SampledSubgraph(
-        vertices=sample.vertices,
-        positive_pairs=pos,
-        negative_pairs=neg,
-        source=sample.source + "+induced",
-        base_vertex_count=sample.base_vertex_count,
-    )
+    if negative == "induced":
+        pos, negatives = induced_pairs(graph, verts)
+    elif algorithm == "rw_induced":
+        pos, _ = induced_pairs(graph, verts)
+    elif algorithm == "p_sampling" and negative == "none" and len(verts):
+        _, negatives = induced_pairs(graph, verts)
+    source = algorithm + "+induced" if negative == "induced" else algorithm
+    return SampledSubgraph(verts, pos, negatives, source=source)
 
 
 @dataclass(frozen=True)
@@ -264,12 +215,10 @@ class UnigramTable:
         return np.where(take_alias, self._alias[idx], idx)
 
 
-def build_unigram(graph: Graph, tau: float = 0.75, base: str = "degree") -> UnigramTable:
+def build_unigram(graph: Graph, tau: float = 0.75) -> UnigramTable:
     """probabilities(v) = degree(v)^tau / sum_u degree(u)^tau."""
     if tau <= 0:
         raise SamplerError("tau must be > 0")
-    if base != "degree":
-        raise SamplerError(f"unknown unigram base {base!r}")
     if graph.vertex_count == 0:
         raise SamplerError("empty graph")
     deg = graph.degrees.astype(np.float64)
@@ -336,7 +285,7 @@ def draw(graph: Graph, config: SamplerConfig, rng: np.random.Generator,
     errs = config.validate()
     if errs:
         raise SamplerError("; ".join(errs))
-    sample = _sample(graph, config, rng)
+    sample = outcome_subgraph(graph, config, draw_key(graph, config, rng))
     if config.negative == "unigram":
         if unigram_table is None:
             unigram_table = build_unigram(graph, config.unigram_power)

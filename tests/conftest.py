@@ -1,7 +1,25 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from relerm import from_edges
+
+
+@pytest.fixture
+def digest():
+    """A short hash of a sequence of arrays (dtype, shape and bytes) and
+    plain values (repr), for golden-output tests."""
+    def digest_of(items):
+        h = hashlib.sha256()
+        for x in items:
+            if isinstance(x, np.ndarray):
+                h.update(f"{x.dtype.str}{x.shape}".encode())
+                h.update(np.ascontiguousarray(x).tobytes())
+            else:
+                h.update(repr(x).encode())
+        return h.hexdigest()[:16]
+    return digest_of
 
 
 @pytest.fixture

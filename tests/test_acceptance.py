@@ -15,10 +15,10 @@ import numpy as np
 from scipy.stats import chi2 as chi2_dist
 
 from relerm import (GraphonSpec, LabelTable, LossConfig, MarkingKernel,
-                    SamplerConfig, TrainConfig, build_unigram,
+                    SamplerConfig, TrainConfig, build_unigram, draw,
                     check_unbiasedness, estimate_risk, exact_risk_psample,
                     exact_risk_walk, from_edges, make_split, sample_graphex,
-                    simultaneous_eval, two_stage_eval, uniform_edge_sample)
+                    simultaneous_eval, two_stage_eval)
 from relerm.graphex import risk_convergence_experiment, stability_experiment
 from relerm.losses import ParamStore, combined_loss, gradient
 from relerm.samplers import SampledSubgraph, _empty_pairs
@@ -205,7 +205,8 @@ def test_sampler_distributions_chisquare():
                 counts[live].astype(float), table.probabilities[live])
     for gname in ("triangle", "cycle4"):
         g = graphs[gname]
-        s = uniform_edge_sample(g, 10 ** 6, np.random.default_rng(9))
+        s = draw(g, SamplerConfig(algorithm="uniform_edge", edge_count=10 ** 6),
+                 np.random.default_rng(9))
         codes = s.positive_pairs[:, 0] * g.vertex_count + s.positive_pairs[:, 1]
         _, counts = np.unique(codes, return_counts=True)
         pvals[f"uniform edge {gname}"] = _chi2_pvalue(

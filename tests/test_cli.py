@@ -300,6 +300,7 @@ def test_cli_rejects_unknown_key(tmp_path, capsys, command, typo):
     ("ingest", "graph.drop_self_loops=ture", "graph.drop_self_loops"),
     ("eval", "train.steps=-1", "steps"),
     ("eval", "eval.schemes=uniform_vertex,bogus", "bogus"),
+    ("eval", "eval.prediction=bogus", "bogus"),
 ])
 def test_cli_bad_value_is_one_violation(tmp_path, capsys, monkeypatch, command, setting,
                                         named):
@@ -311,6 +312,17 @@ def test_cli_bad_value_is_one_violation(tmp_path, capsys, monkeypatch, command, 
     assert rc == 2
     violations = config_violations(capsys)
     assert len(violations) == 1 and named in violations[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_riskcheck_rejects_graph_beyond_exact_oracle(tmp_path, capsys):
+    # the exact p-sampling risk enumerates the subsets of at most 20 vertices
+    ring30 = tmp_path / "ring30.txt"
+    ring30.write_text("".join(f"{i} {(i + 1) % 30}\n" for i in range(30)))
+    rc = main(valid_args("riskcheck", tmp_path) + ["--set", f"graph.edges={ring30}"])
+    assert rc == 2
+    violations = config_violations(capsys)
+    assert len(violations) == 1 and "30" in violations[0] and "20" in violations[0]
     assert not (tmp_path / "out").exists()
 
 

@@ -4,8 +4,9 @@ import pytest
 from relerm import (LabelTable, LossConfig, SamplerConfig, Split, TrainConfig,
                     from_edges, macro_f1, make_split, simultaneous_eval,
                     two_stage_eval)
-from relerm.evaluation import EvalError, fit_logistic, predict_labels
+from relerm.evaluation import SPLIT_SCHEMES, EvalError, fit_logistic, predict_labels
 from relerm.losses import ParamStore, _sigmoid
+from relerm.samplers import random_walk
 
 
 def ring(n):
@@ -44,6 +45,70 @@ def test_split_random_walk_scheme():
     assert len(split.test_vertices) == 10
     # a walk's visits are contiguous on a ring
     t = np.sort(split.test_vertices)
+
+
+# digests of the splits at fractions 0, 0.1, 0.5 and 0.9 and seeds 0-2,
+# recorded before the splits drew through `draw` and `draw_key`: a 30-ring
+# with chords plus two isolated vertices, and a 150-ring on which a
+# random-walk split takes several walks
+GOLDEN_SPLITS = {
+    "chorded/p_sampling": "489ab5e8ad6fe3f4",
+    "chorded/random_walk": "e37e5fb60f255677",
+    "chorded/uniform_vertex": "f90a5217e816ef0d",
+    "ring150/p_sampling": "09aa3a4661dc8808",
+    "ring150/random_walk": "7f290bb0b62cd62f",
+    "ring150/uniform_vertex": "444af5b9b20bd9bd",
+}
+
+
+def split_graphs():
+    chords = [[i, (i + 1) % 30] for i in range(30)] + [[i, (i + 7) % 30] for i in range(0, 30, 4)]
+    return {"chorded": from_edges(32, np.array(chords)), "ring150": ring(150)}
+
+
+@pytest.mark.parametrize("scheme", SPLIT_SCHEMES)
+@pytest.mark.parametrize("graph_name", ["chorded", "ring150"])
+def test_split_golden(graph_name, scheme, digest):
+    g = split_graphs()[graph_name]
+    items = []
+    for fraction in (0.0, 0.1, 0.5, 0.9):
+        for seed in range(3):
+            split = make_split(g, fraction, scheme, np.random.default_rng(seed))
+            items += [split.train_vertices, split.test_vertices, split.scheme]
+    assert digest(items) == GOLDEN_SPLITS[f"{graph_name}/{scheme}"]
+
+
+def walk_split_reference(g, target, rng):
+    """Every distinct vertex in visiting order, one visit at a time, over
+    successive 100-step walks until `target` are seen (the last walk runs
+    to its end), and the number of walks taken."""
+    seen, walks = [], 0
+    while len(seen) < target:
+        walks += 1
+        for u in random_walk(g, 100, rng).tolist():
+            if u not in seen:
+                seen.append(u)
+    return seen, walks
+
+
+@pytest.mark.parametrize("graph_name", ["chorded", "ring150"])
+def test_split_random_walk_matches_loop_reference(graph_name):
+    g = split_graphs()[graph_name]
+    for fraction in (0.1, 0.5, 0.9):
+        target = int(round(fraction * g.vertex_count))
+        for seed in range(3):
+            seen, _ = walk_split_reference(g, target, np.random.default_rng(seed))
+            split = make_split(g, fraction, "random_walk", np.random.default_rng(seed))
+            assert split.test_vertices.tolist() == sorted(seen[:target])
+
+
+def test_split_random_walk_stops_inside_a_walk():
+    # on the 150-ring, 75 test vertices take several walks, and the walk
+    # that reaches 75 still visits unseen vertices after the cutoff
+    seen, walks = walk_split_reference(ring(150), 75, np.random.default_rng(0))
+    assert walks > 1 and len(seen) > 75
+    split = make_split(ring(150), 0.5, "random_walk", np.random.default_rng(0))
+    assert split.test_vertices.tolist() == sorted(seen[:75])
 
 
 def test_split_random_walk_rejects_unreachable_target():

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from relerm import (SamplerConfig, build_unigram, draw, negative_induced,
-                    negative_unigram, p_sample, random_walk, rw_induced_sample,
-                    rw_skipgram_sample, skipgram_pairs, uniform_edge_sample)
-from relerm.samplers import NoWalkError, SamplerError
+from relerm import (SamplerConfig, build_unigram, draw, negative_unigram, random_walk,
+                    skipgram_pairs)
+from relerm import samplers
+from relerm.samplers import ALGORITHMS, NEGATIVE_MODES, WALK_STARTS, NoWalkError, SamplerError
 from relerm.graph import from_edges
 
 
@@ -102,14 +102,14 @@ def test_skipgram_multiset_drops_self_pairs():
 
 def test_rw_skipgram_k2(k2):
     cfg = SamplerConfig(algorithm="rw_skipgram", walk_length=2, window=2)
-    s = rw_skipgram_sample(k2, cfg, np.random.default_rng(0))
+    s = draw(k2, cfg, np.random.default_rng(0))
     assert pairs_multiset(s.positive_pairs) == {(0, 1): 2}
     assert set(s.vertices.tolist()) == {0, 1}
 
 
 def test_rw_skipgram_triangle(triangle):
     cfg = SamplerConfig(algorithm="rw_skipgram", walk_length=4, window=2)
-    s = rw_skipgram_sample(triangle, cfg, np.random.default_rng(3))
+    s = draw(triangle, cfg, np.random.default_rng(3))
     assert len(s.positive_pairs) == 4
     assert all(triangle.has_edge(int(a), int(b)) for a, b in s.positive_pairs)
 
@@ -120,7 +120,7 @@ def test_rw_skipgram_may_emit_nonedges(path5):
     found = False
     rng = np.random.default_rng(4)
     for _ in range(50):
-        s = rw_skipgram_sample(path5, cfg, rng)
+        s = draw(path5, cfg, rng)
         if any(not path5.has_edge(int(a), int(b)) for a, b in s.positive_pairs):
             found = True
             break
@@ -132,7 +132,7 @@ def test_rw_induced_path(path3):
     cfg = SamplerConfig(algorithm="rw_induced", walk_length=2)
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        s = rw_induced_sample(path3, cfg, rng)
+        s = draw(path3, cfg, rng)
         if set(s.vertices.tolist()) == {0, 1, 2}:
             assert pairs_set(s.positive_pairs) == {(0, 1), (1, 2)}
             assert len(s.negative_pairs) == 0
@@ -143,7 +143,7 @@ def test_rw_induced_path(path3):
 def test_rw_induced_triangle_covering(triangle):
     cfg = SamplerConfig(algorithm="rw_induced", walk_length=2)
     for seed in range(100):
-        s = rw_induced_sample(triangle, cfg, np.random.default_rng(seed))
+        s = draw(triangle, cfg, np.random.default_rng(seed))
         if len(s.vertices) == 3:
             assert len(s.positive_pairs) == 3
             return
@@ -152,7 +152,7 @@ def test_rw_induced_triangle_covering(triangle):
 
 def test_rw_induced_k2(k2):
     cfg = SamplerConfig(algorithm="rw_induced", walk_length=2)
-    s = rw_induced_sample(k2, cfg, np.random.default_rng(0))
+    s = draw(k2, cfg, np.random.default_rng(0))
     assert set(s.vertices.tolist()) == {0, 1}
     assert pairs_set(s.positive_pairs) == {(0, 1)}
 
@@ -160,10 +160,10 @@ def test_rw_induced_k2(k2):
 # -- p-sampling ---------------------------------------------------------------
 
 def test_p_sample_extremes(path5):
-    s = p_sample(path5, 1.0, np.random.default_rng(0))
+    s = draw(path5, SamplerConfig(retention=1.0), np.random.default_rng(0))
     assert set(s.vertices.tolist()) == set(range(5))
     assert len(s.positive_pairs) == 4
-    s = p_sample(path5, 0.0, np.random.default_rng(0))
+    s = draw(path5, SamplerConfig(retention=0.0), np.random.default_rng(0))
     assert len(s.vertices) == 0 and len(s.positive_pairs) == 0
 
 
@@ -173,7 +173,7 @@ def test_p_sample_drops_isolated_survivors(path3):
         rng = np.random.default_rng(seed)
         mask_preview = np.random.default_rng(seed).random(3) < 0.5
         if mask_preview.tolist() == [True, False, True]:
-            s = p_sample(path3, 0.5, rng)
+            s = draw(path3, SamplerConfig(retention=0.5), rng)
             assert len(s.vertices) == 0
             return
     pytest.fail("subset {0,2} never drawn")
@@ -186,7 +186,7 @@ def test_p_sample_event_probability(path3):
     rng = np.random.default_rng(5)
     hits = 0
     for _ in range(n):
-        s = p_sample(path3, 0.5, rng)
+        s = draw(path3, SamplerConfig(retention=0.5), rng)
         hits += pairs_set(s.positive_pairs) == {(0, 1)}
     p = 0.125
     se = np.sqrt(p * (1 - p) / n)
@@ -195,32 +195,30 @@ def test_p_sample_event_probability(path3):
 
 def test_p_sample_negatives_flag(path3):
     for seed in range(100):
-        s = p_sample(path3, 0.9, np.random.default_rng(seed))
+        s = draw(path3, SamplerConfig(retention=0.9), np.random.default_rng(seed))
         if len(s.vertices) == 3:
             assert pairs_set(s.negative_pairs) == {(0, 2)}
-            s2 = p_sample(path3, 0.9, np.random.default_rng(seed),
-                          with_negatives=False)
-            assert len(s2.negative_pairs) == 0
             return
     pytest.fail("full retention never drawn")
 
 
 def test_p_sample_invalid_p(path3):
     with pytest.raises(SamplerError):
-        p_sample(path3, 1.5, np.random.default_rng(0))
+        draw(path3, SamplerConfig(retention=1.5), np.random.default_rng(0))
 
 
 # -- uniform edge sampling ----------------------------------------------------
 
 def test_uniform_edge_single(k2):
-    s = uniform_edge_sample(k2, 1, np.random.default_rng(0))
+    s = draw(k2, SamplerConfig(algorithm="uniform_edge", edge_count=1),
+             np.random.default_rng(0))
     assert pairs_set(s.positive_pairs) == {(0, 1)}
 
 
 def test_uniform_edge_chisquare(triangle):
     n = 10 ** 5
     rng = np.random.default_rng(6)
-    s = uniform_edge_sample(triangle, n, rng)
+    s = draw(triangle, SamplerConfig(algorithm="uniform_edge", edge_count=n), rng)
     codes = s.positive_pairs[:, 0] * 3 + s.positive_pairs[:, 1]
     _, counts = np.unique(codes, return_counts=True)
     assert len(counts) == 3
@@ -228,22 +226,20 @@ def test_uniform_edge_chisquare(triangle):
 
 
 def test_uniform_edge_with_replacement(triangle):
-    s = uniform_edge_sample(triangle, 10, np.random.default_rng(0))
+    s = draw(triangle, SamplerConfig(algorithm="uniform_edge", edge_count=10),
+             np.random.default_rng(0))
     assert len(s.positive_pairs) == 10  # multiset, repeats allowed
 
 
 # -- induced negatives --------------------------------------------------------
 
 def test_negative_induced_cases(path3, triangle, cycle4):
-    from relerm.samplers import SampledSubgraph, _empty_pairs
-    s = SampledSubgraph(np.array([0, 2]), _empty_pairs(), _empty_pairs())
-    out = negative_induced(path3, s)
+    cfg = SamplerConfig(retention=1.0, negative="induced")
+    out = draw(path3, cfg, np.random.default_rng(0))
     assert pairs_set(out.negative_pairs) == {(0, 2)}
-    s = SampledSubgraph(np.array([0, 1, 2]), _empty_pairs(), _empty_pairs())
-    out = negative_induced(triangle, s)
+    out = draw(triangle, cfg, np.random.default_rng(0))
     assert len(out.positive_pairs) == 3 and len(out.negative_pairs) == 0
-    s = SampledSubgraph(np.arange(4), _empty_pairs(), _empty_pairs())
-    out = negative_induced(cycle4, s)
+    out = draw(cycle4, cfg, np.random.default_rng(0))
     assert len(out.positive_pairs) == 4
     assert pairs_set(out.negative_pairs) == {(0, 2), (1, 3)}
 
@@ -399,3 +395,75 @@ def test_draw_deterministic_given_rng(path3):
     b = draw(path3, cfg, np.random.default_rng(42))
     assert np.array_equal(a.vertices, b.vertices)
     assert np.array_equal(a.positive_pairs, b.positive_pairs)
+
+
+# -- golden draws -------------------------------------------------------------
+
+# a triangle with a pendant path, a second triangle, a tail and an isolated
+# vertex: degrees 0..4 all occur
+IRREGULAR = from_edges(9, np.array([[0, 1], [0, 2], [0, 3], [1, 2], [3, 4], [4, 5],
+                                    [5, 6], [4, 6], [6, 7]]))
+
+# digests of 5 seeds x 3 successive draws, recorded before the per-algorithm
+# sampler functions were folded into `draw`
+GOLDEN_DRAWS = {
+    "p_sampling/induced": "e49cbcd6e518a707",
+    "p_sampling/none": "b2bbabdbb295672a",
+    "p_sampling/unigram": "f6410ac9f57ae117",
+    "rw_induced/induced/degree_proportional": "0a7fff4a87429ac3",
+    "rw_induced/induced/uniform_vertex": "e1b1787f57be2ac0",
+    "rw_induced/none/degree_proportional": "71ae9b6dc077dfd7",
+    "rw_induced/none/uniform_vertex": "02cf4f941370821f",
+    "rw_induced/unigram/degree_proportional": "ddd204ad9b1b6e83",
+    "rw_induced/unigram/uniform_vertex": "6eac7eba60979a75",
+    "rw_skipgram/induced/degree_proportional": "21051edcd035be59",
+    "rw_skipgram/induced/uniform_vertex": "55561f50bd3c2f11",
+    "rw_skipgram/none/degree_proportional": "4666d6aa8e003b2b",
+    "rw_skipgram/none/uniform_vertex": "6b750be420eca9a2",
+    "rw_skipgram/unigram/degree_proportional": "db605d05aae0bef7",
+    "rw_skipgram/unigram/uniform_vertex": "53bfb9edfef21fe4",
+    "uniform_edge/induced": "364c7b1a3e2d3523",
+    "uniform_edge/none": "bf3f98ae09cae59c",
+    "uniform_edge/unigram": "1f1dee656e5954c8",
+}
+
+
+def _grid_config(algorithm, negative, start):
+    return SamplerConfig(algorithm=algorithm, walk_length=6, window=3, retention=0.5,
+                         edge_count=4, negative=negative, negatives_per_vertex=2,
+                         walk_start=start)
+
+
+@pytest.mark.parametrize("start", WALK_STARTS)
+@pytest.mark.parametrize("negative", NEGATIVE_MODES)
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_draw_golden(algorithm, negative, start, digest):
+    # vertices, pairs (with dtypes and shapes), source and base_vertex_count;
+    # the walk start does not reach p_sampling or uniform_edge
+    cfg = _grid_config(algorithm, negative, start)
+    items = []
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            s = draw(IRREGULAR, cfg, rng)
+            items += [s.vertices, s.positive_pairs, s.negative_pairs, s.source,
+                      s.base_vertex_count]
+    name = f"{algorithm}/{negative}" + (f"/{start}" if algorithm.startswith("rw_") else "")
+    assert digest(items) == GOLDEN_DRAWS[name]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_induced_negatives_call_induced_pairs_once(algorithm, monkeypatch):
+    calls = []
+    induced_pairs = samplers.induced_pairs
+
+    def counted(graph, vertices):
+        calls.append(len(vertices))
+        return induced_pairs(graph, vertices)
+
+    monkeypatch.setattr(samplers, "induced_pairs", counted)
+    cfg = _grid_config(algorithm, "induced", "uniform_vertex")
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        draw(IRREGULAR, cfg, rng)
+    assert len(calls) == 20
