@@ -7,9 +7,8 @@ from .graph import (CategoryMap, Graph, LabelTable, from_edges, induced_pairs,
                     load_cache, load_edge_list, load_labels, save_cache, validate)
 from .samplers import (SampledSubgraph, SamplerConfig, UnigramTable, build_unigram,
                        draw, negative_unigram, random_walk, skipgram_pairs)
-from .losses import (LossConfig, ParamStore, SparseGradient,
-                     category_vertex_embedding, combined_loss, edge_loss,
-                     gradient, label_loss)
+from .losses import (LossConfig, ParamStore, SparseGradient, combined_loss,
+                     edge_loss, gradient, label_loss)
 from .trainer import (RiskEstimate, TrainConfig, check_unbiasedness,
                       estimate_risk, exact_risk_psample, exact_risk_walk,
                       sgd_step, train)

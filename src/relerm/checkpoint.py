@@ -11,7 +11,7 @@ import struct
 import numpy as np
 
 from .graph import unpack_sections
-from .losses import ParamStore
+from .losses import ParamStore, RowTable
 
 _MAGIC = b"RECK"
 _VERSION = 1
@@ -58,8 +58,8 @@ def load_checkpoint(path: str) -> ParamStore:
     return params
 
 
-def export_embeddings(table: dict[int, np.ndarray], path: str) -> None:
-    """One line per id: 'id\\tv_1\\t...\\tv_d'."""
+def export_embeddings(table: RowTable, path: str) -> None:
+    """One line per present row, ids ascending: 'id\\tv_1\\t...\\tv_d'."""
     with open(path, "w") as f:
-        for i in sorted(table):
-            f.write(str(i) + "\t" + "\t".join(repr(float(x)) for x in table[i]) + "\n")
+        for i in table.ids().tolist():
+            f.write(str(i) + "\t" + "\t".join(repr(float(x)) for x in table.data[i]) + "\n")

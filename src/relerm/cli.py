@@ -318,8 +318,7 @@ def cmd_riskcheck(run: Run) -> int:
 
     def param_store():
         ps = ParamStore(4, 0, seed=seed)
-        for v in range(g.vertex_count):
-            ps.embedding(v)
+        ps.embeddings.materialise(np.arange(g.vertex_count))
         return ps
 
     for name, sampler in (

@@ -1,8 +1,9 @@
 """Node-classification experiment protocols.
 
 Labels are censored on a test set drawn by a configurable sampling
-scheme: uniform vertices, the vertices of one p-sampling `draw`, or the
-first distinct vertices of random walks from `draw_key`. Embeddings are
+scheme: uniform vertices, the vertices of one p-sampling draw (the
+endpoints of the edges a `draw_key` retention mask induces), or the first
+distinct vertices of random walks from `draw_key`. Embeddings are
 trained either in two stages (structure first, then a frozen-embedding
 logistic regression) or simultaneously through the combined loss; scoring
 is average macro-F1 under one of PREDICTION_MODES.
@@ -15,9 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from .graph import Graph, LabelTable
+from .graph import Graph, LabelTable, induced_edges
 from .losses import LossConfig, ParamStore, _sigmoid
-from .samplers import SamplerConfig, _first_seen, draw, draw_key
+from .samplers import SamplerConfig, _first_seen, draw_key
 from .trainer import TrainConfig, train
 
 SPLIT_SCHEMES = ("uniform_vertex", "p_sampling", "random_walk")
@@ -56,14 +57,16 @@ def make_split(graph: Graph, fraction: float, scheme: str,
         test = np.sort(rng.choice(v, size=target, replace=False).astype(np.int64))
     elif scheme == "p_sampling":
         # bisect the retention probability until one seeded draw lands near
-        # the requested fraction
+        # the requested fraction; a probe needs only the draw's vertices
+        # (the endpoints of its induced edges), not its pairs
         lo, hi = 0.0, 1.0
         test = np.zeros(0, dtype=np.int64)
         probe = np.random.default_rng(rng.integers(2 ** 63))
         for _ in range(25):
             p = 0.5 * (lo + hi)
-            test = draw(graph, SamplerConfig(retention=p),
-                        np.random.default_rng(probe.integers(2 ** 63))).vertices
+            key = draw_key(graph, SamplerConfig(retention=p),
+                           np.random.default_rng(probe.integers(2 ** 63)))
+            test = np.unique(induced_edges(graph, key))
             if len(test) < target:
                 lo = p
             else:

@@ -10,16 +10,20 @@ Three modes:
 
 Output probabilities are clipped to [eps, 1-eps], which bounds the loss.
 
-Parameters live in dense row tables. One pair-scoring pass serves both the
-loss and its gradient, and every sum of rows into rows goes through one
-scatter kernel.
+Parameters live in dense row tables (`RowTable`), read and written as
+arrays: `rows(ids)` gathers rows, drawing missing ones from the table's
+initialiser, `put(ids, rows)` sets them, `ids()` lists the present ones and
+`data` is the (capacity, dim) array itself. A gradient carries its rows the
+same way, as `SparseRows` (ids plus one row array). One pair-scoring pass
+serves both the loss and its gradient, and every sum of rows into rows goes
+through one scatter kernel.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Mapping, MutableMapping
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -68,14 +72,11 @@ def _uniform_rows(seed: int, kind: int, dim: int, keys: np.ndarray | None,
     return lo + (hi - lo) * u
 
 
-class RowTable(MutableMapping):
+class RowTable:
     """Rows of one growable dense (capacity, dim) float64 array, keyed by
     non-negative integer id, with a mask of the materialised rows.
-
-    As a mapping it holds the materialised rows in ascending id order, and
-    `table[id]` is a view of the row, so in-place edits stick (a view stays
-    valid until the table grows). `materialise`, `row` and `rows` fill
-    missing rows from `init` (ids -> rows) when the table has one.
+    `materialise`, `row` and `rows` fill missing rows from `init`
+    (ids -> rows) when the table has one.
     """
 
     def __init__(self, dim: int, init=None):
@@ -144,28 +145,16 @@ class RowTable(MutableMapping):
         other.data, other.present = self.data.copy(), self.present.copy()
         return other
 
-    def __getitem__(self, key) -> np.ndarray:
-        if 0 <= key < len(self.present) and self.present[key]:
-            return self.data[key]
-        raise KeyError(key)
-
     def __setitem__(self, key, row) -> None:
+        # one row with scalar indexing: benchmarks/phases.py::_build_fixtures
+        # writes 10,000 rows one at a time inside its timed setup, and `put`
+        # would add its array set-up (id checks, fancy indexing) to each
         if not 0 <= key < len(self.present):
             if key < 0:
                 raise KeyError(f"negative row id {key}")
             self.reserve(key + 1)
         self.data[key] = row
         self.present[key] = True
-
-    def __delitem__(self, key) -> None:
-        self[key]  # KeyError when the row is absent
-        self.present[key] = False
-
-    def __iter__(self):
-        return iter(self.ids().tolist())
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self.present))
 
 
 class ParamStore:
@@ -189,69 +178,37 @@ class ParamStore:
         # the initialisers are module-level partials: a table that held a
         # method of its store would make a reference cycle, and dead stores
         # would wait for the cyclic garbage collector
-        self._embeddings = RowTable(dim, functools.partial(_uniform_rows, seed, 0, dim, keys))
-        self._categories = RowTable(dim, functools.partial(_uniform_rows, seed, 1, dim, None))
+        self.embeddings = RowTable(dim, functools.partial(_uniform_rows, seed, 0, dim, keys))
+        self.category_embeddings = RowTable(dim, functools.partial(_uniform_rows, seed, 1, dim, None))
         self.weights = np.zeros((dim, label_dim))
         self.bias = np.zeros(label_dim)
 
-    @property
-    def embeddings(self) -> RowTable:
-        return self._embeddings
-
-    @embeddings.setter
-    def embeddings(self, rows: Mapping) -> None:
-        self._embeddings = _refilled(self._embeddings, rows)
-
-    @property
-    def category_embeddings(self) -> RowTable:
-        return self._categories
-
-    @category_embeddings.setter
-    def category_embeddings(self, rows: Mapping) -> None:
-        self._categories = _refilled(self._categories, rows)
-
     def embedding(self, v: int) -> np.ndarray:
-        return self._embeddings.row(v)
-
-    def category_embedding(self, c: int) -> np.ndarray:
-        return self._categories.row(c)
+        return self.embeddings.row(v)
 
     def embedding_matrix(self, vertices: np.ndarray) -> np.ndarray:
-        rows = self._embeddings.rows(vertices)
+        rows = self.embeddings.rows(vertices)
         # no vertices give shape (0,), as they always have: callers compare
         # it with arrays built from empty row lists
         return rows if len(rows) else np.zeros(0)
 
     def copy(self) -> "ParamStore":
         other = ParamStore(self.dim, self.label_dim, self.seed, self.init_ids)
-        other._embeddings = self._embeddings.copy()
-        other._categories = self._categories.copy()
+        other.embeddings = self.embeddings.copy()
+        other.category_embeddings = self.category_embeddings.copy()
         other.weights = self.weights.copy()
         other.bias = self.bias.copy()
         return other
 
 
-def _refilled(table: RowTable, rows: Mapping) -> RowTable:
-    """A table with `table`'s initialiser holding exactly `rows`."""
-    out = RowTable(table.dim, table.init)
-    out.update(rows)
-    return out
-
-
 class SparseRows(Mapping):
     """Rows at distinct ascending ids: `rows` (n,) int64 and `data` (n, d).
-    Read as a mapping id -> row."""
+    Also a read-only mapping id -> row, which the benchmark's checks index,
+    iterate and count."""
 
     def __init__(self, rows: np.ndarray, data: np.ndarray):
         self.rows = rows
         self.data = data
-
-    @classmethod
-    def of(cls, mapping: Mapping) -> "SparseRows":
-        keys = sorted(mapping)
-        data = (np.array([mapping[k] for k in keys], dtype=np.float64) if keys
-                else np.zeros((0, 0)))
-        return cls(np.array(keys, dtype=np.int64), data)
 
     def __getitem__(self, key) -> np.ndarray:
         i = int(np.searchsorted(self.rows, key))
@@ -269,19 +226,12 @@ class SparseRows(Mapping):
 @dataclass
 class SparseGradient:
     """Gradient carrier: rows only for vertices/categories that appear in
-    the sample; dense for the global logistic parameters. `embeddings` and
-    `categories` may be given as dicts {id: row}."""
+    the sample; dense for the global logistic parameters."""
 
-    embeddings: SparseRows = field(default_factory=dict)
-    weights: np.ndarray | None = None
-    bias: np.ndarray | None = None
-    categories: SparseRows = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not isinstance(self.embeddings, SparseRows):
-            self.embeddings = SparseRows.of(self.embeddings)
-        if not isinstance(self.categories, SparseRows):
-            self.categories = SparseRows.of(self.categories)
+    embeddings: SparseRows
+    weights: np.ndarray
+    bias: np.ndarray
+    categories: SparseRows
 
 
 # -- scoring ------------------------------------------------------------------
@@ -300,17 +250,6 @@ def _scatter(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, n_rows: in
     coef = csr_array((weights[order], cols[order].astype(np.int32), indptr),
                      shape=(n_rows, len(x)))
     return coef @ x
-
-
-def category_vertex_embedding(vertex: int, cats: CategoryMap,
-                              params: ParamStore) -> np.ndarray:
-    """Vertex embedding as the sum of its categories' embeddings (zero
-    vector for a vertex with no categories)."""
-    members = cats.memberships[vertex]
-    vec = np.zeros(params.dim)
-    for c in members:
-        vec += params.category_embedding(int(c))
-    return vec
 
 
 def _vertex_vectors(ids: np.ndarray, params: ParamStore, config: LossConfig,

@@ -335,9 +335,8 @@ def sgd_step(params: ParamStore, grad: SparseGradient, lr: float) -> None:
         if len(g):
             table.materialise(g.rows)
             table.data[g.rows] -= lr * g.data
-    if grad.weights is not None:
-        params.weights -= lr * grad.weights
-        params.bias -= lr * grad.bias
+    params.weights -= lr * grad.weights
+    params.bias -= lr * grad.bias
 
 
 def _learning_rate(config: TrainConfig, step: int) -> float:

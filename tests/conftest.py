@@ -2,8 +2,15 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from relerm import from_edges
+
+# property tests draw the same examples on every run and keep no example
+# database, so a Tier-1 run is reproducible; no deadline, since timing on a
+# shared machine varies
+settings.register_profile("reproducible", derandomize=True, database=None, deadline=None)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture

@@ -155,8 +155,8 @@ def test_analytic_gradient_correctness():
             cats = None
             if mode == "category_embedding":
                 nc = 3
-                params.category_embeddings = {
-                    c: rng.normal(scale=0.8, size=d) for c in range(nc)}
+                params.category_embeddings.put(np.arange(nc),
+                                               rng.normal(scale=0.8, size=(nc, d)))
                 cats = CategoryMap(nc, tuple(
                     rng.choice(nc, size=rng.integers(0, nc + 1), replace=False)
                     for _ in range(n)))

@@ -9,7 +9,7 @@ from relerm.checkpoint import (export_embeddings, load_checkpoint,
                                save_checkpoint)
 from relerm import cli
 from relerm.cli import main, parse_config, ConfigError
-from relerm.losses import ParamStore
+from relerm.losses import ParamStore, RowTable
 from relerm.trainer import TrainConfig
 
 
@@ -19,18 +19,19 @@ def test_checkpoint_roundtrip(tmp_path):
     params = ParamStore(3, 2, seed=5)
     params.embedding(0)
     params.embedding(7)
-    params.category_embedding(1)
+    params.category_embeddings.row(1)
     params.weights[:] = np.arange(6).reshape(3, 2)
     params.bias[:] = [0.5, -0.5]
     path = str(tmp_path / "c.bin")
     save_checkpoint(params, path)
     back = load_checkpoint(path)
     assert back.dim == 3 and back.label_dim == 2 and back.seed == 5
-    assert set(back.embeddings) == {0, 7}
+    assert back.embeddings.ids().tolist() == [0, 7]
     for v in (0, 7):
-        assert np.array_equal(back.embeddings[v], params.embeddings[v])
-    assert np.array_equal(back.category_embeddings[1],
-                          params.category_embeddings[1])
+        assert np.array_equal(back.embedding(v), params.embedding(v))
+    assert back.category_embeddings.ids().tolist() == [1]
+    assert np.array_equal(back.category_embeddings.row(1),
+                          params.category_embeddings.row(1))
     assert np.array_equal(back.weights, params.weights)
     assert np.array_equal(back.bias, params.bias)
 
@@ -51,7 +52,7 @@ def test_checkpoint_rejects_truncated_and_padded_files(tmp_path):
     params = ParamStore(3, 2, seed=5)
     params.embedding(0)
     params.embedding(7)
-    params.category_embedding(1)
+    params.category_embeddings.row(1)
     path = tmp_path / "c.bin"
     save_checkpoint(params, str(path))
     data = path.read_bytes()
@@ -79,7 +80,9 @@ def test_checkpoint_rejects_junk(tmp_path):
 
 def test_export_embeddings(tmp_path):
     path = str(tmp_path / "emb.tsv")
-    export_embeddings({2: np.array([1.5, -2.0]), 0: np.array([0.0, 0.25])}, path)
+    table = RowTable(2)
+    table.put(np.array([2, 0]), np.array([[1.5, -2.0], [0.0, 0.25]]))
+    export_embeddings(table, path)
     lines = open(path).read().splitlines()
     assert lines[0].split("\t")[0] == "0"
     assert lines[1] == "2\t1.5\t-2.0"
@@ -191,8 +194,8 @@ def test_cli_train_steps_zero_checkpoint_is_initialization(tmp_path, capsys):
     assert rc == 0
     params = load_checkpoint(str(out / "checkpoint.bin"))
     fresh = ParamStore(4, 0, seed=4)
-    for v, vec in params.embeddings.items():
-        assert np.array_equal(vec, fresh.embedding(int(v)))
+    for v in params.embeddings.ids().tolist():
+        assert np.array_equal(params.embedding(v), fresh.embedding(v))
 
 
 def test_cli_eval_two_stage(tmp_path, capsys):

@@ -5,6 +5,7 @@ from relerm import (LabelTable, LossConfig, SamplerConfig, Split, TrainConfig,
                     from_edges, macro_f1, make_split, simultaneous_eval,
                     two_stage_eval)
 from relerm.evaluation import SPLIT_SCHEMES, EvalError, fit_logistic, predict_labels
+from relerm import samplers
 from relerm.losses import ParamStore, _sigmoid
 from relerm.samplers import random_walk
 
@@ -43,8 +44,13 @@ def test_split_random_walk_scheme():
     g = ring(40)
     split = make_split(g, 0.25, "random_walk", np.random.default_rng(2))
     assert len(split.test_vertices) == 10
-    # a walk's visits are contiguous on a ring
+    # a walk's visits are contiguous on a ring: the test set is one arc,
+    # so exactly one test vertex has a successor outside it
     t = np.sort(split.test_vertices)
+    in_test = np.zeros(40, dtype=bool)
+    in_test[t] = True
+    assert np.count_nonzero(in_test & ~np.roll(in_test, -1)) == 1
+    assert t.tolist() == list(range(27, 37))
 
 
 # digests of the splits at fractions 0, 0.1, 0.5 and 0.9 and seeds 0-2,
@@ -76,6 +82,18 @@ def test_split_golden(graph_name, scheme, digest):
             split = make_split(g, fraction, scheme, np.random.default_rng(seed))
             items += [split.train_vertices, split.test_vertices, split.scheme]
     assert digest(items) == GOLDEN_SPLITS[f"{graph_name}/{scheme}"]
+
+
+def test_split_p_sampling_computes_no_pairs(monkeypatch):
+    # the bisection probes need only each draw's vertices
+    calls = []
+    real = samplers.induced_pairs
+    monkeypatch.setattr(samplers, "induced_pairs",
+                        lambda *args: calls.append(1) or real(*args))
+    for g in split_graphs().values():
+        split = make_split(g, 0.5, "p_sampling", np.random.default_rng(0))
+        assert len(split.test_vertices)
+    assert calls == []
 
 
 def walk_split_reference(g, target, rng):
@@ -168,7 +186,7 @@ def test_predict_labels_threshold_and_topk():
                                     [False, True, False]]),
                        np.ones(2, dtype=bool))
     params = ParamStore(2, 3, seed=0)
-    params.embeddings = {0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])}
+    params.embeddings.put(np.array([0, 1]), np.array([[1.0, 0.0], [0.0, 1.0]]))
     params.weights = np.array([[3.0, -3.0, 1.0],
                                [-3.0, 3.0, -1.0]])
     verts = np.array([0, 1])

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from relerm import (CategoryMap, LabelTable, LossConfig, ParamStore,
-                    category_vertex_embedding, combined_loss, edge_loss,
-                    gradient, label_loss)
-from relerm.losses import NumericError
+                    combined_loss, edge_loss, gradient, label_loss)
+from relerm.losses import NumericError, _vertex_vectors
 from relerm.samplers import SampledSubgraph, _empty_pairs
 
 
@@ -15,10 +14,9 @@ def make_sample(vertices, pos=(), neg=()):
 
 
 def preset_params(vectors, label_dim=0):
-    vectors = {v: np.asarray(x, dtype=np.float64) for v, x in vectors.items()}
-    dim = len(next(iter(vectors.values())))
-    params = ParamStore(dim, label_dim, seed=0)
-    params.embeddings.update(vectors)
+    rows = np.array(list(vectors.values()), dtype=np.float64)
+    params = ParamStore(rows.shape[1], label_dim, seed=0)
+    params.embeddings.put(np.array(list(vectors), dtype=np.int64), rows)
     return params
 
 
@@ -146,14 +144,18 @@ def cats_for(memberships, count):
 
 
 def test_category_vertex_embedding():
+    def vector(v):
+        cfg = LossConfig(mode="category_embedding")
+        return _vertex_vectors(np.array([v]), params, cfg, cats)[0][0]
+
     params = ParamStore(2, 0, seed=0)
     params.category_embeddings[0] = np.array([1.0, 2.0])
     params.category_embeddings[1] = np.array([0.0, 1.0])
     cats = cats_for([[0], [0, 1], []], 2)
-    assert np.array_equal(category_vertex_embedding(0, cats, params), [1, 2])
+    assert np.array_equal(vector(0), [1, 2])
     params.category_embeddings[0] = np.array([1.0, 0.0])
-    assert np.array_equal(category_vertex_embedding(1, cats, params), [1, 1])
-    assert np.array_equal(category_vertex_embedding(2, cats, params), [0, 0])
+    assert np.array_equal(vector(1), [1, 1])
+    assert np.array_equal(vector(2), [0, 0])
 
 
 def test_category_mode_loss_and_gradient():
@@ -173,17 +175,10 @@ def test_category_mode_loss_and_gradient():
 
 # -- analytic gradients -------------------------------------------------------
 
-def flatten(params, cats=None):
-    parts = [params.embeddings[v] for v in sorted(params.embeddings)]
-    parts += [params.category_embeddings[c] for c in sorted(params.category_embeddings)]
-    parts += [params.weights.reshape(-1), params.bias]
-    return np.concatenate(parts)
-
-
 def numeric_gradient(sample, labels, params, cfg, cats=None, h=1e-5):
-    slots = [("emb", v, i) for v in sorted(params.embeddings)
+    slots = [("emb", v, i) for v in params.embeddings.ids().tolist()
              for i in range(params.dim)]
-    slots += [("cat", c, i) for c in sorted(params.category_embeddings)
+    slots += [("cat", c, i) for c in params.category_embeddings.ids().tolist()
               for i in range(params.dim)]
     slots += [("w", j, i) for i in range(params.label_dim)
               for j in range(params.dim)]
@@ -191,9 +186,9 @@ def numeric_gradient(sample, labels, params, cfg, cats=None, h=1e-5):
 
     def bump(kind, a, i, delta):
         if kind == "emb":
-            params.embeddings[a][i] += delta
+            params.embeddings.data[a, i] += delta
         elif kind == "cat":
-            params.category_embeddings[a][i] += delta
+            params.category_embeddings.data[a, i] += delta
         elif kind == "w":
             params.weights[a, i] += delta
         else:
@@ -252,8 +247,8 @@ def test_gradient_finite_difference_modes():
             params.bias = rng.normal(scale=0.5, size=params.bias.shape)
             cats = None
             if mode == "category_embedding":
-                params.category_embeddings = {
-                    c: rng.normal(scale=0.7, size=3) for c in range(3)}
+                params.category_embeddings.put(np.arange(3),
+                                               rng.normal(scale=0.7, size=(3, 3)))
                 cats = cats_for([rng.choice(3, size=rng.integers(0, 3),
                                             replace=False) for _ in range(n)], 3)
             labels = LabelTable(L, rng.random((n, L)) < 0.5,

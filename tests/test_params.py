@@ -14,50 +14,49 @@ from relerm.samplers import SampledSubgraph
 
 # -- row table ----------------------------------------------------------------
 
-def test_row_table_mapping_semantics():
+def test_row_table_put_rows_ids():
     t = RowTable(3)
-    assert len(t) == 0 and list(t) == []
+    assert t.ids().tolist() == []
     t[7] = [1.0, 2.0, 3.0]          # grows the table
-    t[2] = np.array([0.5, 0.0, -1.0])
+    t.put(np.array([2]), np.array([[0.5, 0.0, -1.0]]))
     assert len(t.data) >= 8
-    assert list(t) == [2, 7] and sorted(t) == [2, 7]
-    assert [k for k, _ in t.items()] == [2, 7]
-    assert 7 in t and 3 not in t and -1 not in t
-    t[7][1] += 10.0                 # in-place row edits stick
-    assert np.array_equal(t[7], [1.0, 12.0, 3.0])
+    assert t.ids().tolist() == [2, 7]
+    assert t.present[7] and not t.present[3]
+    t.row(7)[1] += 10.0             # in-place row edits stick
+    assert np.array_equal(t.rows([7, 2]), [[1.0, 12.0, 3.0], [0.5, 0.0, -1.0]])
     with pytest.raises(KeyError):
-        t[3]
+        t.row(3)                    # no initialiser: a missing row is an error
     with pytest.raises(KeyError):
         t[-1] = np.zeros(3)
     with pytest.raises(KeyError):
-        t.rows([3])                 # no initialiser: a missing row is an error
-    del t[2]
-    assert list(t) == [7] and t.get(2) is None
+        t.put(np.array([-1]), np.zeros((1, 3)))
+    with pytest.raises(KeyError):
+        t.rows([3])
 
 
 def test_row_table_copy_is_independent():
     t = RowTable(2)
-    t.update({0: np.array([1.0, 1.0]), 4: np.array([2.0, 2.0])})
+    t.put(np.array([0, 4]), np.array([[1.0, 1.0], [2.0, 2.0]]))
     c = t.copy()
-    c[0][0] = -5.0
+    c.row(0)[0] = -5.0
     c[9] = np.zeros(2)
-    assert np.array_equal(t[0], [1.0, 1.0])
-    assert list(t) == [0, 4] and list(c) == [0, 4, 9]
+    assert np.array_equal(t.row(0), [1.0, 1.0])
+    assert t.ids().tolist() == [0, 4] and c.ids().tolist() == [0, 4, 9]
 
 
-def test_param_store_mapping_callers():
+def test_param_store_array_callers():
     ps = ParamStore(2, 1, seed=3)
-    ps.embeddings = {5: np.array([1.0, 2.0]), 1: np.array([0.0, 1.0])}
-    assert sorted(ps.embeddings) == [1, 5]
-    ps.embeddings.update({0: np.array([3.0, 3.0])})
+    ps.embeddings.put(np.array([5, 1]), np.array([[1.0, 2.0], [0.0, 1.0]]))
+    assert ps.embeddings.ids().tolist() == [1, 5]
+    ps.embeddings.put(np.array([0]), np.array([[3.0, 3.0]]))
     assert np.array_equal(ps.embedding_matrix([5, 0]), [[1.0, 2.0], [3.0, 3.0]])
     assert np.array_equal(ps.embedding(5), [1.0, 2.0])
-    ps.category_embeddings = {2: np.array([4.0, 4.0])}
-    assert list(ps.category_embeddings) == [2]
+    ps.category_embeddings.put(np.array([2]), np.array([[4.0, 4.0]]))
+    assert ps.category_embeddings.ids().tolist() == [2]
     other = ps.copy()
-    other.embeddings[5][0] = 9.0
+    other.embedding(5)[0] = 9.0
     other.weights[0, 0] = 1.0
-    assert ps.embeddings[5][0] == 1.0 and ps.weights[0, 0] == 0.0
+    assert ps.embedding(5)[0] == 1.0 and ps.weights[0, 0] == 0.0
     # a lazily drawn row is the same in the original and the copy
     assert np.array_equal(ps.embedding(8), other.embedding(8))
 
@@ -73,7 +72,7 @@ def test_lazy_init_matches_generator_uniform(dim):
         for row, key in zip(ps.embedding_matrix(vertices), keys):
             want = np.random.default_rng((seed, 0, int(key))).uniform(lo, hi, dim)
             assert np.array_equal(row, want)
-    cat = ParamStore(dim, 0, seed=seed).category_embedding(9)
+    cat = ParamStore(dim, 0, seed=seed).category_embeddings.row(9)
     assert np.array_equal(cat, np.random.default_rng((seed, 1, 9)).uniform(lo, hi, dim))
 
 
@@ -82,7 +81,7 @@ def test_store_is_freed_without_cyclic_gc():
     try:
         ps = ParamStore(4, 0, seed=0)
         ps.embedding_matrix(np.arange(50))
-        ps.category_embedding(3)
+        ps.category_embeddings.row(3)
         ref = weakref.ref(ps)
         del ps
         assert ref() is None
@@ -94,11 +93,11 @@ def test_sgd_step_moves_rows_by_exactly_lr_g():
     ps = ParamStore(3, 0, seed=2)
     ps.embeddings[4] = np.array([1.0, -2.0, 0.5])
     before = {v: ps.embedding(v).copy() for v in (1, 4)}
-    g = SparseGradient(embeddings={4: np.array([0.3, 0.1, -0.7]),
-                                   1: np.array([1.0, 1.0, 1.0])})
-    assert isinstance(g.embeddings, SparseRows) and list(g.embeddings) == [1, 4]
+    rows = SparseRows(np.array([1, 4]), np.array([[1.0, 1.0, 1.0], [0.3, 0.1, -0.7]]))
+    g = SparseGradient(rows, np.zeros((3, 0)), np.zeros(0),
+                       SparseRows(np.zeros(0, dtype=np.int64), np.zeros((0, 3))))
     sgd_step(ps, g, 0.37)
-    for v, row in g.embeddings.items():
+    for v, row in zip(rows.rows.tolist(), rows.data):
         assert np.array_equal(ps.embedding(v), before[v] - 0.37 * row)
 
 
@@ -119,12 +118,12 @@ def _sample(rng, n):
 
 def _setup(mode, rng, n=6, dim=3, L=2):
     params = ParamStore(dim, L if mode == "node_classification" else 0, seed=1)
-    params.embeddings = {v: rng.normal(scale=0.7, size=dim) for v in range(n)}
+    params.embeddings.put(np.arange(n), rng.normal(scale=0.7, size=(n, dim)))
     params.weights = rng.normal(scale=0.5, size=params.weights.shape)
     params.bias = rng.normal(scale=0.5, size=params.bias.shape)
     cats = None
     if mode == "category_embedding":
-        params.category_embeddings = {c: rng.normal(scale=0.7, size=dim) for c in range(4)}
+        params.category_embeddings.put(np.arange(4), rng.normal(scale=0.7, size=(4, dim)))
         cats = CategoryMap(4, tuple(np.sort(rng.choice(4, size=rng.integers(0, 3),
                                                        replace=False)).astype(np.int64)
                                     for _ in range(n)))
@@ -134,8 +133,8 @@ def _setup(mode, rng, n=6, dim=3, L=2):
 
 def _vectors(params, cats, mode, n):
     if mode != "category_embedding":
-        return {v: params.embeddings[v].copy() for v in range(n)}
-    return {v: sum((params.category_embeddings[int(c)] for c in cats.memberships[v]),
+        return {v: params.embedding(v).copy() for v in range(n)}
+    return {v: sum((params.category_embeddings.row(int(c)) for c in cats.memberships[v]),
                    np.zeros(params.dim)) for v in range(n)}
 
 
@@ -167,12 +166,13 @@ def test_gradient_matches_central_differences_with_repeats(mode):
         grad = gradient(sample, labels, params, cfg, cats)
         tables = [(params.category_embeddings, grad.categories)] \
             if mode == "category_embedding" else [(params.embeddings, grad.embeddings)]
-        slots = [(t, g, k, i) for t, g in tables for k in list(t) for i in range(params.dim)]
+        slots = [(t, g, k, i) for t, g in tables for k in t.ids().tolist()
+                 for i in range(params.dim)]
         slots += [(params.weights, grad.weights, None, i) for i in range(params.weights.size)]
         slots += [(params.bias, grad.bias, None, i) for i in range(params.bias.size)]
         num, ana = [], []
         for table, g, key, i in slots:
-            cell = table[key] if key is not None else table.reshape(-1)
+            cell = table.row(key) if key is not None else table.reshape(-1)
             old = cell[i]
             cell[i] = old + h
             up = combined_loss(sample, labels, params, cfg, cats)

@@ -1,0 +1,110 @@
+"""Property tests for the array parameter store and its checkpoint format."""
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from relerm.checkpoint import load_checkpoint, save_checkpoint
+from relerm.losses import ParamStore, RowTable
+
+finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+def id_batches(max_id):
+    """Lists of distinct sparse ids in [0, max_id), in random order."""
+    return st.lists(st.lists(st.integers(0, max_id - 1), unique=True, max_size=6),
+                    max_size=5)
+
+
+@given(dim=st.integers(1, 5), batches=id_batches(500), data=st.data())
+def test_row_table_agrees_with_dict_model(dim, batches, data):
+    table, model = RowTable(dim), {}
+    for ids in batches:
+        rows = np.array(data.draw(st.lists(st.lists(finite, min_size=dim, max_size=dim),
+                                           min_size=len(ids), max_size=len(ids))),
+                        dtype=np.float64).reshape(len(ids), dim)
+        table.put(np.array(ids, dtype=np.int64), rows)
+        model.update(zip(ids, rows))
+        assert table.ids().tolist() == sorted(model)
+        assert np.array_equal(table.rows(sorted(model)),
+                              np.array([model[k] for k in sorted(model)]).reshape(-1, dim))
+    with pytest.raises(KeyError):  # no initialiser: a missing row is an error
+        table.rows([max(model, default=-1) + 1])
+
+
+@given(dim=st.integers(1, 5), seed=st.integers(0, 2 ** 32), keyed=st.booleans(),
+       batches=id_batches(40), queries=st.lists(st.integers(0, 39), max_size=12))
+def test_param_store_rows_agree_with_dict_model(dim, seed, keyed, batches, queries):
+    # ids of a store with init_ids are vertex indices into it
+    init_ids = np.arange(1000, 1040)[::-1] * 3 if keyed else None
+    ps, model = ParamStore(dim, 0, seed=seed, init_ids=init_ids), {}
+
+    def initial(v):
+        key = v if init_ids is None else int(init_ids[v])
+        return np.random.default_rng((seed, 0, key)).uniform(-0.5 / dim, 0.5 / dim, dim)
+
+    for step, ids in enumerate(batches):
+        rows = np.full((len(ids), dim), float(step)) + np.arange(len(ids))[:, None]
+        ps.embeddings.put(np.array(ids, dtype=np.int64), rows)
+        model.update(zip(ids, rows))
+    got = ps.embeddings.rows(queries)  # missing rows come from the initialiser
+    for v in queries:
+        model.setdefault(v, initial(v))
+    assert np.array_equal(got, np.array([model[v] for v in queries]).reshape(-1, dim))
+    assert ps.embeddings.ids().tolist() == sorted(model)
+    for v in model:
+        assert np.array_equal(ps.embedding(v), model[v])
+
+
+@st.composite
+def stores(draw):
+    dim, label_dim = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    ps = ParamStore(dim, label_dim, seed=draw(st.integers(0, 2 ** 63 - 1)))
+    for table in (ps.embeddings, ps.category_embeddings):
+        ids = draw(st.lists(st.integers(0, 300), unique=True, max_size=6))
+        rows = draw(st.lists(finite, min_size=len(ids) * dim, max_size=len(ids) * dim))
+        table.put(np.array(ids, dtype=np.int64), np.array(rows).reshape(len(ids), dim))
+    ps.weights = np.array(draw(st.lists(finite, min_size=dim * label_dim,
+                                        max_size=dim * label_dim))).reshape(dim, label_dim)
+    ps.bias = np.array(draw(st.lists(finite, min_size=label_dim, max_size=label_dim)),
+                       dtype=np.float64)
+    return ps
+
+
+@given(params=stores())
+def test_checkpoint_roundtrip_is_byte_identical(params, tmp_path_factory):
+    out = tmp_path_factory.mktemp("ck")
+    save_checkpoint(params, str(out / "a.bin"))
+    back = load_checkpoint(str(out / "a.bin"))
+    save_checkpoint(back, str(out / "b.bin"))
+    assert (out / "a.bin").read_bytes() == (out / "b.bin").read_bytes()
+    for table, other in ((params.embeddings, back.embeddings),
+                         (params.category_embeddings, back.category_embeddings)):
+        assert np.array_equal(table.ids(), other.ids())
+        assert np.array_equal(table.rows(table.ids()), other.rows(other.ids()))
+    assert np.array_equal(params.weights, back.weights)
+    assert np.array_equal(params.bias, back.bias)
+
+
+@given(params=stores(), data=st.data())
+def test_truncated_checkpoint_names_its_section(params, data, tmp_path_factory):
+    path = tmp_path_factory.mktemp("ck") / "c.bin"
+    save_checkpoint(params, str(path))
+    blob = path.read_bytes()
+    # the layout after the 4-byte magic: a 44-byte header, then the sections
+    dim, label_dim = params.dim, params.label_dim
+    n_emb, n_cat = len(params.embeddings.ids()), len(params.category_embeddings.ids())
+    sections = [("header", 44), ("embedding ids", 8 * n_emb),
+                ("embedding rows", 8 * n_emb * dim), ("category ids", 8 * n_cat),
+                ("category rows", 8 * n_cat * dim), ("weights", 8 * dim * label_dim),
+                ("bias", 8 * label_dim)]
+    assert len(blob) == 4 + sum(size for _, size in sections)
+    cut = data.draw(st.integers(4, len(blob) - 1))
+    end = 4
+    for name, size in sections:
+        end += size
+        if cut < end:
+            break
+    path.write_bytes(blob[:cut])
+    with pytest.raises(ValueError, match=f"truncated checkpoint: {name} needs"):
+        load_checkpoint(str(path))

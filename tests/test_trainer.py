@@ -4,7 +4,7 @@ import pytest
 from relerm import (LossConfig, ParamStore, SamplerConfig, TrainConfig,
                     check_unbiasedness, estimate_risk, exact_risk_psample,
                     exact_risk_walk, sgd_step, train)
-from relerm.losses import SparseGradient, combined_loss, _sigmoid
+from relerm.losses import SparseGradient, SparseRows, combined_loss, _sigmoid
 from relerm.samplers import draw
 from relerm.trainer import OracleError, TrainerError, enumerate_outcomes
 from relerm.graph import from_edges
@@ -283,14 +283,17 @@ def test_unbiasedness_sees_the_production_walk(path5, monkeypatch):
 def test_sgd_step_zero_gradient():
     params = ParamStore(2, 1, seed=0)
     before = params.embedding(0).copy()
-    sgd_step(params, SparseGradient(), 0.1)
+    none = SparseRows(np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
+    sgd_step(params, SparseGradient(none, np.zeros((2, 1)), np.zeros(1), none), 0.1)
     assert np.array_equal(params.embedding(0), before)
 
 
 def test_sgd_step_single_coordinate():
     params = ParamStore(2, 0, seed=0)
     start = params.embedding(3).copy()
-    g = SparseGradient(embeddings={3: np.array([2.0, 0.0])})
+    none = SparseRows(np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
+    g = SparseGradient(SparseRows(np.array([3]), np.array([[2.0, 0.0]])),
+                       np.zeros((2, 0)), np.zeros(0), none)
     sgd_step(params, g, 0.25)
     assert np.allclose(params.embedding(3), start - [0.5, 0.0])
 
@@ -318,8 +321,8 @@ def test_train_steps_zero(path3):
     params, trace = train(path3, None, None, cfg)
     assert len(trace) == 1 and trace[0]["step"] == 0
     fresh = ParamStore(4, 0, seed=5)
-    for v, vec in params.embeddings.items():
-        assert np.array_equal(vec, fresh.embedding(v))
+    for v in params.embeddings.ids().tolist():
+        assert np.array_equal(params.embedding(v), fresh.embedding(v))
 
 
 def test_train_k2_learns_the_edge(k2):
@@ -336,8 +339,7 @@ def test_train_q1_logistic_only(path3):
     from relerm.graph import LabelTable
     # separable toy: label = sign of the first embedding coordinate
     params = ParamStore(1, 1, seed=0)
-    params.embeddings = {0: np.array([1.0]), 1: np.array([-1.0]),
-                         2: np.array([1.0])}
+    params.embeddings.put(np.array([0, 1, 2]), np.array([[1.0], [-1.0], [1.0]]))
     labels = LabelTable(1, np.array([[True], [False], [True]]),
                         np.ones(3, dtype=bool))
     cfg = TrainConfig(sampler=SamplerConfig(algorithm="p_sampling", retention=1.0),
@@ -357,8 +359,9 @@ def test_train_deterministic_repeat(path3):
     p1, t1 = train(path3, None, None, cfg)
     p2, t2 = train(path3, None, None, cfg)
     assert t1 == t2
-    for v in p1.embeddings:
-        assert np.array_equal(p1.embeddings[v], p2.embeddings[v])
+    ids = p1.embeddings.ids()
+    assert np.array_equal(ids, p2.embeddings.ids())
+    assert np.array_equal(p1.embeddings.rows(ids), p2.embeddings.rows(ids))
 
 
 def test_train_exact_match_with_deterministic_sampler(path3):
@@ -367,8 +370,9 @@ def test_train_exact_match_with_deterministic_sampler(path3):
                       steps=20, embedding_dim=3, seed=8)
     p1, _ = train(path3, None, None, cfg)
     p2, _ = train(path3, None, None, cfg)
-    for v in p1.embeddings:
-        assert np.array_equal(p1.embeddings[v], p2.embeddings[v])
+    ids = p1.embeddings.ids()
+    assert np.array_equal(ids, p2.embeddings.ids())
+    assert np.array_equal(p1.embeddings.rows(ids), p2.embeddings.rows(ids))
 
 
 def test_train_trace_schedule(path3):
