@@ -5,10 +5,10 @@ convergence behavior empirically."""
 
 from .graph import (CategoryMap, Graph, LabelTable, from_edges, induced_pairs,
                     load_cache, load_edge_list, load_labels, save_cache, validate)
-from .samplers import (SampledSubgraph, SamplerConfig, UnigramTable, build_unigram,
-                       draw, negative_unigram, random_walk, skipgram_pairs)
-from .losses import (LossConfig, ParamStore, SparseGradient, combined_loss,
-                     edge_loss, gradient, label_loss)
+from .samplers import (SampledSubgraph, SamplerConfig, SubgraphBatch, UnigramTable,
+                       build_unigram, draw, negative_unigram, outcome_batch, random_walk,
+                       skipgram_pairs)
+from .losses import LossConfig, ParamStore, SparseGradient, combined_loss, gradient
 from .trainer import (RiskEstimate, TrainConfig, check_unbiasedness,
                       estimate_risk, exact_risk_psample, exact_risk_walk,
                       sgd_step, train)

@@ -229,25 +229,33 @@ def induced_pairs(graph: Graph, vertices: np.ndarray) -> tuple[np.ndarray, np.nd
     """All edges and non-edges of `graph` among `vertices`.
 
     Together the two outputs cover every unordered pair within the set
-    exactly once.
+    exactly once, as rows (u, v), u < v, in ascending order. Id i * V + v
+    names vertex v of the i-th of disjoint copies of the graph, as in a
+    batch of draws; pairs stay within a copy.
     """
     verts = np.unique(np.asarray(vertices, dtype=np.int64))
-    if len(verts) and (verts[0] < 0 or verts[-1] >= graph.vertex_count):
+    if len(verts) and verts[0] < 0:
         raise GraphError("vertex out of range")
-    if len(verts) < 2:
-        empty = np.zeros((0, 2), dtype=np.int64)
-        return empty, empty
-    iu, ju = np.triu_indices(len(verts), k=1)
-    us, vs = verts[iu], verts[ju]
-    is_edge = graph.has_edges(us, vs)
-    pos = np.stack([us[is_edge], vs[is_edge]], axis=1)
-    neg = np.stack([us[~is_edge], vs[~is_edge]], axis=1)
-    return pos, neg
+    v = graph.vertex_count
+    copies = len(verts) > 1 and verts[-1] >= v
+    # every pair (i, j), i < j, of positions within one copy's run of verts,
+    # in np.triu_indices' order (without its n x n grid)
+    ends = np.cumsum(np.bincount(verts // v)) if copies else np.array([len(verts)])
+    at = np.arange(len(verts))
+    partners = np.repeat(ends, np.diff(ends, prepend=0)) - 1 - at
+    first = np.repeat(at, partners)
+    second = np.arange(len(first)) - (np.cumsum(partners) - partners - at - 1)[first]
+    us, vs = verts[first], verts[second]
+    is_edge = graph.has_edges(us % v, vs % v) if copies else graph.has_edges(us, vs)
+    pairs = np.concatenate((us[:, None], vs[:, None]), axis=1)
+    return pairs[is_edge], pairs[~is_edge]
 
 
 def induced_edges(graph: Graph, vertex_mask: np.ndarray) -> np.ndarray:
     """Edges of `graph` with both endpoints selected by a boolean mask, as
     (u, v) rows with u < v in lexicographic order (the edge_list's order).
+    Row i of an (n, V) mask selects from copy i of the graph (see
+    `induced_pairs`).
 
     Gathers the neighbour lists of the selected vertices, so the cost
     follows their total degree, not E. On a V=10,000, E=60,000 graph (one
@@ -256,16 +264,19 @@ def induced_edges(graph: Graph, vertex_mask: np.ndarray) -> np.ndarray:
     more the edge-list mask is faster (about 1.4 against 1.9 ms), a density
     no sampler default reaches.
     """
-    us = np.flatnonzero(vertex_mask)
-    if len(us) < 2:
+    mask = np.asarray(vertex_mask).reshape(-1)
+    ids = np.flatnonzero(mask)
+    if len(ids) < 2:
         return np.zeros((0, 2), dtype=np.int64)
+    copies = len(mask) > graph.vertex_count
+    us = ids % graph.vertex_count if copies else ids
     deg = graph.degrees[us]
     ends = np.cumsum(deg)
     # position in graph.neighbors of each selected vertex's neighbours
     at = np.arange(ends[-1]) + np.repeat(graph.offsets[us] - ends + deg, deg)
-    src = np.repeat(us, deg)
-    dst = graph.neighbors[at]
-    keep = vertex_mask[dst] & (dst > src)
+    src = np.repeat(ids, deg)
+    dst = graph.neighbors[at] + np.repeat(ids - us, deg) if copies else graph.neighbors[at]
+    keep = mask[dst] & (dst > src)
     return np.concatenate((src[keep, None], dst[keep, None]), axis=1)
 
 

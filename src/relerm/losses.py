@@ -29,7 +29,7 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .graph import CategoryMap, LabelTable
-from .samplers import SampledSubgraph
+from .samplers import SampledSubgraph, SubgraphBatch
 
 LOSS_MODES = ("edge_only", "node_classification", "category_embedding")
 
@@ -279,26 +279,34 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Scored:
-    """One scoring pass over a sample."""
+    """One scoring pass over a batch of draws."""
 
+    batch: SubgraphBatch
     ids: np.ndarray          # distinct vertex ids, ascending
-    local: np.ndarray        # local index of each entry of sample.vertices
+    local: np.ndarray        # local index of each entry of batch.vertices
     vectors: np.ndarray      # (len(ids), d) vertex vectors
     incidence: tuple | None  # category memberships, see _vertex_vectors
     pairs: np.ndarray        # (P, 2) local indices, positive pairs first
+    pair_draw: np.ndarray    # (P,) the draw of each pair
     n_pos: int
     scores: np.ndarray       # (P,) dot product of each pair
 
 
-def _score_pairs(sample: SampledSubgraph, params: ParamStore, config: LossConfig,
-                 cats: CategoryMap | None) -> _Scored:
-    """Local indices from one np.unique over the sample's vertices and pair
+def _score_pairs(sample: SampledSubgraph | SubgraphBatch, params: ParamStore,
+                 config: LossConfig, cats: CategoryMap | None) -> _Scored:
+    """Local indices from one np.unique over the draws' vertices and pair
     endpoints, the vectors of the distinct vertices, and every pair's dot
-    product."""
-    n_verts = len(sample.vertices)
-    ids, inverse = np.unique(np.concatenate([sample.vertices,
-                                             sample.positive_pairs.reshape(-1),
-                                             sample.negative_pairs.reshape(-1)]),
+    product. A SampledSubgraph is scored as a batch of one."""
+    batch = sample
+    if isinstance(sample, SampledSubgraph):  # a batch of one, without stack's copies
+        arrays = (sample.vertices, sample.positive_pairs, sample.negative_pairs)
+        zeros = [np.zeros(len(a), dtype=np.int64) for a in arrays]
+        batch = SubgraphBatch(arrays[0], zeros[0], arrays[1], zeros[1], arrays[2], zeros[2],
+                              np.array([sample.base_vertex_count]), sample.source)
+    n_verts = len(batch.vertices)
+    ids, inverse = np.unique(np.concatenate([batch.vertices,
+                                             batch.positive_pairs.reshape(-1),
+                                             batch.negative_pairs.reshape(-1)]),
                              return_inverse=True)
     local = inverse[n_verts:].reshape(-1, 2)
     vectors, incidence = _vertex_vectors(ids, params, config, cats)
@@ -306,68 +314,63 @@ def _score_pairs(sample: SampledSubgraph, params: ParamStore, config: LossConfig
         raise NumericError("non-finite embedding")
     ends = vectors[local]
     scores = np.einsum("ij,ij->i", ends[:, 0], ends[:, 1])
-    return _Scored(ids, inverse[:n_verts], vectors, incidence, local,
-                   len(sample.positive_pairs), scores)
+    return _Scored(batch, ids, inverse[:n_verts], vectors, incidence, local,
+                   np.concatenate([batch.positive_draw, batch.negative_draw]),
+                   len(batch.positive_pairs), scores)
 
 
-def edge_loss(sample: SampledSubgraph, params: ParamStore, config: LossConfig,
-              cats: CategoryMap | None = None) -> float:
-    """Cross-entropy on sampled structure: -sum log sigma_eps over positive
-    pairs, -sum log(1 - sigma_eps) over negatives, multiset multiplicity
-    included."""
-    sc = _score_pairs(sample, params, config, cats)
-    eps = config.prob_clip
-    p = np.clip(_sigmoid(sc.scores), eps, 1.0 - eps)
-    return float(-np.log(p[:sc.n_pos]).sum() - np.log(1.0 - p[sc.n_pos:]).sum())
+def _observed_base(batch: SubgraphBatch, labels: LabelTable) -> np.ndarray:
+    """Positions in batch.vertices of the base vertices (the first
+    base_vertex_counts of each draw's) whose labels are observed."""
+    draw = batch.vertex_draw
+    counts = np.bincount(draw, minlength=len(batch))
+    rank = np.arange(len(draw)) - (np.cumsum(counts) - counts)[draw]
+    return np.flatnonzero((rank < batch.base_vertex_counts[draw]) & labels.mask[batch.vertices])
 
 
-def _observed_base(sample: SampledSubgraph, labels: LabelTable) -> tuple[np.ndarray, np.ndarray]:
-    """The sample's base vertices whose labels are observed, and their
-    positions in sample.vertices."""
-    base = np.asarray(sample.base_vertices, dtype=np.int64)
-    at = np.flatnonzero(labels.mask[base])
-    return base[at], at
-
-
-def label_loss(sample: SampledSubgraph, labels: LabelTable, params: ParamStore,
-               config: LossConfig) -> float:
-    """Per-label logistic cross-entropy over the sample's base vertices
-    with observed (masked-true) labels."""
-    verts, _ = _observed_base(sample, labels)
-    if len(verts) == 0:
-        return 0.0
-    lam = params.embedding_matrix(verts)
-    if not np.isfinite(lam).all():
-        raise NumericError("non-finite embedding")
-    z = lam @ params.weights + params.bias
-    eps = config.prob_clip
-    f = np.clip(_sigmoid(z), eps, 1.0 - eps)
-    l = labels.labels[verts].astype(np.float64)
-    return float(-(l * np.log(f) + (1.0 - l) * np.log(1.0 - f)).sum())
-
-
-def combined_loss(sample: SampledSubgraph, labels: LabelTable | None,
+def combined_loss(sample: SampledSubgraph | SubgraphBatch, labels: LabelTable | None,
                   params: ParamStore, config: LossConfig,
-                  cats: CategoryMap | None = None) -> float:
+                  cats: CategoryMap | None = None) -> float | np.ndarray:
     """q * label loss + (1 - q) * edge loss (the configured mode decides
-    which terms exist)."""
-    if config.mode == "edge_only" or config.mode == "category_embedding":
-        return edge_loss(sample, params, config, cats)
-    if labels is None:
+    which terms exist). The edge loss is the cross-entropy on sampled
+    structure: -sum log sigma_eps over positive pairs, -sum log(1 -
+    sigma_eps) over negatives, multiset multiplicity included. The label
+    loss is the per-label logistic cross-entropy over the base vertices
+    with observed (masked-true) labels. A SubgraphBatch gives the loss of
+    each of its draws, from one scoring pass and one sum per term."""
+    if config.mode == "node_classification" and labels is None:
         raise NumericError("node_classification mode requires labels")
-    return (config.q * label_loss(sample, labels, params, config)
-            + (1.0 - config.q) * edge_loss(sample, params, config, cats))
+    sc = _score_pairs(sample, params, config, cats)
+    batch, eps = sc.batch, config.prob_clip
+    p = np.clip(_sigmoid(sc.scores), eps, 1.0 - eps)
+    p[sc.n_pos:] = 1.0 - p[sc.n_pos:]
+    losses = np.bincount(sc.pair_draw, weights=-np.log(p), minlength=len(batch))
+    if config.mode == "node_classification":
+        at = _observed_base(batch, labels)
+        f = np.clip(_sigmoid(sc.vectors[sc.local[at]] @ params.weights + params.bias),
+                    eps, 1.0 - eps)
+        l = labels.labels[batch.vertices[at]].astype(np.float64)
+        terms = -(l * np.log(f) + (1.0 - l) * np.log(1.0 - f)).sum(axis=1)
+        losses = (config.q * np.bincount(batch.vertex_draw[at], weights=terms,
+                                         minlength=len(batch))
+                  + (1.0 - config.q) * losses)
+    return losses if isinstance(sample, SubgraphBatch) else float(losses[0])
 
 
-def gradient(sample: SampledSubgraph, labels: LabelTable | None,
+def gradient(sample: SampledSubgraph | SubgraphBatch, labels: LabelTable | None,
              params: ParamStore, config: LossConfig,
              cats: CategoryMap | None = None) -> SparseGradient:
     """Exact analytic gradient of the configured loss with respect to every
     touched embedding, the global logistic parameters, and (in category
-    mode, via the chain rule) every touched category embedding."""
+    mode, via the chain rule) every touched category embedding.
+
+    A SubgraphBatch gives the gradient of each of its n draws, from one
+    scoring pass and one scatter per term: every array gains a leading axis
+    of length n (`embeddings.data` (n, rows, d), `weights` (n, d, L), `bias`
+    (n, L), `categories.data` (n, rows, d)).
+    """
     sc = _score_pairs(sample, params, config, cats)
-    eps = config.prob_clip
-    n = len(sc.ids)
+    eps, m, n = config.prob_clip, len(sc.batch), len(sc.ids)
     p = _sigmoid(sc.scores)
     # inside the clip region the derivative of -log p is (p - 1) for a
     # positive pair and p for a negative; the clipped region is flat
@@ -376,30 +379,45 @@ def gradient(sample: SampledSubgraph, labels: LabelTable | None,
     coef[(p < eps) | (p > 1.0 - eps)] = 0.0
     if config.mode == "node_classification":
         coef *= 1.0 - config.q
-    a, b = sc.pairs[:, 0], sc.pairs[:, 1]
-    grad_vec = _scatter(np.concatenate([a, b]), np.concatenate([b, a]),
-                        np.concatenate([coef, coef]), n, sc.vectors)
-    weights, bias = np.zeros_like(params.weights), np.zeros_like(params.bias)
+    # row draw * n + i of the scatters holds local vertex i in that draw
+    rows = sc.pairs if m == 1 else sc.pairs + n * sc.pair_draw[:, None]
+    grad_vec = _scatter(np.concatenate([rows[:, 0], rows[:, 1]]),
+                        np.concatenate([sc.pairs[:, 1], sc.pairs[:, 0]]),
+                        np.concatenate([coef, coef]), m * n, sc.vectors)
+    weights = np.zeros((m,) + params.weights.shape)
+    bias = np.zeros((m,) + params.bias.shape)
 
     if config.mode == "node_classification" and config.q > 0.0:
         if labels is None:
             raise NumericError("node_classification mode requires labels")
-        verts, at = _observed_base(sample, labels)
-        if len(verts):
-            rows = sc.local[at]
-            lam = sc.vectors[rows]
-            z = lam @ params.weights + params.bias
-            f = _sigmoid(z)
-            l = labels.labels[verts].astype(np.float64)
+        at = _observed_base(sc.batch, labels)
+        if len(at):
+            local, draw, each = sc.local[at], sc.batch.vertex_draw[at], np.arange(len(at))
+            lam = sc.vectors[local]
+            f = _sigmoid(lam @ params.weights + params.bias)
+            l = labels.labels[sc.batch.vertices[at]].astype(np.float64)
             gz = np.where((f >= eps) & (f <= 1.0 - eps), f - l, 0.0) * config.q
-            weights = lam.T @ gz
-            bias = gz.sum(axis=0)
-            grad_vec += _scatter(rows, np.arange(len(rows)), np.ones(len(rows)), n,
+            if m == 1:  # the one draw's sums, as BLAS and np.sum add them
+                weights[0], bias[0] = lam.T @ gz, gz.sum(axis=0)
+            else:
+                outer = (lam[:, :, None] * gz[:, None, :]).reshape(len(at), -1)
+                weights = _scatter(draw, each, np.ones(len(at)), m, outer).reshape(weights.shape)
+                bias = _scatter(draw, each, np.ones(len(at)), m, gz)
+            grad_vec += _scatter(draw * n + local, each, np.ones(len(at)), m * n,
                                  gz @ params.weights.T)
 
-    none = SparseRows(sc.ids[:0], grad_vec[:0])
+    # a single draw's gradient drops the draw axis
+    one, d = slice(None) if isinstance(sample, SubgraphBatch) else 0, sc.vectors.shape[1]
+    grad_vec = grad_vec.reshape(m, n, d)
+    none = SparseRows(sc.ids[:0], grad_vec[one, :0])
     if config.mode != "category_embedding":
-        return SparseGradient(SparseRows(sc.ids, grad_vec), weights, bias, none)
+        return SparseGradient(SparseRows(sc.ids, grad_vec[one]), weights[one], bias[one], none)
     owner, cat_local, cat_ids = sc.incidence
-    cat_grad = _scatter(cat_local, owner, np.ones(len(owner)), len(cat_ids), grad_vec)
-    return SparseGradient(none, weights, bias, SparseRows(cat_ids, cat_grad))
+    k = len(cat_ids)
+    # each draw's memberships: category row draw * k + c sums the rows
+    # draw * n + owner
+    draws = np.arange(m)[:, None]
+    cat_grad = _scatter((draws * k + cat_local).reshape(-1), (draws * n + owner).reshape(-1),
+                        np.ones(m * len(owner)), m * k, grad_vec.reshape(m * n, d))
+    return SparseGradient(none, weights[one], bias[one],
+                          SparseRows(cat_ids, cat_grad.reshape(m, k, d)[one]))

@@ -4,12 +4,12 @@
 names the algorithm, its parameters and the negative mode, and so defines
 the empirical risk the trainer minimizes. A draw is an outcome key, drawn
 by `draw_key` (a retention mask, a walk, or edge indices), that
-`outcome_subgraph` maps to the SampledSubgraph of positive pairs (observed
-edges, or skipgram-hallucinated pairs) and negative pairs (observed
-non-edges); `draw` adds unigram negatives afterwards from further
-randomness. The trainer's exact enumeration and bulk simulation use the
-same key step and map. All samplers are pure functions of their inputs;
-give each worker its own rng stream.
+`outcome_batch` maps, many keys at once, to the subgraphs of positive pairs
+(observed edges, or skipgram-hallucinated pairs) and negative pairs
+(observed non-edges); `draw` adds unigram negatives afterwards from further
+randomness. The trainer's estimators, exact enumeration and bulk
+simulation use the same key step and map. All samplers are pure functions
+of their inputs; give each worker its own rng stream.
 """
 
 from __future__ import annotations
@@ -132,20 +132,16 @@ def random_walk(graph: Graph, r: int, rng: np.random.Generator,
 
 def skipgram_pairs(walk: np.ndarray, window: int) -> np.ndarray:
     """All index pairs (i, j), i < j, within `window` steps, as a multiset
-    of vertex pairs. Self-pairs from walk revisits are dropped."""
-    n = len(walk)
-    us, vs = [], []
-    for d in range(1, window):
-        if d >= n:
-            break
-        us.append(walk[:n - d])
-        vs.append(walk[d:])
-    if not us:
-        return _empty_pairs()
-    us = np.concatenate(us)
-    vs = np.concatenate(vs)
+    of vertex pairs, by step distance and then position. Self-pairs from
+    walk revisits are dropped. An (n, w) array of walks gives the pairs of
+    each row in turn."""
+    steps = np.atleast_2d(walk).T  # one row per step, one column per walk
+    w = len(steps)
+    d = range(1, min(window, w))
+    us = np.concatenate([steps[:w - i] for i in d] or [steps[:0]]).T.reshape(-1)
+    vs = np.concatenate([steps[i:] for i in d] or [steps[:0]]).T.reshape(-1)
     keep = us != vs
-    return np.stack([us[keep], vs[keep]], axis=1).astype(np.int64)
+    return np.column_stack((us[keep], vs[keep])).astype(np.int64, copy=False)
 
 
 def draw_key(graph: Graph, config: SamplerConfig, rng: np.random.Generator,
@@ -154,17 +150,91 @@ def draw_key(graph: Graph, config: SamplerConfig, rng: np.random.Generator,
     mask over the vertices (p_sampling), a walk of walk_length + 1 vertices
     (rw_*), or edge_count edge indices drawn with replacement
     (uniform_edge). With `size`, one key per row for that many draws."""
+    errs = config.validate()
+    if errs:
+        raise SamplerError("; ".join(errs))
     shape = () if size is None else (size,)
     if config.algorithm == "p_sampling":
         return rng.random(shape + (graph.vertex_count,)) < config.retention
     if config.algorithm == "uniform_edge":
+        if graph.edge_count == 0:
+            raise SamplerError("uniform_edge sampler: the graph has no edges to draw")
         return rng.integers(graph.edge_count, size=shape + (config.edge_count,))
     return random_walk(graph, config.walk_length, rng, config.walk_start, size)
 
 
-def outcome_subgraph(graph: Graph, config: SamplerConfig,
-                     key: np.ndarray) -> SampledSubgraph:
-    """The subgraph the configured sampler reports for one outcome key.
+@dataclass
+class SubgraphBatch:
+    """The subgraphs of n draws in one set of arrays: their vertices,
+    positive pairs and negative pairs, each concatenated in draw order, with
+    the draw of every entry alongside. `batch[i]` is draw i."""
+
+    vertices: np.ndarray            # int64
+    vertex_draw: np.ndarray         # int64, non-decreasing, as the other *_draw
+    positive_pairs: np.ndarray      # int64, shape (m, 2)
+    positive_draw: np.ndarray
+    negative_pairs: np.ndarray      # int64, shape (m', 2)
+    negative_draw: np.ndarray
+    base_vertex_counts: np.ndarray  # per draw, see SampledSubgraph
+    source: str = ""
+
+    def __len__(self) -> int:
+        return len(self.base_vertex_counts)
+
+    def __getitem__(self, i: int) -> SampledSubgraph:
+        parts = [x[slice(*np.searchsorted(draws, (i, i + 1)))] for x, draws in (
+            (self.vertices, self.vertex_draw), (self.positive_pairs, self.positive_draw),
+            (self.negative_pairs, self.negative_draw))]
+        return SampledSubgraph(*parts, self.source, int(self.base_vertex_counts[i]))
+
+    @staticmethod
+    def stack(samples: list[SampledSubgraph]) -> "SubgraphBatch":
+        """The batch of the given draws, with the first draw's source."""
+        draws, parts = np.arange(len(samples)), []
+        for arrays in zip(*((s.vertices, s.positive_pairs, s.negative_pairs) for s in samples)):
+            parts += [np.concatenate(arrays), draws.repeat([len(x) for x in arrays])]
+        return SubgraphBatch(*parts, np.array([s.base_vertex_count for s in samples]),
+                             samples[0].source)
+
+
+def _outcome_ids(graph: Graph, config: SamplerConfig,
+                 keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vertices, positive pairs and negative pairs of the outcomes of
+    key rows, kept apart on disjoint copies of the graph: id i * V + v is
+    vertex v of row i (for one row, the vertex ids themselves)."""
+    algorithm, negative = config.algorithm, config.negative
+    pos = neg = _empty_pairs()
+    if algorithm == "p_sampling":
+        pos = induced_edges(graph, keys)
+        verts = np.unique(pos)
+    else:
+        # each row's vertices in visiting order: a walk, or the drawn edges'
+        # endpoints
+        visits = graph.edge_list[keys].reshape(len(keys), -1).astype(np.int64) \
+            if algorithm == "uniform_edge" else keys
+        if len(keys) > 1:
+            visits = visits + graph.vertex_count * np.arange(len(keys))[:, None]
+        verts = _first_seen(visits.reshape(-1))
+        if algorithm == "uniform_edge":
+            pos = visits.reshape(-1, 2)
+        elif algorithm == "rw_skipgram" and negative != "induced":
+            pos = skipgram_pairs(visits, config.window)
+    if negative == "induced":
+        pos, neg = induced_pairs(graph, verts)
+    elif algorithm == "rw_induced":
+        pos, _ = induced_pairs(graph, verts)
+    elif algorithm == "p_sampling" and negative == "none" and len(verts):
+        _, neg = induced_pairs(graph, verts)
+    return verts, pos, neg
+
+
+def _source(config: SamplerConfig) -> str:
+    return config.algorithm + ("+induced" if config.negative == "induced" else "")
+
+
+def outcome_batch(graph: Graph, config: SamplerConfig, keys: np.ndarray) -> SubgraphBatch:
+    """The subgraphs the configured sampler reports for outcome keys, one
+    key per row (as `draw_key(..., size=n)` draws them).
 
     p_sampling: the edges induced by the retained vertices, isolated
     survivors deleted, induced non-edges among the survivors as negatives.
@@ -172,30 +242,23 @@ def outcome_subgraph(graph: Graph, config: SamplerConfig,
     >= 2 may be non-edges; they are still positives). rw_induced: the edges
     induced by the walk's vertices. uniform_edge: the drawn edges (with
     replacement) and their endpoints. `induced` negatives then replace the
-    pairs with every induced edge and non-edge on the vertices, from one
-    `induced_pairs` call. Under `unigram` negatives the subgraph carries
-    none: `draw` samples them afterwards.
+    pairs with every induced edge and non-edge on the vertices. Under
+    `unigram` negatives the subgraphs carry none: `draw` samples them
+    afterwards. Each rule runs once over all the keys, and one
+    `induced_pairs` call serves every key.
     """
-    algorithm, negative = config.algorithm, config.negative
-    pos = negatives = _empty_pairs()
-    if algorithm == "p_sampling":
-        pos = induced_edges(graph, key)
-        verts = np.unique(pos)
-    elif algorithm == "uniform_edge":
-        pos = graph.edge_list[key].astype(np.int64)
-        verts = _first_seen(pos.reshape(-1))
-    else:
-        verts = _first_seen(key)
-        if algorithm == "rw_skipgram" and negative != "induced":
-            pos = skipgram_pairs(key, config.window)
-    if negative == "induced":
-        pos, negatives = induced_pairs(graph, verts)
-    elif algorithm == "rw_induced":
-        pos, _ = induced_pairs(graph, verts)
-    elif algorithm == "p_sampling" and negative == "none" and len(verts):
-        _, negatives = induced_pairs(graph, verts)
-    source = algorithm + "+induced" if negative == "induced" else algorithm
-    return SampledSubgraph(verts, pos, negatives, source=source)
+    verts, pos, neg = _outcome_ids(graph, config, keys)
+    (vertex_draw, verts), (pos_draw, pos), (neg_draw, neg) = (
+        np.divmod(x, graph.vertex_count) for x in (verts, pos, neg))
+    return SubgraphBatch(verts, vertex_draw, pos, pos_draw[:, 0], neg, neg_draw[:, 0],
+                         np.bincount(vertex_draw, minlength=len(keys)), _source(config))
+
+
+def outcome_subgraph(graph: Graph, config: SamplerConfig,
+                     key: np.ndarray) -> SampledSubgraph:
+    """The subgraph the configured sampler reports for one outcome key: the
+    rules of `outcome_batch` on a batch of one."""
+    return SampledSubgraph(*_outcome_ids(graph, config, key[None]), source=_source(config))
 
 
 @dataclass(frozen=True)
@@ -282,9 +345,6 @@ def draw(graph: Graph, config: SamplerConfig, rng: np.random.Generator,
          unigram_table: UnigramTable | None = None) -> SampledSubgraph:
     """Draw an outcome key, map it to its subgraph, then apply unigram
     negative sampling when configured. Deterministic given the rng state."""
-    errs = config.validate()
-    if errs:
-        raise SamplerError("; ".join(errs))
     sample = outcome_subgraph(graph, config, draw_key(graph, config, rng))
     if config.negative == "unigram":
         if unigram_table is None:

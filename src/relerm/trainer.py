@@ -5,10 +5,10 @@ sampler; its stochastic gradient (gradient of the loss on one draw) is
 unbiased, and the oracles here verify that by exhaustive enumeration of
 the sampler's outcome space on small graphs. They work on outcome keys
 (retention masks, walks) and leave the subgraphs to
-`samplers.outcome_subgraph`: keys are enumerated with probabilities that
+`samplers.outcome_batch`: keys are enumerated with probabilities that
 state the sampler's law independently of its code, simulated in bulk by
-the sampler's own `draw_key`, and their losses and gradients averaged by
-one weighted mean/variance helper.
+the sampler's own `draw_key`, mapped and scored in batches, and their
+losses and gradients averaged by one weighted mean/variance helper.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import numpy as np
 from .graph import Graph, LabelTable, CategoryMap
 from .graph import induced_pairs  # noqa: F401 - unused; a span target of benchmarks/spans.py
 from .losses import LossConfig, ParamStore, SparseGradient, combined_loss, gradient
-from .samplers import (WALK_STARTS, SamplerConfig, UnigramTable, build_unigram, draw,
-                       draw_key, outcome_subgraph)
+from .samplers import (WALK_STARTS, SamplerConfig, SubgraphBatch, UnigramTable,
+                       build_unigram, draw, draw_key, outcome_batch)
 
 
 class TrainerError(Exception):
@@ -150,23 +150,31 @@ def enumerate_outcomes(graph: Graph, config: SamplerConfig, max_walks: int = 10 
     (probability, subgraph) pairs: all retention subsets of a small graph
     under p-sampling, all walks (at most max_walks) under the walk samplers."""
     keys, probs = _enumerate_keys(graph, config, max_walks)
-    return [(float(p), outcome_subgraph(graph, config, key)) for key, p in zip(keys, probs)]
+    batch = outcome_batch(graph, config, keys)
+    return [(float(p), batch[i]) for i, p in enumerate(probs)]
 
 
 def _simulate_key_counts(graph: Graph, config: SamplerConfig, n: int,
                          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Distinct key codes (ascending) and their counts over n draws of the
-    sampler's key step, simulated in chunks of SIM_CHUNK random numbers."""
+    sampler's key step, simulated in chunks of SIM_CHUNK random numbers. A
+    chunk with room for every possible code is counted by np.bincount
+    instead of sorted by np.unique."""
     dims = _key_dims(graph, config)
     chunk = max(1, min(n, SIM_CHUNK // max(len(dims), 1)))
+    space = math.prod(dims)
     codes, counts = [], []
     for done in range(0, n, chunk):
-        keys = draw_key(graph, config, rng, size=min(chunk, n - done))
-        c, k = np.unique(_encode(keys, dims), return_counts=True)
+        c = _encode(draw_key(graph, config, rng, size=min(chunk, n - done)), dims)
+        if space <= chunk:
+            c, k = np.arange(space), np.bincount(c, minlength=space)
+        else:
+            c, k = np.unique(c, return_counts=True)
         codes.append(c)
         counts.append(k)
     codes, inverse = np.unique(np.concatenate(codes), return_inverse=True)
-    return codes, np.bincount(inverse, weights=np.concatenate(counts))
+    counts = np.bincount(inverse, weights=np.concatenate(counts))
+    return codes[counts > 0], counts[counts > 0]
 
 
 def _weighted_moments(weights: np.ndarray, values: np.ndarray, total: float,
@@ -180,17 +188,50 @@ def _weighted_moments(weights: np.ndarray, values: np.ndarray, total: float,
     return mean, (w * (values - mean) ** 2).sum(axis=0) / max(total - ddof, 1)
 
 
-def _key_losses(graph: Graph, config: SamplerConfig, keys: np.ndarray,
-                labels: LabelTable | None, params: ParamStore, loss: LossConfig,
-                cats: CategoryMap | None) -> np.ndarray:
-    return np.array([combined_loss(outcome_subgraph(graph, config, key), labels,
-                                   params, loss, cats) for key in keys])
+def _key_batches(graph: Graph, config: SamplerConfig, keys: np.ndarray, dim: int):
+    """The outcomes of key rows, in SubgraphBatches of about SIM_CHUNK
+    numbers: a key of s possible vertices (the retained ones of a mask, the
+    positions of a walk, two per drawn edge) has at most s (s - 1) / 2
+    pairs, and scoring a pair takes 2 + 2 dim numbers."""
+    s = keys.sum(axis=1) if config.algorithm == "p_sampling" else np.full(
+        len(keys), keys.shape[1] * (2 if config.algorithm == "uniform_edge" else 1))
+    costs = np.cumsum(keys.shape[1] + s * (s - 1) // 2 * (2 + 2 * dim))
+    for part in np.split(keys, np.flatnonzero(np.diff(costs // SIM_CHUNK)) + 1):
+        yield outcome_batch(graph, config, part)
+
+
+def _draw_batches(graph: Graph, config: SamplerConfig, n: int, rng: np.random.Generator,
+                  table: UnigramTable | None, dim: int):
+    """n draws of the sampler as SubgraphBatches, taking the random numbers
+    of n successive `draw` calls: an (m, V) block of p-sampling masks holds
+    those of m masks, walks and edge indices are drawn one draw at a time,
+    and draws with unigram negatives, whose numbers follow each draw's own,
+    are drawn whole."""
+    if config.negative == "unigram":
+        samples, size = [], 0
+        for i in range(n):
+            samples.append(draw(graph, config, rng, unigram_table=table))
+            size += (2 + 2 * dim) * (len(samples[-1].positive_pairs)
+                                     + len(samples[-1].negative_pairs))
+            if size >= SIM_CHUNK or i == n - 1:
+                yield SubgraphBatch.stack(samples)
+                samples, size = [], 0
+        return
+    width = {"p_sampling": graph.vertex_count,
+             "uniform_edge": config.edge_count}.get(config.algorithm, config.walk_length + 1)
+    block = max(1, SIM_CHUNK // max(width, 1))
+    for done in range(0, n, block):
+        m = min(block, n - done)
+        keys = draw_key(graph, config, rng, size=m) if config.algorithm == "p_sampling" \
+            else np.stack([draw_key(graph, config, rng) for _ in range(m)])
+        yield from _key_batches(graph, config, keys, dim)
 
 
 def _exact_risk(graph: Graph, config: SamplerConfig, labels: LabelTable | None,
                 params: ParamStore, loss: LossConfig, cats: CategoryMap | None) -> float:
     keys, probs = _enumerate_keys(graph, config)
-    losses = _key_losses(graph, config, keys, labels, params, loss, cats)
+    losses = np.concatenate([combined_loss(batch, labels, params, loss, cats)
+                             for batch in _key_batches(graph, config, keys, params.dim)])
     return float(_weighted_moments(probs, losses, 1.0)[0])
 
 
@@ -253,16 +294,14 @@ def estimate_risk(graph: Graph, labels: LabelTable | None, params: ParamStore,
     if method == "aggregated":
         codes, counts = _simulate_key_counts(graph, sampler, n_samples, rng)
         keys = _decode(codes, _key_dims(graph, sampler), sampler)
-        vals = _key_losses(graph, sampler, keys, labels, params, loss, cats)
+        batches = _key_batches(graph, sampler, keys, params.dim)
     else:
         table = unigram_table
         if table is None and sampler.negative == "unigram":
             table = build_unigram(graph, sampler.unigram_power)
-        vals = np.empty(n_samples)
-        for i in range(n_samples):
-            sub = draw(graph, sampler, rng, unigram_table=table)
-            vals[i] = combined_loss(sub, labels, params, loss, cats)
+        batches = _draw_batches(graph, sampler, n_samples, rng, table, params.dim)
         counts = np.ones(n_samples)
+    vals = np.concatenate([combined_loss(b, labels, params, loss, cats) for b in batches])
     mean, var = _weighted_moments(counts, vals, n_samples, ddof=1)
     return RiskEstimate(float(mean), float(np.sqrt(var) / np.sqrt(n_samples)), n_samples)
 
@@ -270,14 +309,14 @@ def estimate_risk(graph: Graph, labels: LabelTable | None, params: ParamStore,
 # -- gradient flattening ------------------------------------------------------
 
 def _flatten_gradient(grad: SparseGradient, graph: Graph, params: ParamStore) -> np.ndarray:
-    base = graph.vertex_count * params.dim
-    out = np.zeros(base + params.weights.size + params.bias.size)
-    if len(grad.embeddings):
-        out[:base].reshape(graph.vertex_count, params.dim)[grad.embeddings.rows] = \
-            grad.embeddings.data
-    out[base:base + params.weights.size] = grad.weights.reshape(-1)
-    out[base + params.weights.size:] = grad.bias
-    return out
+    """A gradient as one vector: every vertex embedding (zero where
+    untouched), then the weights and the bias; a batch's gradients as one
+    such row per draw."""
+    lead = grad.bias.shape[:-1]
+    emb = np.zeros(lead + (graph.vertex_count, params.dim))
+    emb[..., grad.embeddings.rows, :] = grad.embeddings.data
+    return np.concatenate([x.reshape(lead + (-1,))
+                           for x in (emb, grad.weights, grad.bias)], axis=-1)
 
 
 @dataclass
@@ -298,7 +337,8 @@ def check_unbiasedness(graph: Graph, params: ParamStore, sampler: SamplerConfig,
     """Compare the empirical mean of n stochastic gradients (real sampler
     draws, aggregated per distinct outcome key) against the analytic
     gradient of the exact enumerated risk; report per-coordinate z-scores.
-    Each key's gradient is computed once and weighted both ways."""
+    Each key's gradient is computed once, as one row of its batch's
+    gradients, and weighted both ways."""
     # materialize so every coordinate is live
     params.embeddings.materialise(np.arange(graph.vertex_count))
     dims = _key_dims(graph, sampler)
@@ -311,10 +351,9 @@ def check_unbiasedness(graph: Graph, params: ParamStore, sampler: SamplerConfig,
     prob_w[np.searchsorted(codes, exact_codes)] = probs
     count_w = np.zeros(len(codes))
     count_w[np.searchsorted(codes, sim_codes)] = counts
-    grads = np.stack([
-        _flatten_gradient(gradient(outcome_subgraph(graph, sampler, key), labels,
-                                   params, loss), graph, params)
-        for key in _decode(codes, dims, sampler)])
+    grads = np.concatenate([
+        _flatten_gradient(gradient(batch, labels, params, loss), graph, params)
+        for batch in _key_batches(graph, sampler, _decode(codes, dims, sampler), params.dim)])
     exact, _ = _weighted_moments(prob_w, grads, 1.0)
     mean, var = _weighted_moments(count_w, grads, n)
     se = np.sqrt(var / n)

@@ -1,8 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from relerm import (CategoryMap, LabelTable, LossConfig, ParamStore,
-                    combined_loss, edge_loss, gradient, label_loss)
+from relerm import CategoryMap, LabelTable, LossConfig, ParamStore, combined_loss, gradient
 from relerm.losses import NumericError, _vertex_vectors
 from relerm.samplers import SampledSubgraph, _empty_pairs
 
@@ -11,6 +12,19 @@ def make_sample(vertices, pos=(), neg=()):
     def arr(p):
         return np.array(p, dtype=np.int64).reshape(-1, 2) if len(p) else _empty_pairs()
     return SampledSubgraph(np.array(vertices, dtype=np.int64), arr(pos), arr(neg))
+
+
+def edge_loss(sample, params, config, cats=None):
+    """The edge term of combined_loss alone."""
+    if config.mode == "node_classification":
+        config = replace(config, mode="edge_only")
+    return combined_loss(sample, None, params, config, cats)
+
+
+def label_loss(sample, labels, params, config):
+    """The label term of combined_loss alone: its value at q = 1."""
+    return combined_loss(sample, labels, params,
+                         replace(config, mode="node_classification", q=1.0))
 
 
 def preset_params(vectors, label_dim=0):

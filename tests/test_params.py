@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from relerm import (CategoryMap, LabelTable, LossConfig, ParamStore, SparseGradient,
-                    combined_loss, edge_loss, gradient, sgd_step)
+                    combined_loss, gradient, sgd_step)
 from relerm.losses import RowTable, SparseRows
 from relerm.samplers import SampledSubgraph
+from test_losses import edge_loss
 
 
 # -- row table ----------------------------------------------------------------

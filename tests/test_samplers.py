@@ -467,3 +467,21 @@ def test_induced_negatives_call_induced_pairs_once(algorithm, monkeypatch):
     for _ in range(20):
         draw(IRREGULAR, cfg, rng)
     assert len(calls) == 20
+
+
+def test_uniform_edge_on_a_graph_without_edges(tmp_path, capsys):
+    # a typed error naming the sampler, not numpy's "high <= 0"
+    import json
+    from relerm.cli import main
+    from relerm.graph import save_cache
+    g = from_edges(4, np.zeros((0, 2), dtype=np.int64))
+    with pytest.raises(SamplerError, match="uniform_edge"):
+        draw(g, SamplerConfig(algorithm="uniform_edge", edge_count=3), np.random.default_rng(0))
+    cache = str(tmp_path / "empty.bin")
+    save_cache(g, cache)
+    rc = main(["sample", "--set", "seed=1", "--set", f"graph.cache={cache}",
+               "--set", f"output.dir={tmp_path / 'out'}",
+               "--set", "sampler.algorithm=uniform_edge"])
+    assert rc != 0
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["kind"] == "SamplerError" and "uniform_edge" in record["message"]

@@ -347,8 +347,7 @@ def test_train_q1_logistic_only(path3):
                       steps=800, lr_start=0.5, lr_end=0.5, embedding_dim=1,
                       seed=0)
     params, _ = train(path3, labels, None, cfg, params=params)
-    from relerm.losses import label_loss
-    from test_losses import make_sample
+    from test_losses import label_loss, make_sample
     final = label_loss(make_sample([0, 1, 2]), labels, params, cfg.loss)
     assert final < 0.05
 
