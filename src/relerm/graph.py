@@ -225,37 +225,39 @@ def load_labels(source: IO[str] | Iterable[str], graph: Graph, label_dim: int) -
     return LabelTable(label_dim, labels, np.ones(graph.vertex_count, dtype=bool))
 
 
-def induced_pairs(graph: Graph, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def induced_pairs(graph: Graph, vertices: np.ndarray,
+                  copies: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """All edges and non-edges of `graph` among `vertices`.
 
     Together the two outputs cover every unordered pair within the set
     exactly once, as rows (u, v), u < v, in ascending order. Id i * V + v
-    names vertex v of the i-th of disjoint copies of the graph, as in a
-    batch of draws; pairs stay within a copy.
+    names vertex v of the i-th of `copies` disjoint copies of the graph, as
+    in a batch of draws; pairs stay within a copy.
     """
     verts = np.unique(np.asarray(vertices, dtype=np.int64))
-    if len(verts) and verts[0] < 0:
-        raise GraphError("vertex out of range")
     v = graph.vertex_count
-    copies = len(verts) > 1 and verts[-1] >= v
+    if len(verts) and (verts[0] < 0 or verts[-1] >= copies * v):
+        raise GraphError("vertex out of range")
+    counts = np.bincount(verts // v, minlength=copies)
     # every pair (i, j), i < j, of positions within one copy's run of verts,
-    # in np.triu_indices' order (without its n x n grid)
-    ends = np.cumsum(np.bincount(verts // v)) if copies else np.array([len(verts)])
+    # in np.triu_indices' order (without its n x n grid); array methods, as
+    # their np.* wrappers cost more than the arithmetic on a draw's few ids
     at = np.arange(len(verts))
-    partners = np.repeat(ends, np.diff(ends, prepend=0)) - 1 - at
-    first = np.repeat(at, partners)
-    second = np.arange(len(first)) - (np.cumsum(partners) - partners - at - 1)[first]
+    partners = counts.cumsum().repeat(counts) - 1 - at
+    first = at.repeat(partners)
+    second = np.arange(len(first)) - (partners.cumsum() - partners - at - 1)[first]
+    local = verts % v  # the vertex within its copy
+    is_edge = graph.has_edges(local[first], local[second])
     us, vs = verts[first], verts[second]
-    is_edge = graph.has_edges(us % v, vs % v) if copies else graph.has_edges(us, vs)
     pairs = np.concatenate((us[:, None], vs[:, None]), axis=1)
     return pairs[is_edge], pairs[~is_edge]
 
 
 def induced_edges(graph: Graph, vertex_mask: np.ndarray) -> np.ndarray:
-    """Edges of `graph` with both endpoints selected by a boolean mask, as
-    (u, v) rows with u < v in lexicographic order (the edge_list's order).
-    Row i of an (n, V) mask selects from copy i of the graph (see
-    `induced_pairs`).
+    """Edges of `graph` with both endpoints selected by a boolean mask of
+    length V, as (u, v) rows with u < v in lexicographic order (the
+    edge_list's order). Row i of an (n, V) mask selects from copy i of the
+    graph (see `induced_pairs`).
 
     Gathers the neighbour lists of the selected vertices, so the cost
     follows their total degree, not E. On a V=10,000, E=60,000 graph (one
@@ -264,18 +266,20 @@ def induced_edges(graph: Graph, vertex_mask: np.ndarray) -> np.ndarray:
     more the edge-list mask is faster (about 1.4 against 1.9 ms), a density
     no sampler default reaches.
     """
-    mask = np.asarray(vertex_mask).reshape(-1)
+    mask = np.asarray(vertex_mask)
+    if mask.shape[-1:] != (graph.vertex_count,):
+        raise GraphError(f"mask of shape {mask.shape} for {graph.vertex_count} vertices")
+    mask = mask.reshape(-1)
     ids = np.flatnonzero(mask)
     if len(ids) < 2:
         return np.zeros((0, 2), dtype=np.int64)
-    copies = len(mask) > graph.vertex_count
-    us = ids % graph.vertex_count if copies else ids
+    us = ids % graph.vertex_count
     deg = graph.degrees[us]
-    ends = np.cumsum(deg)
+    ends = deg.cumsum()
     # position in graph.neighbors of each selected vertex's neighbours
-    at = np.arange(ends[-1]) + np.repeat(graph.offsets[us] - ends + deg, deg)
-    src = np.repeat(ids, deg)
-    dst = graph.neighbors[at] + np.repeat(ids - us, deg) if copies else graph.neighbors[at]
+    at = np.arange(ends[-1]) + (graph.offsets[us] - ends + deg).repeat(deg)
+    src = ids.repeat(deg)
+    dst = graph.neighbors[at] + (ids - us).repeat(deg)
     keep = mask[dst] & (dst > src)
     return np.concatenate((src[keep, None], dst[keep, None]), axis=1)
 

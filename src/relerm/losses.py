@@ -233,6 +233,12 @@ class SparseGradient:
     bias: np.ndarray
     categories: SparseRows
 
+    def draw(self, i: int) -> "SparseGradient":
+        """Draw i's gradient, of the gradients of a batch (see `gradient`)."""
+        return SparseGradient(SparseRows(self.embeddings.rows, self.embeddings.data[i]),
+                              self.weights[i], self.bias[i],
+                              SparseRows(self.categories.rows, self.categories.data[i]))
+
 
 # -- scoring ------------------------------------------------------------------
 
@@ -281,7 +287,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 class _Scored:
     """One scoring pass over a batch of draws."""
 
-    batch: SubgraphBatch
     ids: np.ndarray          # distinct vertex ids, ascending
     local: np.ndarray        # local index of each entry of batch.vertices
     vectors: np.ndarray      # (len(ids), d) vertex vectors
@@ -292,17 +297,16 @@ class _Scored:
     scores: np.ndarray       # (P,) dot product of each pair
 
 
-def _score_pairs(sample: SampledSubgraph | SubgraphBatch, params: ParamStore,
-                 config: LossConfig, cats: CategoryMap | None) -> _Scored:
+def _as_batch(sample: SampledSubgraph | SubgraphBatch) -> SubgraphBatch:
+    """The scoring below is written for batches; one draw is a batch of one."""
+    return sample if isinstance(sample, SubgraphBatch) else SubgraphBatch.stack([sample])
+
+
+def _score_pairs(batch: SubgraphBatch, params: ParamStore, config: LossConfig,
+                 cats: CategoryMap | None) -> _Scored:
     """Local indices from one np.unique over the draws' vertices and pair
     endpoints, the vectors of the distinct vertices, and every pair's dot
-    product. A SampledSubgraph is scored as a batch of one."""
-    batch = sample
-    if isinstance(sample, SampledSubgraph):  # a batch of one, without stack's copies
-        arrays = (sample.vertices, sample.positive_pairs, sample.negative_pairs)
-        zeros = [np.zeros(len(a), dtype=np.int64) for a in arrays]
-        batch = SubgraphBatch(arrays[0], zeros[0], arrays[1], zeros[1], arrays[2], zeros[2],
-                              np.array([sample.base_vertex_count]), sample.source)
+    product."""
     n_verts = len(batch.vertices)
     ids, inverse = np.unique(np.concatenate([batch.vertices,
                                              batch.positive_pairs.reshape(-1),
@@ -314,7 +318,7 @@ def _score_pairs(sample: SampledSubgraph | SubgraphBatch, params: ParamStore,
         raise NumericError("non-finite embedding")
     ends = vectors[local]
     scores = np.einsum("ij,ij->i", ends[:, 0], ends[:, 1])
-    return _Scored(batch, ids, inverse[:n_verts], vectors, incidence, local,
+    return _Scored(ids, inverse[:n_verts], vectors, incidence, local,
                    np.concatenate([batch.positive_draw, batch.negative_draw]),
                    len(batch.positive_pairs), scores)
 
@@ -340,8 +344,9 @@ def combined_loss(sample: SampledSubgraph | SubgraphBatch, labels: LabelTable | 
     each of its draws, from one scoring pass and one sum per term."""
     if config.mode == "node_classification" and labels is None:
         raise NumericError("node_classification mode requires labels")
-    sc = _score_pairs(sample, params, config, cats)
-    batch, eps = sc.batch, config.prob_clip
+    batch = _as_batch(sample)
+    sc = _score_pairs(batch, params, config, cats)
+    eps = config.prob_clip
     p = np.clip(_sigmoid(sc.scores), eps, 1.0 - eps)
     p[sc.n_pos:] = 1.0 - p[sc.n_pos:]
     losses = np.bincount(sc.pair_draw, weights=-np.log(p), minlength=len(batch))
@@ -354,7 +359,7 @@ def combined_loss(sample: SampledSubgraph | SubgraphBatch, labels: LabelTable | 
         losses = (config.q * np.bincount(batch.vertex_draw[at], weights=terms,
                                          minlength=len(batch))
                   + (1.0 - config.q) * losses)
-    return losses if isinstance(sample, SubgraphBatch) else float(losses[0])
+    return losses if batch is sample else float(losses[0])
 
 
 def gradient(sample: SampledSubgraph | SubgraphBatch, labels: LabelTable | None,
@@ -364,13 +369,14 @@ def gradient(sample: SampledSubgraph | SubgraphBatch, labels: LabelTable | None,
     touched embedding, the global logistic parameters, and (in category
     mode, via the chain rule) every touched category embedding.
 
-    A SubgraphBatch gives the gradient of each of its n draws, from one
-    scoring pass and one scatter per term: every array gains a leading axis
-    of length n (`embeddings.data` (n, rows, d), `weights` (n, d, L), `bias`
-    (n, L), `categories.data` (n, rows, d)).
+    A SubgraphBatch gives the gradients of its n draws, from one scoring
+    pass and one scatter per term: every array gains a leading axis of
+    length n (`embeddings.data` (n, rows, d), `weights` (n, d, L), `bias`
+    (n, L), `categories.data` (n, rows, d)), and `.draw(i)` is draw i's.
     """
-    sc = _score_pairs(sample, params, config, cats)
-    eps, m, n = config.prob_clip, len(sc.batch), len(sc.ids)
+    batch = _as_batch(sample)
+    sc = _score_pairs(batch, params, config, cats)
+    eps, m, n, d = config.prob_clip, len(batch), len(sc.ids), sc.vectors.shape[1]
     p = _sigmoid(sc.scores)
     # inside the clip region the derivative of -log p is (p - 1) for a
     # positive pair and p for a negative; the clipped region is flat
@@ -380,7 +386,7 @@ def gradient(sample: SampledSubgraph | SubgraphBatch, labels: LabelTable | None,
     if config.mode == "node_classification":
         coef *= 1.0 - config.q
     # row draw * n + i of the scatters holds local vertex i in that draw
-    rows = sc.pairs if m == 1 else sc.pairs + n * sc.pair_draw[:, None]
+    rows = sc.pairs + n * sc.pair_draw[:, None]
     grad_vec = _scatter(np.concatenate([rows[:, 0], rows[:, 1]]),
                         np.concatenate([sc.pairs[:, 1], sc.pairs[:, 0]]),
                         np.concatenate([coef, coef]), m * n, sc.vectors)
@@ -390,12 +396,12 @@ def gradient(sample: SampledSubgraph | SubgraphBatch, labels: LabelTable | None,
     if config.mode == "node_classification" and config.q > 0.0:
         if labels is None:
             raise NumericError("node_classification mode requires labels")
-        at = _observed_base(sc.batch, labels)
+        at = _observed_base(batch, labels)
         if len(at):
-            local, draw, each = sc.local[at], sc.batch.vertex_draw[at], np.arange(len(at))
+            local, draw, each = sc.local[at], batch.vertex_draw[at], np.arange(len(at))
             lam = sc.vectors[local]
             f = _sigmoid(lam @ params.weights + params.bias)
-            l = labels.labels[sc.batch.vertices[at]].astype(np.float64)
+            l = labels.labels[batch.vertices[at]].astype(np.float64)
             gz = np.where((f >= eps) & (f <= 1.0 - eps), f - l, 0.0) * config.q
             if m == 1:  # the one draw's sums, as BLAS and np.sum add them
                 weights[0], bias[0] = lam.T @ gz, gz.sum(axis=0)
@@ -406,18 +412,15 @@ def gradient(sample: SampledSubgraph | SubgraphBatch, labels: LabelTable | None,
             grad_vec += _scatter(draw * n + local, each, np.ones(len(at)), m * n,
                                  gz @ params.weights.T)
 
-    # a single draw's gradient drops the draw axis
-    one, d = slice(None) if isinstance(sample, SubgraphBatch) else 0, sc.vectors.shape[1]
     grad_vec = grad_vec.reshape(m, n, d)
-    none = SparseRows(sc.ids[:0], grad_vec[one, :0])
-    if config.mode != "category_embedding":
-        return SparseGradient(SparseRows(sc.ids, grad_vec[one]), weights[one], bias[one], none)
-    owner, cat_local, cat_ids = sc.incidence
-    k = len(cat_ids)
-    # each draw's memberships: category row draw * k + c sums the rows
-    # draw * n + owner
-    draws = np.arange(m)[:, None]
-    cat_grad = _scatter((draws * k + cat_local).reshape(-1), (draws * n + owner).reshape(-1),
-                        np.ones(m * len(owner)), m * k, grad_vec.reshape(m * n, d))
-    return SparseGradient(none, weights[one], bias[one],
-                          SparseRows(cat_ids, cat_grad.reshape(m, k, d)[one]))
+    vertices = categories = SparseRows(sc.ids[:0], grad_vec[:, :0])
+    if config.mode == "category_embedding":
+        # the chain rule of every draw at once, their vertex gradients side by side
+        owner, cat_local, cat_ids = sc.incidence
+        cat_grad = _scatter(cat_local, owner, np.ones(len(owner)), len(cat_ids),
+                            grad_vec.transpose(1, 0, 2).reshape(n, m * d))
+        categories = SparseRows(cat_ids, cat_grad.reshape(-1, m, d).transpose(1, 0, 2))
+    else:
+        vertices = SparseRows(sc.ids, grad_vec)
+    grad = SparseGradient(vertices, weights, bias, categories)
+    return grad if batch is sample else grad.draw(0)

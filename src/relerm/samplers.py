@@ -141,7 +141,8 @@ def skipgram_pairs(walk: np.ndarray, window: int) -> np.ndarray:
     us = np.concatenate([steps[:w - i] for i in d] or [steps[:0]]).T.reshape(-1)
     vs = np.concatenate([steps[i:] for i in d] or [steps[:0]]).T.reshape(-1)
     keep = us != vs
-    return np.column_stack((us[keep], vs[keep])).astype(np.int64, copy=False)
+    us, vs = us[keep], vs[keep]
+    return np.concatenate((us[:, None], vs[:, None]), axis=1).astype(np.int64, copy=False)
 
 
 def draw_key(graph: Graph, config: SamplerConfig, rng: np.random.Generator,
@@ -201,30 +202,28 @@ def _outcome_ids(graph: Graph, config: SamplerConfig,
                  keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The vertices, positive pairs and negative pairs of the outcomes of
     key rows, kept apart on disjoint copies of the graph: id i * V + v is
-    vertex v of row i (for one row, the vertex ids themselves)."""
-    algorithm, negative = config.algorithm, config.negative
+    vertex v of row i."""
+    algorithm, negative, n = config.algorithm, config.negative, len(keys)
     pos = neg = _empty_pairs()
     if algorithm == "p_sampling":
         pos = induced_edges(graph, keys)
         verts = np.unique(pos)
     else:
-        # each row's vertices in visiting order: a walk, or the drawn edges'
-        # endpoints
-        visits = graph.edge_list[keys].reshape(len(keys), -1).astype(np.int64) \
-            if algorithm == "uniform_edge" else keys
-        if len(keys) > 1:
-            visits = visits + graph.vertex_count * np.arange(len(keys))[:, None]
+        # each row's vertices in visiting order (a walk, or the drawn edges'
+        # endpoints), moved to the row's copy
+        visits = graph.edge_list[keys].reshape(n, -1) if algorithm == "uniform_edge" else keys
+        visits = visits + graph.vertex_count * np.arange(n)[:, None]
         verts = _first_seen(visits.reshape(-1))
         if algorithm == "uniform_edge":
             pos = visits.reshape(-1, 2)
         elif algorithm == "rw_skipgram" and negative != "induced":
             pos = skipgram_pairs(visits, config.window)
     if negative == "induced":
-        pos, neg = induced_pairs(graph, verts)
+        pos, neg = induced_pairs(graph, verts, n)
     elif algorithm == "rw_induced":
-        pos, _ = induced_pairs(graph, verts)
+        pos, _ = induced_pairs(graph, verts, n)
     elif algorithm == "p_sampling" and negative == "none" and len(verts):
-        _, neg = induced_pairs(graph, verts)
+        _, neg = induced_pairs(graph, verts, n)
     return verts, pos, neg
 
 
@@ -257,7 +256,8 @@ def outcome_batch(graph: Graph, config: SamplerConfig, keys: np.ndarray) -> Subg
 def outcome_subgraph(graph: Graph, config: SamplerConfig,
                      key: np.ndarray) -> SampledSubgraph:
     """The subgraph the configured sampler reports for one outcome key: the
-    rules of `outcome_batch` on a batch of one."""
+    rules of `outcome_batch` on a batch of one, whose copy of the graph is
+    the graph itself."""
     return SampledSubgraph(*_outcome_ids(graph, config, key[None]), source=_source(config))
 
 

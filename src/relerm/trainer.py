@@ -150,8 +150,8 @@ def enumerate_outcomes(graph: Graph, config: SamplerConfig, max_walks: int = 10 
     (probability, subgraph) pairs: all retention subsets of a small graph
     under p-sampling, all walks (at most max_walks) under the walk samplers."""
     keys, probs = _enumerate_keys(graph, config, max_walks)
-    batch = outcome_batch(graph, config, keys)
-    return [(float(p), batch[i]) for i, p in enumerate(probs)]
+    subs = [b[i] for b in _key_batches(graph, config, keys, 0) for i in range(len(b))]
+    return list(zip(probs.tolist(), subs))
 
 
 def _simulate_key_counts(graph: Graph, config: SamplerConfig, n: int,
@@ -188,43 +188,46 @@ def _weighted_moments(weights: np.ndarray, values: np.ndarray, total: float,
     return mean, (w * (values - mean) ** 2).sum(axis=0) / max(total - ddof, 1)
 
 
+def _batches(make, n: int, width: int, dim: int):
+    """make(lo, hi), the SubgraphBatch of draws lo..hi-1, over n draws, in
+    batches of about SIM_CHUNK numbers: a draw's key of `width` numbers, and
+    2 + 2 dim per scored pair. The first batch is one draw; each next one
+    takes as many draws as the numbers per draw so far leave room for, and
+    at most 16 times the draws so far, so that a few small first draws
+    cannot size a batch of thousands."""
+    lo = numbers = 0
+    while lo < n:
+        hi = min(n, lo + max(1, min(16 * lo, SIM_CHUNK * lo // max(numbers, 1))))
+        batch = make(lo, hi)
+        numbers += (hi - lo) * width + (2 + 2 * dim) * (len(batch.positive_pairs)
+                                                        + len(batch.negative_pairs))
+        lo = hi
+        yield batch
+
+
 def _key_batches(graph: Graph, config: SamplerConfig, keys: np.ndarray, dim: int):
-    """The outcomes of key rows, in SubgraphBatches of about SIM_CHUNK
-    numbers: a key of s possible vertices (the retained ones of a mask, the
-    positions of a walk, two per drawn edge) has at most s (s - 1) / 2
-    pairs, and scoring a pair takes 2 + 2 dim numbers."""
-    s = keys.sum(axis=1) if config.algorithm == "p_sampling" else np.full(
-        len(keys), keys.shape[1] * (2 if config.algorithm == "uniform_edge" else 1))
-    costs = np.cumsum(keys.shape[1] + s * (s - 1) // 2 * (2 + 2 * dim))
-    for part in np.split(keys, np.flatnonzero(np.diff(costs // SIM_CHUNK)) + 1):
-        yield outcome_batch(graph, config, part)
+    """The outcomes of key rows, in batches (see `_batches`)."""
+    return _batches(lambda lo, hi: outcome_batch(graph, config, keys[lo:hi]),
+                    len(keys), keys.shape[1], dim)
 
 
 def _draw_batches(graph: Graph, config: SamplerConfig, n: int, rng: np.random.Generator,
                   table: UnigramTable | None, dim: int):
-    """n draws of the sampler as SubgraphBatches, taking the random numbers
-    of n successive `draw` calls: an (m, V) block of p-sampling masks holds
-    those of m masks, walks and edge indices are drawn one draw at a time,
-    and draws with unigram negatives, whose numbers follow each draw's own,
-    are drawn whole."""
-    if config.negative == "unigram":
-        samples, size = [], 0
-        for i in range(n):
-            samples.append(draw(graph, config, rng, unigram_table=table))
-            size += (2 + 2 * dim) * (len(samples[-1].positive_pairs)
-                                     + len(samples[-1].negative_pairs))
-            if size >= SIM_CHUNK or i == n - 1:
-                yield SubgraphBatch.stack(samples)
-                samples, size = [], 0
-        return
+    """n draws of the sampler in batches (see `_batches`), taking the random
+    numbers of n successive `draw` calls: an (m, V) block of p-sampling
+    masks holds those of m masks, walks and edge indices are drawn one draw
+    at a time, and draws with unigram negatives, whose numbers follow each
+    draw's own, are drawn whole."""
+    def make(lo, hi):
+        if config.negative == "unigram":
+            return SubgraphBatch.stack([draw(graph, config, rng, unigram_table=table)
+                                        for _ in range(lo, hi)])
+        keys = draw_key(graph, config, rng, size=hi - lo) if config.algorithm == "p_sampling" \
+            else np.stack([draw_key(graph, config, rng) for _ in range(lo, hi)])
+        return outcome_batch(graph, config, keys)
     width = {"p_sampling": graph.vertex_count,
              "uniform_edge": config.edge_count}.get(config.algorithm, config.walk_length + 1)
-    block = max(1, SIM_CHUNK // max(width, 1))
-    for done in range(0, n, block):
-        m = min(block, n - done)
-        keys = draw_key(graph, config, rng, size=m) if config.algorithm == "p_sampling" \
-            else np.stack([draw_key(graph, config, rng) for _ in range(m)])
-        yield from _key_batches(graph, config, keys, dim)
+    return _batches(make, n, width, dim)
 
 
 def _exact_risk(graph: Graph, config: SamplerConfig, labels: LabelTable | None,

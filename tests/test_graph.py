@@ -96,6 +96,26 @@ def test_induced_pairs_cover_all_pairs(cycle4):
         {(a, b) for a in range(4) for b in range(a + 1, 4)}
 
 
+def test_induced_pairs_rejects_vertices_out_of_range(path3):
+    # ids >= V name vertices of further copies only when the caller says how
+    # many copies there are
+    for verts in ([0, 3], [1, 2, 4], [-1, 0]):
+        with pytest.raises(GraphError):
+            induced_pairs(path3, np.array(verts))
+    with pytest.raises(GraphError):
+        induced_pairs(path3, np.array([0, 6]), copies=2)
+    pos, neg = induced_pairs(path3, np.array([0, 1, 3, 5]), copies=2)
+    assert pairs_set(pos) == {(0, 1)} and pairs_set(neg) == {(3, 5)}
+
+
+def test_induced_edges_rejects_a_mask_of_another_length(path3):
+    for mask in (np.ones(2, dtype=bool), np.ones(6, dtype=bool), np.ones((2, 4), dtype=bool)):
+        with pytest.raises(GraphError):
+            induced_edges(path3, mask)
+    rows = np.array([[True, True, False], [False, True, True]])
+    assert pairs_set(induced_edges(path3, rows)) == {(0, 1), (4, 5)}
+
+
 def test_induced_edges_mask(path3):
     mask = np.array([True, True, False])
     assert pairs_set(induced_edges(path3, mask)) == {(0, 1)}

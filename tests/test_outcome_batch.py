@@ -188,6 +188,25 @@ def test_psampling_mask_block_is_successive_masks():
     assert a.bit_generator.state == b.bit_generator.state
 
 
+def test_key_batches_fill_sim_chunk(monkeypatch):
+    # batches of the keys in order: one key, then at most 16 times the keys
+    # so far, as many as fill SIM_CHUNK numbers (a key's 9, and 2 + 2 * 3
+    # per scored pair) at the numbers per key so far
+    monkeypatch.setattr(T, "SIM_CHUNK", 2000)
+    cfg = SamplerConfig(retention=0.5)
+    keys = draw_key(IRREGULAR, cfg, np.random.default_rng(0), size=600)
+    batches = list(T._key_batches(IRREGULAR, cfg, keys, 3))
+    sizes = [len(b) for b in batches]
+    assert sum(sizes) == len(keys) and sizes[:2] == [1, 16]
+    numbers = [9 * len(b) + 8 * (len(b.positive_pairs) + len(b.negative_pairs))
+               for b in batches]
+    assert max(numbers) <= 1.5 * 2000
+    assert min(numbers[2:-1]) >= 2000 / 1.5
+    whole = outcome_batch(IRREGULAR, cfg, keys)
+    assert np.array_equal(np.concatenate([b.negative_pairs for b in batches]),
+                          whole.negative_pairs)
+
+
 GRADIENT_CASES = {
     "p_sampling": SamplerConfig(retention=0.5),
     "p_sampling/induced": SamplerConfig(retention=0.5, negative="induced"),

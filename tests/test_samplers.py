@@ -457,9 +457,9 @@ def test_induced_negatives_call_induced_pairs_once(algorithm, monkeypatch):
     calls = []
     induced_pairs = samplers.induced_pairs
 
-    def counted(graph, vertices):
+    def counted(graph, vertices, *copies):
         calls.append(len(vertices))
-        return induced_pairs(graph, vertices)
+        return induced_pairs(graph, vertices, *copies)
 
     monkeypatch.setattr(samplers, "induced_pairs", counted)
     cfg = _grid_config(algorithm, "induced", "uniform_vertex")
