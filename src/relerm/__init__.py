@@ -5,9 +5,8 @@ convergence behavior empirically."""
 
 from .graph import (CategoryMap, Graph, LabelTable, from_edges, induced_pairs,
                     load_cache, load_edge_list, load_labels, save_cache, validate)
-from .samplers import (SampledSubgraph, SamplerConfig, SubgraphBatch, UnigramTable,
-                       build_unigram, draw, negative_unigram, outcome_batch, random_walk,
-                       skipgram_pairs)
+from .samplers import (SamplerConfig, SubgraphBatch, UnigramTable, build_unigram, draw,
+                       negative_unigram, outcome_batch, random_walk, skipgram_pairs)
 from .losses import LossConfig, ParamStore, SparseGradient, combined_loss, gradient
 from .trainer import (RiskEstimate, TrainConfig, check_unbiasedness,
                       estimate_risk, exact_risk_psample, exact_risk_walk,

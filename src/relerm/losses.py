@@ -14,9 +14,11 @@ Parameters live in dense row tables (`RowTable`), read and written as
 arrays: `rows(ids)` gathers rows, drawing missing ones from the table's
 initialiser, `put(ids, rows)` sets them, `ids()` lists the present ones and
 `data` is the (capacity, dim) array itself. A gradient carries its rows the
-same way, as `SparseRows` (ids plus one row array). One pair-scoring pass
-serves both the loss and its gradient, and every sum of rows into rows goes
-through one scatter kernel.
+same way, as `SparseRows` (ids, the draw of each row and one row array).
+The loss and the gradient take a `SubgraphBatch` and give one value per
+draw; one draw is a batch of one. One pair-scoring pass serves both the
+loss and its gradient, and every sum of rows into rows goes through one
+scatter kernel.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .graph import CategoryMap, LabelTable
-from .samplers import SampledSubgraph, SubgraphBatch
+from .samplers import SubgraphBatch
 
 LOSS_MODES = ("edge_only", "node_classification", "category_embedding")
 
@@ -202,13 +204,16 @@ class ParamStore:
 
 
 class SparseRows(Mapping):
-    """Rows at distinct ascending ids: `rows` (n,) int64 and `data` (n, d).
-    Also a read-only mapping id -> row, which the benchmark's checks index,
-    iterate and count."""
+    """The rows of the draws of a batch: `rows` (n,) int64 ids, `draw` (n,)
+    the draw of each row and `data` (n, d), one row per (draw, id) that
+    occurs, sorted by (draw, id). Rows of one draw are at distinct
+    ascending ids, and read as a read-only mapping id -> row, which the
+    benchmark's checks index, iterate and count."""
 
-    def __init__(self, rows: np.ndarray, data: np.ndarray):
+    def __init__(self, rows: np.ndarray, data: np.ndarray, draw: np.ndarray):
         self.rows = rows
         self.data = data
+        self.draw = draw
 
     def __getitem__(self, key) -> np.ndarray:
         i = int(np.searchsorted(self.rows, key))
@@ -225,19 +230,14 @@ class SparseRows(Mapping):
 
 @dataclass
 class SparseGradient:
-    """Gradient carrier: rows only for vertices/categories that appear in
-    the sample; dense for the global logistic parameters."""
+    """The gradients of the m draws of a batch: rows only for the vertices
+    and categories that appear in each draw; dense for the global logistic
+    parameters, `weights` (m, d, L) and `bias` (m, L)."""
 
     embeddings: SparseRows
     weights: np.ndarray
     bias: np.ndarray
     categories: SparseRows
-
-    def draw(self, i: int) -> "SparseGradient":
-        """Draw i's gradient, of the gradients of a batch (see `gradient`)."""
-        return SparseGradient(SparseRows(self.embeddings.rows, self.embeddings.data[i]),
-                              self.weights[i], self.bias[i],
-                              SparseRows(self.categories.rows, self.categories.data[i]))
 
 
 # -- scoring ------------------------------------------------------------------
@@ -258,22 +258,28 @@ def _scatter(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, n_rows: in
     return coef @ x
 
 
-def _vertex_vectors(ids: np.ndarray, params: ParamStore, config: LossConfig,
-                    cats: CategoryMap | None) -> tuple[np.ndarray, tuple | None]:
-    """The vectors of distinct vertices `ids`. In category mode also their
-    memberships (owner, cat_local, cat_ids): membership k links local
-    vertex owner[k] to category cat_ids[cat_local[k]]."""
-    if config.mode != "category_embedding":
-        return params.embeddings.rows(ids), None
-    if cats is None:
-        raise NumericError("category_embedding mode requires a CategoryMap")
+def _memberships(ids: np.ndarray, cats: CategoryMap) -> tuple[np.ndarray, ...]:
+    """The category memberships of vertices `ids` as (owner, cat_local,
+    cat_ids): membership k links ids[owner[k]] to category
+    cat_ids[cat_local[k]]."""
     members = [np.asarray(cats.memberships[v], dtype=np.int64) for v in ids.tolist()]
     owner = np.repeat(np.arange(len(ids)), [len(m) for m in members])
     cat_ids, cat_local = np.unique(np.concatenate(members) if members
                                    else np.zeros(0, dtype=np.int64), return_inverse=True)
-    vectors = _scatter(owner, cat_local, np.ones(len(owner)), len(ids),
-                       params.category_embeddings.rows(cat_ids))
-    return vectors, (owner, cat_local, cat_ids)
+    return owner, cat_local, cat_ids
+
+
+def _vertex_vectors(ids: np.ndarray, params: ParamStore, config: LossConfig,
+                    cats: CategoryMap | None) -> np.ndarray:
+    """The vectors of distinct vertices `ids`; in category mode the sums of
+    their categories' embeddings."""
+    if config.mode != "category_embedding":
+        return params.embeddings.rows(ids)
+    if cats is None:
+        raise NumericError("category_embedding mode requires a CategoryMap")
+    owner, cat_local, cat_ids = _memberships(ids, cats)
+    return _scatter(owner, cat_local, np.ones(len(owner)), len(ids),
+                    params.category_embeddings.rows(cat_ids))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -290,16 +296,10 @@ class _Scored:
     ids: np.ndarray          # distinct vertex ids, ascending
     local: np.ndarray        # local index of each entry of batch.vertices
     vectors: np.ndarray      # (len(ids), d) vertex vectors
-    incidence: tuple | None  # category memberships, see _vertex_vectors
     pairs: np.ndarray        # (P, 2) local indices, positive pairs first
     pair_draw: np.ndarray    # (P,) the draw of each pair
     n_pos: int
     scores: np.ndarray       # (P,) dot product of each pair
-
-
-def _as_batch(sample: SampledSubgraph | SubgraphBatch) -> SubgraphBatch:
-    """The scoring below is written for batches; one draw is a batch of one."""
-    return sample if isinstance(sample, SubgraphBatch) else SubgraphBatch.stack([sample])
 
 
 def _score_pairs(batch: SubgraphBatch, params: ParamStore, config: LossConfig,
@@ -313,12 +313,12 @@ def _score_pairs(batch: SubgraphBatch, params: ParamStore, config: LossConfig,
                                              batch.negative_pairs.reshape(-1)]),
                              return_inverse=True)
     local = inverse[n_verts:].reshape(-1, 2)
-    vectors, incidence = _vertex_vectors(ids, params, config, cats)
+    vectors = _vertex_vectors(ids, params, config, cats)
     if not np.isfinite(vectors).all():
         raise NumericError("non-finite embedding")
     ends = vectors[local]
     scores = np.einsum("ij,ij->i", ends[:, 0], ends[:, 1])
-    return _Scored(ids, inverse[:n_verts], vectors, incidence, local,
+    return _Scored(ids, inverse[:n_verts], vectors, local,
                    np.concatenate([batch.positive_draw, batch.negative_draw]),
                    len(batch.positive_pairs), scores)
 
@@ -332,19 +332,17 @@ def _observed_base(batch: SubgraphBatch, labels: LabelTable) -> np.ndarray:
     return np.flatnonzero((rank < batch.base_vertex_counts[draw]) & labels.mask[batch.vertices])
 
 
-def combined_loss(sample: SampledSubgraph | SubgraphBatch, labels: LabelTable | None,
-                  params: ParamStore, config: LossConfig,
-                  cats: CategoryMap | None = None) -> float | np.ndarray:
-    """q * label loss + (1 - q) * edge loss (the configured mode decides
-    which terms exist). The edge loss is the cross-entropy on sampled
+def combined_loss(batch: SubgraphBatch, labels: LabelTable | None, params: ParamStore,
+                  config: LossConfig, cats: CategoryMap | None = None) -> np.ndarray:
+    """The loss of each draw of a batch: q * label loss + (1 - q) * edge
+    loss (the configured mode decides which terms exist), from one scoring
+    pass and one sum per term. The edge loss is the cross-entropy on sampled
     structure: -sum log sigma_eps over positive pairs, -sum log(1 -
     sigma_eps) over negatives, multiset multiplicity included. The label
     loss is the per-label logistic cross-entropy over the base vertices
-    with observed (masked-true) labels. A SubgraphBatch gives the loss of
-    each of its draws, from one scoring pass and one sum per term."""
+    with observed (masked-true) labels."""
     if config.mode == "node_classification" and labels is None:
         raise NumericError("node_classification mode requires labels")
-    batch = _as_batch(sample)
     sc = _score_pairs(batch, params, config, cats)
     eps = config.prob_clip
     p = np.clip(_sigmoid(sc.scores), eps, 1.0 - eps)
@@ -359,24 +357,23 @@ def combined_loss(sample: SampledSubgraph | SubgraphBatch, labels: LabelTable | 
         losses = (config.q * np.bincount(batch.vertex_draw[at], weights=terms,
                                          minlength=len(batch))
                   + (1.0 - config.q) * losses)
-    return losses if batch is sample else float(losses[0])
+    return losses
 
 
-def gradient(sample: SampledSubgraph | SubgraphBatch, labels: LabelTable | None,
-             params: ParamStore, config: LossConfig,
-             cats: CategoryMap | None = None) -> SparseGradient:
-    """Exact analytic gradient of the configured loss with respect to every
-    touched embedding, the global logistic parameters, and (in category
-    mode, via the chain rule) every touched category embedding.
+def gradient(batch: SubgraphBatch, labels: LabelTable | None, params: ParamStore,
+             config: LossConfig, cats: CategoryMap | None = None) -> SparseGradient:
+    """Exact analytic gradient of the configured loss of each draw of a
+    batch with respect to every touched embedding, the global logistic
+    parameters, and (in category mode, via the chain rule) every touched
+    category embedding, from one scoring pass and one scatter per term.
 
-    A SubgraphBatch gives the gradients of its n draws, from one scoring
-    pass and one scatter per term: every array gains a leading axis of
-    length n (`embeddings.data` (n, rows, d), `weights` (n, d, L), `bias`
-    (n, L), `categories.data` (n, rows, d)), and `.draw(i)` is draw i's.
+    Embedding and category rows come one per (draw, id) that occurs,
+    sorted by (draw, id) (see `SparseRows`); `weights` is (m, d, L) and
+    `bias` (m, L) for m draws. A batch of one draw gives one row per
+    vertex, at ascending ids.
     """
-    batch = _as_batch(sample)
     sc = _score_pairs(batch, params, config, cats)
-    eps, m, n, d = config.prob_clip, len(batch), len(sc.ids), sc.vectors.shape[1]
+    eps, m, n = config.prob_clip, len(batch), len(sc.ids)
     p = _sigmoid(sc.scores)
     # inside the clip region the derivative of -log p is (p - 1) for a
     # positive pair and p for a negative; the clipped region is flat
@@ -385,11 +382,18 @@ def gradient(sample: SampledSubgraph | SubgraphBatch, labels: LabelTable | None,
     coef[(p < eps) | (p > 1.0 - eps)] = 0.0
     if config.mode == "node_classification":
         coef *= 1.0 - config.q
-    # row draw * n + i of the scatters holds local vertex i in that draw
-    rows = sc.pairs + n * sc.pair_draw[:, None]
+    # code draw * n + i stands for local vertex i in that draw; the
+    # gradient has one row per code that occurs, in code order
+    pair_codes = sc.pairs + n * sc.pair_draw[:, None]
+    occurs = np.zeros(m * n, dtype=bool)
+    occurs[batch.vertex_draw * n + sc.local] = True
+    occurs[pair_codes] = True
+    row_of = np.cumsum(occurs) - 1
+    row_draw, row_local = np.divmod(np.flatnonzero(occurs), n)
+    rows = row_of[pair_codes]
     grad_vec = _scatter(np.concatenate([rows[:, 0], rows[:, 1]]),
                         np.concatenate([sc.pairs[:, 1], sc.pairs[:, 0]]),
-                        np.concatenate([coef, coef]), m * n, sc.vectors)
+                        np.concatenate([coef, coef]), len(row_draw), sc.vectors)
     weights = np.zeros((m,) + params.weights.shape)
     bias = np.zeros((m,) + params.bias.shape)
 
@@ -409,18 +413,20 @@ def gradient(sample: SampledSubgraph | SubgraphBatch, labels: LabelTable | None,
                 outer = (lam[:, :, None] * gz[:, None, :]).reshape(len(at), -1)
                 weights = _scatter(draw, each, np.ones(len(at)), m, outer).reshape(weights.shape)
                 bias = _scatter(draw, each, np.ones(len(at)), m, gz)
-            grad_vec += _scatter(draw * n + local, each, np.ones(len(at)), m * n,
-                                 gz @ params.weights.T)
+            grad_vec += _scatter(row_of[draw * n + local], each, np.ones(len(at)),
+                                 len(row_draw), gz @ params.weights.T)
 
-    grad_vec = grad_vec.reshape(m, n, d)
-    vertices = categories = SparseRows(sc.ids[:0], grad_vec[:, :0])
+    row_ids = sc.ids[row_local]
+    vertices = categories = SparseRows(row_ids[:0], grad_vec[:0], row_draw[:0])
     if config.mode == "category_embedding":
-        # the chain rule of every draw at once, their vertex gradients side by side
-        owner, cat_local, cat_ids = sc.incidence
-        cat_grad = _scatter(cat_local, owner, np.ones(len(owner)), len(cat_ids),
-                            grad_vec.transpose(1, 0, 2).reshape(n, m * d))
-        categories = SparseRows(cat_ids, cat_grad.reshape(-1, m, d).transpose(1, 0, 2))
+        # the chain rule: category c of a draw gathers the rows of that
+        # draw's vertices in c
+        owner, cat_local, cat_ids = _memberships(row_ids, cats)
+        cat_codes, cat_row = np.unique(row_draw[owner] * len(cat_ids) + cat_local,
+                                       return_inverse=True)
+        cat_grad = _scatter(cat_row, owner, np.ones(len(owner)), len(cat_codes), grad_vec)
+        cat_draw, cat_local = np.divmod(cat_codes, len(cat_ids))
+        categories = SparseRows(cat_ids[cat_local], cat_grad, cat_draw)
     else:
-        vertices = SparseRows(sc.ids, grad_vec)
-    grad = SparseGradient(vertices, weights, bias, categories)
-    return grad if batch is sample else grad.draw(0)
+        vertices = SparseRows(row_ids, grad_vec, row_draw)
+    return SparseGradient(vertices, weights, bias, categories)

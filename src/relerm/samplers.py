@@ -7,9 +7,10 @@ by `draw_key` (a retention mask, a walk, or edge indices), that
 `outcome_batch` maps, many keys at once, to the subgraphs of positive pairs
 (observed edges, or skipgram-hallucinated pairs) and negative pairs
 (observed non-edges); `draw` adds unigram negatives afterwards from further
-randomness. The trainer's estimators, exact enumeration and bulk
-simulation use the same key step and map. All samplers are pure functions
-of their inputs; give each worker its own rng stream.
+randomness. Subgraphs are always a `SubgraphBatch`: a draw is a batch of
+one. The trainer's estimators, exact enumeration and bulk simulation use
+the same key step and map. All samplers are pure functions of their
+inputs; give each worker its own rng stream.
 """
 
 from __future__ import annotations
@@ -67,30 +68,6 @@ class SamplerConfig:
         if self.negatives_per_vertex < 0:
             errs.append("negatives_per_vertex must be >= 0")
         return errs
-
-
-@dataclass
-class SampledSubgraph:
-    """One draw of a subsampling algorithm.
-
-    `vertices` is ordered as produced by the sampler; the first
-    `base_vertex_count` entries come from the base sampler, the rest were
-    appended by unigram negative sampling (they carry no label loss).
-    """
-
-    vertices: np.ndarray        # int64
-    positive_pairs: np.ndarray  # int64, shape (m, 2), multiset
-    negative_pairs: np.ndarray  # int64, shape (m', 2)
-    source: str = ""
-    base_vertex_count: int = -1
-
-    def __post_init__(self):
-        if self.base_vertex_count < 0:
-            self.base_vertex_count = len(self.vertices)
-
-    @property
-    def base_vertices(self) -> np.ndarray:
-        return self.vertices[: self.base_vertex_count]
 
 
 def _empty_pairs() -> np.ndarray:
@@ -168,34 +145,47 @@ def draw_key(graph: Graph, config: SamplerConfig, rng: np.random.Generator,
 class SubgraphBatch:
     """The subgraphs of n draws in one set of arrays: their vertices,
     positive pairs and negative pairs, each concatenated in draw order, with
-    the draw of every entry alongside. `batch[i]` is draw i."""
+    the draw of every entry alongside. One draw is a batch of one.
+
+    Each draw's vertices are ordered as its sampler produced them: the
+    first base_vertex_counts[i] come from the base sampler, the rest were
+    appended by unigram negative sampling (they carry no label loss).
+    `batch[i]` is draw i as a batch of one."""
 
     vertices: np.ndarray            # int64
     vertex_draw: np.ndarray         # int64, non-decreasing, as the other *_draw
-    positive_pairs: np.ndarray      # int64, shape (m, 2)
+    positive_pairs: np.ndarray      # int64, shape (m, 2), a multiset
     positive_draw: np.ndarray
     negative_pairs: np.ndarray      # int64, shape (m', 2)
     negative_draw: np.ndarray
-    base_vertex_counts: np.ndarray  # per draw, see SampledSubgraph
+    base_vertex_counts: np.ndarray  # int64, per draw
     source: str = ""
 
     def __len__(self) -> int:
         return len(self.base_vertex_counts)
 
-    def __getitem__(self, i: int) -> SampledSubgraph:
-        parts = [x[slice(*np.searchsorted(draws, (i, i + 1)))] for x, draws in (
-            (self.vertices, self.vertex_draw), (self.positive_pairs, self.positive_draw),
-            (self.negative_pairs, self.negative_draw))]
-        return SampledSubgraph(*parts, self.source, int(self.base_vertex_counts[i]))
+    def __getitem__(self, i: int) -> "SubgraphBatch":
+        parts = []
+        for x, draws in ((self.vertices, self.vertex_draw),
+                         (self.positive_pairs, self.positive_draw),
+                         (self.negative_pairs, self.negative_draw)):
+            lo, hi = np.searchsorted(draws, (i, i + 1))
+            parts += [x[lo:hi], np.zeros(hi - lo, dtype=np.int64)]
+        return SubgraphBatch(*parts, self.base_vertex_counts[i:i + 1], self.source)
 
     @staticmethod
-    def stack(samples: list[SampledSubgraph]) -> "SubgraphBatch":
-        """The batch of the given draws, with the first draw's source."""
-        draws, parts = np.arange(len(samples)), []
-        for arrays in zip(*((s.vertices, s.positive_pairs, s.negative_pairs) for s in samples)):
-            parts += [np.concatenate(arrays), draws.repeat([len(x) for x in arrays])]
-        return SubgraphBatch(*parts, np.array([s.base_vertex_count for s in samples]),
-                             samples[0].source)
+    def stack(batches: list["SubgraphBatch"]) -> "SubgraphBatch":
+        """The draws of the given batches in order, as one batch with the
+        first batch's source."""
+        first = np.cumsum([0] + [len(b) for b in batches[:-1]])
+        parts = []
+        for name, draws in (("vertices", "vertex_draw"), ("positive_pairs", "positive_draw"),
+                            ("negative_pairs", "negative_draw")):
+            parts += [np.concatenate([getattr(b, name) for b in batches]),
+                      np.concatenate([getattr(b, draws) for b in batches])
+                      + first.repeat([len(getattr(b, draws)) for b in batches])]
+        return SubgraphBatch(*parts, np.concatenate([b.base_vertex_counts for b in batches]),
+                             batches[0].source)
 
 
 def _outcome_ids(graph: Graph, config: SamplerConfig,
@@ -228,7 +218,7 @@ def _outcome_ids(graph: Graph, config: SamplerConfig,
 
 
 def _source(config: SamplerConfig) -> str:
-    return config.algorithm + ("+induced" if config.negative == "induced" else "")
+    return config.algorithm + ("" if config.negative == "none" else "+" + config.negative)
 
 
 def outcome_batch(graph: Graph, config: SamplerConfig, keys: np.ndarray) -> SubgraphBatch:
@@ -251,14 +241,6 @@ def outcome_batch(graph: Graph, config: SamplerConfig, keys: np.ndarray) -> Subg
         np.divmod(x, graph.vertex_count) for x in (verts, pos, neg))
     return SubgraphBatch(verts, vertex_draw, pos, pos_draw[:, 0], neg, neg_draw[:, 0],
                          np.bincount(vertex_draw, minlength=len(keys)), _source(config))
-
-
-def outcome_subgraph(graph: Graph, config: SamplerConfig,
-                     key: np.ndarray) -> SampledSubgraph:
-    """The subgraph the configured sampler reports for one outcome key: the
-    rules of `outcome_batch` on a batch of one, whose copy of the graph is
-    the graph itself."""
-    return SampledSubgraph(*_outcome_ids(graph, config, key[None]), source=_source(config))
 
 
 @dataclass(frozen=True)
@@ -319,11 +301,14 @@ def _vose_alias(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(accept, dtype=np.float64), np.array(alias, dtype=np.int64)
 
 
-def negative_unigram(graph: Graph, sample: SampledSubgraph, table: UnigramTable,
-                     k_neg: int, rng: np.random.Generator) -> SampledSubgraph:
-    """For each sample vertex, draw k_neg unigram candidates; keep (v, c)
-    as a negative iff it is a non-edge of the full graph and c != v.
-    New candidate vertices are appended to the vertex list."""
+def negative_unigram(graph: Graph, sample: SubgraphBatch, table: UnigramTable,
+                     k_neg: int, rng: np.random.Generator) -> SubgraphBatch:
+    """For each vertex of a one-draw batch, draw k_neg unigram candidates;
+    keep (v, c) as a negative iff it is a non-edge of the full graph and
+    c != v. New candidate vertices are appended to the vertex list. The
+    negatives follow each draw's own randomness, so one draw at a time."""
+    if len(sample) != 1:
+        raise SamplerError(f"unigram negatives are drawn for one draw, not {len(sample)}")
     verts = sample.vertices
     if len(verts) == 0 or k_neg == 0:
         return sample
@@ -331,21 +316,20 @@ def negative_unigram(graph: Graph, sample: SampledSubgraph, table: UnigramTable,
     vv = np.repeat(verts, k_neg)
     keep = (vv != candidates) & ~graph.has_edges(vv, candidates)
     neg = np.stack([vv[keep], candidates[keep]], axis=1)
-    new = np.setdiff1d(candidates[keep], verts)
-    return SampledSubgraph(
-        vertices=np.concatenate([verts, new]),
-        positive_pairs=sample.positive_pairs,
-        negative_pairs=np.concatenate([sample.negative_pairs, neg]),
-        source=sample.source + "+unigram",
-        base_vertex_count=sample.base_vertex_count,
-    )
+    verts = np.concatenate([verts, np.setdiff1d(candidates[keep], verts)])
+    negs = np.concatenate([sample.negative_pairs, neg])
+    return SubgraphBatch(verts, np.zeros(len(verts), dtype=np.int64),
+                         sample.positive_pairs, sample.positive_draw,
+                         negs, np.zeros(len(negs), dtype=np.int64),
+                         sample.base_vertex_counts, sample.source)
 
 
 def draw(graph: Graph, config: SamplerConfig, rng: np.random.Generator,
-         unigram_table: UnigramTable | None = None) -> SampledSubgraph:
+         unigram_table: UnigramTable | None = None) -> SubgraphBatch:
     """Draw an outcome key, map it to its subgraph, then apply unigram
-    negative sampling when configured. Deterministic given the rng state."""
-    sample = outcome_subgraph(graph, config, draw_key(graph, config, rng))
+    negative sampling when configured: one draw, as a batch of one.
+    Deterministic given the rng state."""
+    sample = outcome_batch(graph, config, draw_key(graph, config, rng)[None])
     if config.negative == "unigram":
         if unigram_table is None:
             unigram_table = build_unigram(graph, config.unigram_power)

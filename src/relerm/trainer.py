@@ -9,6 +9,8 @@ the sampler's outcome space on small graphs. They work on outcome keys
 state the sampler's law independently of its code, simulated in bulk by
 the sampler's own `draw_key`, mapped and scored in batches, and their
 losses and gradients averaged by one weighted mean/variance helper.
+Training draws one `SubgraphBatch` of one draw per step and steps on its
+gradient.
 """
 
 from __future__ import annotations
@@ -147,8 +149,9 @@ def _enumerate_keys(graph: Graph, config: SamplerConfig,
 
 def enumerate_outcomes(graph: Graph, config: SamplerConfig, max_walks: int = 10 ** 6):
     """Every outcome of the sampler with positive probability, as
-    (probability, subgraph) pairs: all retention subsets of a small graph
-    under p-sampling, all walks (at most max_walks) under the walk samplers."""
+    (probability, subgraph) pairs, each subgraph a batch of one: all
+    retention subsets of a small graph under p-sampling, all walks (at most
+    max_walks) under the walk samplers."""
     keys, probs = _enumerate_keys(graph, config, max_walks)
     subs = [b[i] for b in _key_batches(graph, config, keys, 0) for i in range(len(b))]
     return list(zip(probs.tolist(), subs))
@@ -312,14 +315,12 @@ def estimate_risk(graph: Graph, labels: LabelTable | None, params: ParamStore,
 # -- gradient flattening ------------------------------------------------------
 
 def _flatten_gradient(grad: SparseGradient, graph: Graph, params: ParamStore) -> np.ndarray:
-    """A gradient as one vector: every vertex embedding (zero where
-    untouched), then the weights and the bias; a batch's gradients as one
-    such row per draw."""
-    lead = grad.bias.shape[:-1]
-    emb = np.zeros(lead + (graph.vertex_count, params.dim))
-    emb[..., grad.embeddings.rows, :] = grad.embeddings.data
-    return np.concatenate([x.reshape(lead + (-1,))
-                           for x in (emb, grad.weights, grad.bias)], axis=-1)
+    """A batch's gradients as one row per draw: every vertex embedding
+    (zero where untouched), then the weights and the bias."""
+    m = len(grad.bias)
+    emb = np.zeros((m, graph.vertex_count, params.dim))
+    emb[grad.embeddings.draw, grad.embeddings.rows] = grad.embeddings.data
+    return np.concatenate([x.reshape(m, -1) for x in (emb, grad.weights, grad.bias)], axis=1)
 
 
 @dataclass
@@ -371,14 +372,17 @@ def check_unbiasedness(graph: Graph, params: ParamStore, sampler: SamplerConfig,
 # -- SGD ----------------------------------------------------------------------
 
 def sgd_step(params: ParamStore, grad: SparseGradient, lr: float) -> None:
-    """In-place SGD update: touched rows move by -lr * gradient."""
+    """In-place SGD update on one draw's gradient: touched rows move by
+    -lr * gradient."""
+    if len(grad.bias) != 1:
+        raise TrainerError(f"sgd_step takes the gradient of one draw, not {len(grad.bias)}")
     for table, g in ((params.embeddings, grad.embeddings),
                      (params.category_embeddings, grad.categories)):
         if len(g):
             table.materialise(g.rows)
             table.data[g.rows] -= lr * g.data
-    params.weights -= lr * grad.weights
-    params.bias -= lr * grad.bias
+    params.weights -= lr * grad.weights[0]
+    params.bias -= lr * grad.bias[0]
 
 
 def _learning_rate(config: TrainConfig, step: int) -> float:

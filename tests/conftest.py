@@ -4,13 +4,25 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from relerm import from_edges
+from relerm import SubgraphBatch, from_edges
 
 # property tests draw the same examples on every run and keep no example
 # database, so a Tier-1 run is reproducible; no deadline, since timing on a
 # shared machine varies
 settings.register_profile("reproducible", derandomize=True, database=None, deadline=None)
 settings.load_profile("reproducible")
+
+
+def batch_of_one(vertices, pos=(), neg=(), base_vertex_count=None):
+    """One draw with the given vertices and pairs, as a batch of one; every
+    vertex is a base vertex unless base_vertex_count says otherwise."""
+    def arr(pairs):
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    vertices, pos, neg = np.array(vertices, dtype=np.int64), arr(pos), arr(neg)
+    base = len(vertices) if base_vertex_count is None else base_vertex_count
+    return SubgraphBatch(*[a for x in (vertices, pos, neg)
+                           for a in (x, np.zeros(len(x), dtype=np.int64))],
+                         np.array([base]))
 
 
 @pytest.fixture

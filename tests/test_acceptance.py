@@ -21,7 +21,7 @@ from relerm import (GraphonSpec, LabelTable, LossConfig, MarkingKernel,
                     simultaneous_eval, two_stage_eval)
 from relerm.graphex import risk_convergence_experiment, stability_experiment
 from relerm.losses import ParamStore, combined_loss, gradient
-from relerm.samplers import SampledSubgraph, _empty_pairs
+from conftest import batch_of_one
 from relerm.cli import main as cli_main
 
 
@@ -165,10 +165,7 @@ def test_analytic_gradient_correctness():
             m_pos, m_neg = int(rng.integers(1, 5)), int(rng.integers(0, 4))
             pairs = rng.integers(0, n, size=(m_pos + m_neg, 2))
             pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-            sample = SampledSubgraph(
-                np.arange(n, dtype=np.int64),
-                pairs[:m_pos].astype(np.int64) if len(pairs[:m_pos]) else _empty_pairs(),
-                pairs[m_pos:].astype(np.int64) if len(pairs[m_pos:]) else _empty_pairs())
+            sample = batch_of_one(np.arange(n), pairs[:m_pos], pairs[m_pos:])
             cfg = LossConfig(q=float(rng.uniform(0, 1))
                              if mode == "node_classification" else 0.0,
                              mode=mode)

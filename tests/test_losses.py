@@ -5,26 +5,21 @@ import pytest
 
 from relerm import CategoryMap, LabelTable, LossConfig, ParamStore, combined_loss, gradient
 from relerm.losses import NumericError, _vertex_vectors
-from relerm.samplers import SampledSubgraph, _empty_pairs
-
-
-def make_sample(vertices, pos=(), neg=()):
-    def arr(p):
-        return np.array(p, dtype=np.int64).reshape(-1, 2) if len(p) else _empty_pairs()
-    return SampledSubgraph(np.array(vertices, dtype=np.int64), arr(pos), arr(neg))
+from conftest import batch_of_one as make_sample
 
 
 def edge_loss(sample, params, config, cats=None):
-    """The edge term of combined_loss alone."""
+    """The edge term of combined_loss alone, of a one-draw batch."""
     if config.mode == "node_classification":
         config = replace(config, mode="edge_only")
-    return combined_loss(sample, None, params, config, cats)
+    return combined_loss(sample, None, params, config, cats)[0]
 
 
 def label_loss(sample, labels, params, config):
-    """The label term of combined_loss alone: its value at q = 1."""
+    """The label term of combined_loss alone, of a one-draw batch: its
+    value at q = 1."""
     return combined_loss(sample, labels, params,
-                         replace(config, mode="node_classification", q=1.0))
+                         replace(config, mode="node_classification", q=1.0))[0]
 
 
 def preset_params(vectors, label_dim=0):
@@ -121,8 +116,8 @@ def test_label_loss_direct_value():
 def test_label_loss_skips_appended_negative_vertices():
     labels = LabelTable(1, np.ones((3, 1), dtype=bool), np.ones(3, dtype=bool))
     params = preset_params({v: (0.0,) for v in range(3)}, label_dim=1)
-    sample = make_sample([0, 1, 2])
-    sample.base_vertex_count = 2  # vertex 2 appended by negative sampling
+    # vertex 2 appended by negative sampling
+    sample = make_sample([0, 1, 2], base_vertex_count=2)
     loss = label_loss(sample, labels, params, LossConfig())
     assert abs(loss - 2 * np.log(2)) < 1e-12
 
@@ -138,9 +133,9 @@ def test_combined_loss_mixing():
     cfg0 = LossConfig(q=0.0, mode="node_classification")
     cfg1 = LossConfig(q=1.0, mode="node_classification")
     cfgq = LossConfig(q=0.001, mode="node_classification")
-    assert abs(combined_loss(sample, labels, params, cfg0) - e) < 1e-12
-    assert abs(combined_loss(sample, labels, params, cfg1) - l) < 1e-12
-    assert abs(combined_loss(sample, labels, params, cfgq)
+    assert abs(combined_loss(sample, labels, params, cfg0)[0] - e) < 1e-12
+    assert abs(combined_loss(sample, labels, params, cfg1)[0] - l) < 1e-12
+    assert abs(combined_loss(sample, labels, params, cfgq)[0]
                - (0.001 * l + 0.999 * e)) < 1e-12
 
 
@@ -160,7 +155,7 @@ def cats_for(memberships, count):
 def test_category_vertex_embedding():
     def vector(v):
         cfg = LossConfig(mode="category_embedding")
-        return _vertex_vectors(np.array([v]), params, cfg, cats)[0][0]
+        return _vertex_vectors(np.array([v]), params, cfg, cats)[0]
 
     params = ParamStore(2, 0, seed=0)
     params.category_embeddings[0] = np.array([1.0, 2.0])
@@ -180,7 +175,7 @@ def test_category_mode_loss_and_gradient():
     cfg = LossConfig(mode="category_embedding")
     sample = make_sample([0, 1], pos=[[0, 1]])
     # vertex vectors (1,0) and (1,1): score 1
-    loss = combined_loss(sample, None, params, cfg, cats)
+    loss = combined_loss(sample, None, params, cfg, cats)[0]
     assert abs(loss - (-np.log(sigmoid(1.0)))) < 1e-12
     g = gradient(sample, None, params, cfg, cats)
     assert set(g.categories) == {0, 1}
@@ -211,9 +206,9 @@ def numeric_gradient(sample, labels, params, cfg, cats=None, h=1e-5):
     out = []
     for kind, a, i in slots:
         bump(kind, a, i, h)
-        up = combined_loss(sample, labels, params, cfg, cats)
+        up = combined_loss(sample, labels, params, cfg, cats)[0]
         bump(kind, a, i, -2 * h)
-        dn = combined_loss(sample, labels, params, cfg, cats)
+        dn = combined_loss(sample, labels, params, cfg, cats)[0]
         bump(kind, a, i, h)
         out.append((up - dn) / (2 * h))
     return np.array(out), slots
@@ -229,9 +224,9 @@ def analytic_vector(grad, params, slots):
             vec = grad.categories.get(a)
             out.append(vec[i] if vec is not None else 0.0)
         elif kind == "w":
-            out.append(grad.weights[a, i])
+            out.append(grad.weights[0, a, i])
         else:
-            out.append(grad.bias[i])
+            out.append(grad.bias[0, i])
     return np.array(out)
 
 
@@ -246,7 +241,7 @@ def test_gradient_bias_at_zero_params():
     cfg = LossConfig(q=1.0, mode="node_classification")
     g = gradient(make_sample([0, 1, 3]), labels, params, cfg)
     expected = (0.5 - lab[[0, 1, 3]].astype(float)).sum(axis=0)
-    assert np.allclose(g.bias, expected)
+    assert np.allclose(g.bias[0], expected)
 
 
 def test_gradient_finite_difference_modes():

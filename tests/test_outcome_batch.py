@@ -1,18 +1,20 @@
-"""Batched outcome evaluation: `outcome_batch` against `outcome_subgraph`,
-the batched estimators and gradients against per-draw references, and the
-random stream of the batched draws against successive `draw` calls."""
+"""Batched outcome evaluation: `outcome_batch` of many keys against each
+key as a batch of one, the batched estimators and gradients against
+per-draw references, and the random stream of the batched draws against
+successive `draw` calls."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import relerm.trainer as T
-from relerm import (LabelTable, LossConfig, ParamStore, SamplerConfig, build_unigram, draw,
-                    estimate_risk, from_edges)
+from relerm import (LabelTable, LossConfig, ParamStore, SamplerConfig, SubgraphBatch,
+                    build_unigram, draw, estimate_risk, from_edges)
 from relerm.graph import CategoryMap
 from relerm.losses import combined_loss, gradient
-from relerm.samplers import (ALGORITHMS, NEGATIVE_MODES, WALK_STARTS, draw_key,
-                             outcome_batch, outcome_subgraph)
+from relerm.samplers import ALGORITHMS, NEGATIVE_MODES, WALK_STARTS, draw_key, outcome_batch
 
 # a triangle with a pendant path, a second triangle, a tail and an isolated
 # vertex (as in test_samplers)
@@ -51,21 +53,26 @@ def pair_set(pairs):
 
 
 @given(cases())
-def test_outcome_batch_equals_stacked_outcome_subgraph(case):
+def test_outcome_batch_equals_batches_of_one(case):
     g, cfg, keys = case
     batch = outcome_batch(g, cfg, keys)
     assert len(batch) == len(keys)
     for draws in (batch.vertex_draw, batch.positive_draw, batch.negative_draw):
         assert (np.diff(draws) >= 0).all()
     for i, key in enumerate(keys):
-        one, got = outcome_subgraph(g, cfg, key), batch[i]
-        for name in ("vertices", "positive_pairs", "negative_pairs"):
+        one, got = outcome_batch(g, cfg, key[None]), batch[i]
+        for name in ("vertices", "vertex_draw", "positive_pairs", "positive_draw",
+                     "negative_pairs", "negative_draw"):
             want, have = getattr(one, name), getattr(got, name)
             assert have.dtype == want.dtype == np.int64 and have.shape == want.shape
             assert np.array_equal(have, want)
+        assert not one.vertex_draw.any() and len(one) == len(got) == 1
         assert got.source == one.source
-        assert got.base_vertex_count == one.base_vertex_count == len(one.vertices)
-        assert type(got.base_vertex_count) is int
+        assert got.base_vertex_counts.tolist() == one.base_vertex_counts.tolist() \
+            == [len(one.vertices)]
+    restacked = SubgraphBatch.stack([batch[i] for i in range(len(batch))])
+    for f in fields(SubgraphBatch):
+        assert np.array_equal(getattr(restacked, f.name), getattr(batch, f.name))
 
 
 @given(cases())
@@ -144,7 +151,7 @@ def test_loop_estimate_matches_per_draw_losses(name, mode, chunk, monkeypatch):
     rng = np.random.default_rng(5)
     table = build_unigram(IRREGULAR, cfg.unigram_power) if cfg.negative == "unigram" else None
     ref = np.array([combined_loss(draw(IRREGULAR, cfg, rng, unigram_table=table), labels,
-                                  params, loss) for _ in range(n)])
+                                  params, loss)[0] for _ in range(n)])
     assert est.n_samples == n
     assert abs(est.mean - ref.mean()) <= 1e-12 * abs(ref.mean())
     se = ref.std(ddof=1) / np.sqrt(n)
@@ -172,10 +179,8 @@ def test_draw_batches_take_the_numbers_of_successive_draws(algorithm, negative, 
     for s, t in zip(got, want):
         for name in ("vertices", "positive_pairs", "negative_pairs"):
             assert np.array_equal(getattr(s, name), getattr(t, name))
-        assert s.base_vertex_count == t.base_vertex_count
-        # a stack of unigram draws carries its first draw's source, which
-        # lacks "+unigram" when that draw is empty
-        assert s.source == t.source or negative == "unigram"
+        assert np.array_equal(s.base_vertex_counts, t.base_vertex_counts)
+        assert s.source == t.source
     assert a.bit_generator.state == b.bit_generator.state
 
 
@@ -226,18 +231,57 @@ def test_batched_gradients_match_per_key_gradients(name, mode):
     cats = CategoryMap(3, tuple(np.array(m) for m in ([0], [1, 2], [0, 2], [], [1], [2])))
     params = fixture_params(g, label_dim=2 if labels else 0)
     params.category_embeddings.put(np.arange(3), np.random.default_rng(2).normal(size=(3, 3)))
+    # draws of the enumeration share vertices (the triangle's, above all)
     got = gradient(outcome_batch(g, cfg, keys), labels, params, loss, cats)
-    singles = [gradient(outcome_subgraph(g, cfg, k), labels, params, loss, cats) for k in keys]
-    want = np.stack([T._flatten_gradient(s, g, params) for s in singles])
-    flat = T._flatten_gradient(got, g, params)
-    assert flat.shape == want.shape
-    assert np.abs(flat - want).max() <= 1e-12 * np.abs(want).max()
-    cat_want = np.zeros((len(keys), 3, 3))
+    singles = [gradient(outcome_batch(g, cfg, k[None]), labels, params, loss, cats)
+               for k in keys]
+    scale = max(np.abs(x).max(initial=0.0) for s in singles
+                for x in (s.embeddings.data, s.categories.data, s.weights, s.bias))
+    for part in ("embeddings", "categories"):
+        rows = getattr(got, part)
+        order = np.lexsort((rows.rows, rows.draw))
+        assert np.array_equal(order, np.arange(len(order)))
+        for i, s in enumerate(singles):
+            want, mine = getattr(s, part), rows.draw == i
+            assert not want.draw.any()
+            assert np.array_equal(rows.rows[mine], want.rows)
+            assert np.abs(rows.data[mine] - want.data).max(initial=0.0) <= 1e-12 * scale
     for i, s in enumerate(singles):
-        cat_want[i, s.categories.rows] = s.categories.data
-    cat_got = np.zeros_like(cat_want)
-    cat_got[:, got.categories.rows] = got.categories.data
-    assert np.abs(cat_got - cat_want).max() <= 1e-12 * max(np.abs(cat_want).max(), 1e-300)
+        assert np.abs(got.weights[i] - s.weights[0]).max(initial=0.0) <= 1e-12 * scale
+        assert np.abs(got.bias[i] - s.bias[0]).max(initial=0.0) <= 1e-12 * scale
+    assert got.weights.shape == (len(keys),) + params.weights.shape
+    assert got.bias.shape == (len(keys),) + params.bias.shape
+
+
+@pytest.mark.parametrize("mode", ["edge_only", "node_classification"])
+@pytest.mark.parametrize("name", list(LOOP_CASES))
+def test_one_draw_gradient_rows_are_distinct_and_ascending(name, mode):
+    # the rows the benchmark's step probe reads as a mapping id -> row
+    cfg, loss = LOOP_CASES[name], LossConfig(mode=mode, q=0.4)
+    labels = fixture_labels(IRREGULAR) if mode == "node_classification" else None
+    params = fixture_params(IRREGULAR, label_dim=2 if labels else 0)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        s = draw(IRREGULAR, cfg, rng)
+        grad = gradient(s, labels, params, loss)
+        rows = grad.embeddings.rows
+        assert (np.diff(rows) > 0).all() and not grad.embeddings.draw.any()
+        assert set(rows.tolist()) == set(s.vertices.tolist())
+        assert grad.weights.shape == (1,) + params.weights.shape
+        for v in rows.tolist():
+            assert grad.embeddings[v].shape == (params.dim,)
+
+
+def test_sgd_step_rejects_a_gradient_of_two_draws():
+    # two draws may share a row, which one fancy-indexed update would apply once
+    cfg = SamplerConfig(retention=1.0)
+    keys = draw_key(IRREGULAR, cfg, np.random.default_rng(0), size=2)
+    params = fixture_params(IRREGULAR)
+    grad = gradient(outcome_batch(IRREGULAR, cfg, keys), None, params, LossConfig())
+    before = params.embeddings.data.copy()
+    with pytest.raises(T.TrainerError, match="one draw"):
+        T.sgd_step(params, grad, 0.1)
+    assert np.array_equal(params.embeddings.data, before)
 
 
 def test_key_counting_paths_agree(monkeypatch):

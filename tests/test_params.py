@@ -9,7 +9,7 @@ import pytest
 from relerm import (CategoryMap, LabelTable, LossConfig, ParamStore, SparseGradient,
                     combined_loss, gradient, sgd_step)
 from relerm.losses import RowTable, SparseRows
-from relerm.samplers import SampledSubgraph
+from conftest import batch_of_one
 from test_losses import edge_loss
 
 
@@ -94,9 +94,11 @@ def test_sgd_step_moves_rows_by_exactly_lr_g():
     ps = ParamStore(3, 0, seed=2)
     ps.embeddings[4] = np.array([1.0, -2.0, 0.5])
     before = {v: ps.embedding(v).copy() for v in (1, 4)}
-    rows = SparseRows(np.array([1, 4]), np.array([[1.0, 1.0, 1.0], [0.3, 0.1, -0.7]]))
-    g = SparseGradient(rows, np.zeros((3, 0)), np.zeros(0),
-                       SparseRows(np.zeros(0, dtype=np.int64), np.zeros((0, 3))))
+    rows = SparseRows(np.array([1, 4]), np.array([[1.0, 1.0, 1.0], [0.3, 0.1, -0.7]]),
+                      np.zeros(2, dtype=np.int64))
+    none = np.zeros(0, dtype=np.int64)
+    g = SparseGradient(rows, np.zeros((1, 3, 0)), np.zeros((1, 0)),
+                       SparseRows(none, np.zeros((0, 3)), none))
     sgd_step(ps, g, 0.37)
     for v, row in zip(rows.rows.tolist(), rows.data):
         assert np.array_equal(ps.embedding(v), before[v] - 0.37 * row)
@@ -113,8 +115,7 @@ def _sample(rng, n):
     neg = rng.integers(n, size=(6, 2))
     neg = np.concatenate([neg[neg[:, 0] != neg[:, 1]], pos[:1]])
     verts = np.concatenate([[2], rng.permutation(n), [0, 1]]).astype(np.int64)
-    return SampledSubgraph(verts, pos.astype(np.int64), neg.astype(np.int64),
-                           base_vertex_count=n)
+    return batch_of_one(verts, pos, neg, base_vertex_count=n)
 
 
 def _setup(mode, rng, n=6, dim=3, L=2):
@@ -176,9 +177,9 @@ def test_gradient_matches_central_differences_with_repeats(mode):
             cell = table.row(key) if key is not None else table.reshape(-1)
             old = cell[i]
             cell[i] = old + h
-            up = combined_loss(sample, labels, params, cfg, cats)
+            up = combined_loss(sample, labels, params, cfg, cats)[0]
             cell[i] = old - h
-            dn = combined_loss(sample, labels, params, cfg, cats)
+            dn = combined_loss(sample, labels, params, cfg, cats)[0]
             cell[i] = old
             num.append((up - dn) / (2 * h))
             if key is None:

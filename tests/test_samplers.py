@@ -7,6 +7,7 @@ from relerm import (SamplerConfig, build_unigram, draw, negative_unigram, random
 from relerm import samplers
 from relerm.samplers import ALGORITHMS, NEGATIVE_MODES, WALK_STARTS, NoWalkError, SamplerError
 from relerm.graph import from_edges
+from conftest import batch_of_one
 
 
 def pairs_set(arr):
@@ -306,27 +307,24 @@ def test_unigram_rejects_bad_input(path3):
 # -- unigram negatives --------------------------------------------------------
 
 def test_negative_unigram_no_nonedges(k2):
-    from relerm.samplers import SampledSubgraph, _empty_pairs
     t = build_unigram(k2, tau=0.75)
-    s = SampledSubgraph(np.array([0, 1]),
-                        np.array([[0, 1]]), _empty_pairs())
+    s = batch_of_one([0, 1], [[0, 1]])
     out = negative_unigram(k2, s, t, 5, np.random.default_rng(0))
     assert len(out.negative_pairs) == 0
     assert np.array_equal(out.vertices, s.vertices)
 
 
 def test_negative_unigram_appends_new_vertex(path3):
-    from relerm.samplers import SampledSubgraph, _empty_pairs
     t = build_unigram(path3, tau=0.75)
-    s = SampledSubgraph(np.array([0]), _empty_pairs(), _empty_pairs())
+    s = batch_of_one([0])
     rng = np.random.default_rng(0)
     for _ in range(50):
         out = negative_unigram(path3, s, t, 2, rng)
         if len(out.negative_pairs):
             assert pairs_set(out.negative_pairs) == {(0, 2)}
             assert out.vertices.tolist() == [0, 2]
-            assert out.base_vertex_count == 1
-            assert out.base_vertices.tolist() == [0]
+            assert out.base_vertex_counts.tolist() == [1]
+            assert out.vertices[:out.base_vertex_counts[0]].tolist() == [0]
             return
     pytest.fail("candidate 2 never drawn")
 
@@ -334,9 +332,8 @@ def test_negative_unigram_appends_new_vertex(path3):
 def test_negative_unigram_conditional_distribution(path5):
     # sample {0} on the 5-path: non-neighbors are {2, 3, 4}; each kept
     # candidate is distributed as the unigram table conditioned on them
-    from relerm.samplers import SampledSubgraph, _empty_pairs
     t = build_unigram(path5, tau=0.75)
-    s = SampledSubgraph(np.array([0]), _empty_pairs(), _empty_pairs())
+    s = batch_of_one([0])
     rng = np.random.default_rng(8)
     endpoints = []
     for _ in range(20000):
@@ -371,7 +368,7 @@ def test_draw_invariants_rw_unigram(path3):
         for a, b in s.negative_pairs:
             assert int(a) in verts and int(b) in verts
             assert not path3.has_edge(int(a), int(b))
-        assert 0 < s.base_vertex_count <= len(s.vertices)
+        assert 0 < s.base_vertex_counts[0] <= len(s.vertices)
 
 
 def test_draw_unigram_overrides_builtin_negatives(path3):
@@ -380,6 +377,24 @@ def test_draw_unigram_overrides_builtin_negatives(path3):
                         negative="unigram", negatives_per_vertex=0)
     s = draw(path3, cfg, np.random.default_rng(0))
     assert len(s.negative_pairs) == 0
+
+
+def test_empty_unigram_draw_reports_its_negative_mode(path3, tmp_path):
+    # a draw's source follows its config, not whether the draw came back empty
+    import json
+    from relerm.cli import main
+    cfg = SamplerConfig(retention=0.0, negative="unigram")
+    s = draw(path3, cfg, np.random.default_rng(0))
+    assert len(s.vertices) == 0 and s.source == "p_sampling+unigram"
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 1\n1 2\n")
+    out = tmp_path / "out"
+    assert main(["sample", "--set", "seed=1", "--set", f"graph.edges={edges}",
+                 "--set", f"output.dir={out}", "--set", "sampler.retention=0",
+                 "--set", "sampler.negative=unigram", "--set", "sample.count=3"]) == 0
+    with open(out / "samples.jsonl") as f:
+        records = [json.loads(line) for line in f][1:]
+    assert [(r["source"], r["vertices"]) for r in records] == [("p_sampling+unigram", [])] * 3
 
 
 def test_draw_rejects_invalid_config(path3):
@@ -405,11 +420,13 @@ IRREGULAR = from_edges(9, np.array([[0, 1], [0, 2], [0, 3], [1, 2], [3, 4], [4, 
                                     [5, 6], [4, 6], [6, 7]]))
 
 # digests of 5 seeds x 3 successive draws, recorded before the per-algorithm
-# sampler functions were folded into `draw`
+# sampler functions were folded into `draw`; p_sampling/unigram re-recorded
+# when an empty draw's source became "p_sampling+unigram" (4 of its 15 draws
+# are empty; their vertices and pairs are unchanged)
 GOLDEN_DRAWS = {
     "p_sampling/induced": "e49cbcd6e518a707",
     "p_sampling/none": "b2bbabdbb295672a",
-    "p_sampling/unigram": "f6410ac9f57ae117",
+    "p_sampling/unigram": "7bb4ea397d0e9aed",
     "rw_induced/induced/degree_proportional": "0a7fff4a87429ac3",
     "rw_induced/induced/uniform_vertex": "e1b1787f57be2ac0",
     "rw_induced/none/degree_proportional": "71ae9b6dc077dfd7",
@@ -438,7 +455,7 @@ def _grid_config(algorithm, negative, start):
 @pytest.mark.parametrize("negative", NEGATIVE_MODES)
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_draw_golden(algorithm, negative, start, digest):
-    # vertices, pairs (with dtypes and shapes), source and base_vertex_count;
+    # vertices, pairs (with dtypes and shapes), source and base vertex count;
     # the walk start does not reach p_sampling or uniform_edge
     cfg = _grid_config(algorithm, negative, start)
     items = []
@@ -447,7 +464,7 @@ def test_draw_golden(algorithm, negative, start, digest):
         for _ in range(3):
             s = draw(IRREGULAR, cfg, rng)
             items += [s.vertices, s.positive_pairs, s.negative_pairs, s.source,
-                      s.base_vertex_count]
+                      int(s.base_vertex_counts[0])]
     name = f"{algorithm}/{negative}" + (f"/{start}" if algorithm.startswith("rw_") else "")
     assert digest(items) == GOLDEN_DRAWS[name]
 

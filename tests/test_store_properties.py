@@ -1,10 +1,16 @@
-"""Property tests for the array parameter store and its checkpoint format."""
+"""Property tests for the array parameter store, its checkpoint format and
+the binary graph cache."""
+
+import json
+import os
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from relerm.checkpoint import load_checkpoint, save_checkpoint
+from relerm.graph import GraphError, from_edges, load_cache, save_cache
 from relerm.losses import ParamStore, RowTable
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -108,3 +114,66 @@ def test_truncated_checkpoint_names_its_section(params, data, tmp_path_factory):
     path.write_bytes(blob[:cut])
     with pytest.raises(ValueError, match=f"truncated checkpoint: {name} needs"):
         load_checkpoint(str(path))
+
+
+# -- graph cache --------------------------------------------------------------
+
+@st.composite
+def cached_graphs(draw):
+    """A random graph on 1-12 vertices (isolated vertices included) and an
+    original-id map for its sidecar, or None."""
+    n = draw(st.integers(1, 12))
+    iu, ju = np.triu_indices(n, k=1)
+    keep = np.array(draw(st.lists(st.booleans(), min_size=len(iu), max_size=len(iu))),
+                    dtype=bool)
+    ids = draw(st.none() | st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=n, max_size=n,
+                                    unique=True))
+    relabel = None if ids is None else {orig: i for i, orig in enumerate(ids)}
+    return from_edges(n, np.stack([iu[keep], ju[keep]], axis=1)), relabel
+
+
+@given(case=cached_graphs())
+def test_cache_round_trip(case, tmp_path_factory):
+    g, relabel = case
+    path = str(tmp_path_factory.mktemp("cache") / "g.bin")
+    save_cache(g, path, relabel)
+    back = load_cache(path)
+    for name in ("offsets", "neighbors", "edge_list"):
+        want, got = getattr(g, name), getattr(back, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    sidecar = path + ".ids.json"
+    assert os.path.exists(sidecar) == (relabel is not None)
+    if relabel is not None:
+        with open(sidecar) as f:
+            assert {int(k): v for k, v in json.load(f).items()} == relabel
+
+
+@given(case=cached_graphs(), data=st.data())
+def test_damaged_cache_names_its_section(case, data, tmp_path_factory):
+    g, _ = case
+    path = tmp_path_factory.mktemp("cache") / "g.bin"
+    save_cache(g, str(path))
+    blob = path.read_bytes()
+    # the layout: 4-byte magic, 20-byte header (version, V, E), the sections
+    v, e = g.vertex_count, g.edge_count
+    sections = [("magic", 4), ("header", 20), ("offsets", 8 * (v + 1)),
+                ("neighbors", 8 * e), ("edge_list", 8 * e)]
+    assert len(blob) == sum(size for _, size in sections)
+    cut = data.draw(st.integers(0, len(blob) - 1))
+    end = 0
+    for name, size in sections:
+        end += size
+        if cut < end:
+            break
+    path.write_bytes(blob[:cut])
+    with pytest.raises(GraphError, match=name):
+        load_cache(str(path))
+    path.write_bytes(data.draw(st.binary(min_size=4, max_size=4).filter(lambda m: m != blob[:4]))
+                     + blob[4:])
+    with pytest.raises(GraphError, match="bad cache magic"):
+        load_cache(str(path))
+    version = data.draw(st.integers(0, 2 ** 32 - 1).filter(lambda x: x != 1))
+    path.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
+    with pytest.raises(GraphError, match=f"unsupported cache version {version}"):
+        load_cache(str(path))

@@ -95,7 +95,7 @@ def test_estimate_risk_single_draw(path3):
     params = zero_params(3)
     cfg = SamplerConfig(algorithm="p_sampling", retention=0.5)
     sub = draw(path3, cfg, np.random.default_rng(3), unigram_table=None)
-    expected = combined_loss(sub, None, params, LossConfig())
+    expected = combined_loss(sub, None, params, LossConfig())[0]
     est = estimate_risk(path3, None, params, cfg, LossConfig(), 1,
                         np.random.default_rng(3), method="loop")
     assert est.mean == expected
@@ -240,17 +240,17 @@ def test_unbiasedness_detects_bias(path3):
     # against the p=0.5 enumerated gradient manually instead:
     from relerm.trainer import _decode, _flatten_gradient, _key_dims, _simulate_key_counts
     from relerm.losses import gradient
-    from relerm.samplers import outcome_subgraph
+    from relerm.samplers import outcome_batch
     exact = np.zeros(path3.vertex_count * params.dim)
     exact_cfg = SamplerConfig(algorithm="p_sampling", retention=0.5)
     for prob, sub in enumerate_outcomes(path3, exact_cfg):
         g = gradient(sub, None, params, LossConfig())
-        exact += prob * _flatten_gradient(g, path3, params)[:len(exact)]
+        exact += prob * _flatten_gradient(g, path3, params)[0, :len(exact)]
     cfg = SamplerConfig(algorithm="p_sampling", retention=0.9)
     codes, counts = _simulate_key_counts(path3, cfg, 10 ** 5, np.random.default_rng(5))
-    grads = np.stack([_flatten_gradient(gradient(outcome_subgraph(path3, cfg, key), None,
+    grads = np.stack([_flatten_gradient(gradient(outcome_batch(path3, cfg, key[None]), None,
                                                  params, LossConfig()),
-                                        path3, params)[:len(exact)]
+                                        path3, params)[0, :len(exact)]
                       for key in _decode(codes, _key_dims(path3, cfg), cfg)])
     mean = (counts[:, None] * grads).sum(axis=0) / 10 ** 5
     assert np.abs(mean - exact).max() > 1e-3
@@ -283,17 +283,17 @@ def test_unbiasedness_sees_the_production_walk(path5, monkeypatch):
 def test_sgd_step_zero_gradient():
     params = ParamStore(2, 1, seed=0)
     before = params.embedding(0).copy()
-    none = SparseRows(np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
-    sgd_step(params, SparseGradient(none, np.zeros((2, 1)), np.zeros(1), none), 0.1)
+    none = SparseRows(np.zeros(0, dtype=np.int64), np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+    sgd_step(params, SparseGradient(none, np.zeros((1, 2, 1)), np.zeros((1, 1)), none), 0.1)
     assert np.array_equal(params.embedding(0), before)
 
 
 def test_sgd_step_single_coordinate():
     params = ParamStore(2, 0, seed=0)
     start = params.embedding(3).copy()
-    none = SparseRows(np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
-    g = SparseGradient(SparseRows(np.array([3]), np.array([[2.0, 0.0]])),
-                       np.zeros((2, 0)), np.zeros(0), none)
+    none = SparseRows(np.zeros(0, dtype=np.int64), np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+    g = SparseGradient(SparseRows(np.array([3]), np.array([[2.0, 0.0]]), np.array([0])),
+                       np.zeros((1, 2, 0)), np.zeros((1, 0)), none)
     sgd_step(params, g, 0.25)
     assert np.allclose(params.embedding(3), start - [0.5, 0.0])
 
@@ -304,11 +304,11 @@ def test_sgd_descends_on_convex_instance():
     from test_losses import make_sample
     sample = make_sample([0, 1], pos=[[0, 1]])
     cfg = LossConfig()
-    prev = combined_loss(sample, None, params, cfg)
+    prev = combined_loss(sample, None, params, cfg)[0]
     for _ in range(2):
         g = gradient(sample, None, params, cfg)
         sgd_step(params, g, 0.05)
-        cur = combined_loss(sample, None, params, cfg)
+        cur = combined_loss(sample, None, params, cfg)[0]
         assert cur <= prev + 1e-12
         prev = cur
 
