@@ -50,6 +50,14 @@ def load_checkpoint(path: str) -> ParamStore:
                    ("category ids", "<i8", n_cat), ("category rows", "<f8", n_cat * dim),
                    ("weights", "<f8", dim * label_dim), ("bias", "<f8", label_dim)),
         ValueError, "checkpoint")
+    for name, ids in (("embedding ids", emb_ids), ("category ids", cat_ids)):
+        # as save_checkpoint writes them; a Graph's vertex ids are int32
+        if len(ids) and ((ids[1:] <= ids[:-1]).any() or ids[0] < 0 or ids[-1] >= 2 ** 31):
+            raise ValueError(f"checkpoint {name} are not strictly ascending in [0, 2^31)")
+    for name, x in (("embedding rows", emb_rows), ("category rows", cat_rows),
+                    ("weights", weights), ("bias", bias)):
+        if not np.isfinite(x).all():
+            raise ValueError(f"checkpoint {name} are not finite")
     params = ParamStore(dim, label_dim, int(seed))
     params.embeddings.put(emb_ids.astype(np.int64), emb_rows.reshape(n_emb, dim))
     params.category_embeddings.put(cat_ids.astype(np.int64), cat_rows.reshape(n_cat, dim))

@@ -110,7 +110,7 @@ def _draw_candidates(spec: GraphonSpec, n: float, rng: np.random.Generator) -> _
     return _CandidateDraw(labels, latents, edges)
 
 
-def _restrict(draw: _CandidateDraw, n: float, size: float) -> LatentGraph:
+def _restrict(draw: _CandidateDraw, n: float) -> LatentGraph:
     """Graph induced by candidates with label <= n, isolated ones dropped."""
     inside = draw.labels <= n
     if len(draw.edges):
@@ -124,14 +124,14 @@ def _restrict(draw: _CandidateDraw, n: float, size: float) -> LatentGraph:
                        latents=draw.latents[survivors],
                        labels=draw.labels[survivors],
                        point_ids=survivors,
-                       size=size)
+                       size=n)
 
 
 def sample_graphex(spec: GraphonSpec, n: float, rng: np.random.Generator) -> LatentGraph:
     """One draw of the graphex generative model at size n."""
     if n <= 0:
         raise GraphexError("size must be > 0")
-    return _restrict(_draw_candidates(spec, n, rng), n, n)
+    return _restrict(_draw_candidates(spec, n, rng), n)
 
 
 def sample_graphex_coupled(spec: GraphonSpec, sizes: list[float],
@@ -140,7 +140,7 @@ def sample_graphex_coupled(spec: GraphonSpec, sizes: list[float],
     size n is exactly the label<=n restriction of the largest draw."""
     n_max = max(sizes)
     draw = _draw_candidates(spec, n_max, rng)
-    return [_restrict(draw, n, n) for n in sizes]
+    return [_restrict(draw, n) for n in sizes]
 
 
 def mark_embeddings(lg: LatentGraph, kernel: MarkingKernel,

@@ -14,11 +14,12 @@ Parameters live in dense row tables (`RowTable`), read and written as
 arrays: `rows(ids)` gathers rows, drawing missing ones from the table's
 initialiser, `put(ids, rows)` sets them, `ids()` lists the present ones and
 `data` is the (capacity, dim) array itself. A gradient carries its rows the
-same way, as `SparseRows` (ids, the draw of each row and one row array).
+same way, as `SparseRows` (ascending ids and one row array).
 The loss and the gradient take a `SubgraphBatch` and give one value per
-draw; one draw is a batch of one. One pair-scoring pass serves both the
-loss and its gradient, and every sum of rows into rows goes through one
-scatter kernel.
+draw; one draw is a batch of one. A gradient keeps the batch's id space:
+vertex v of draw i has its row at id i * V + v. One pair-scoring pass
+serves both the loss and its gradient, and every sum of rows into rows goes
+through one scatter kernel.
 """
 
 from __future__ import annotations
@@ -204,16 +205,15 @@ class ParamStore:
 
 
 class SparseRows(Mapping):
-    """The rows of the draws of a batch: `rows` (n,) int64 ids, `draw` (n,)
-    the draw of each row and `data` (n, d), one row per (draw, id) that
-    occurs, sorted by (draw, id). Rows of one draw are at distinct
-    ascending ids, and read as a read-only mapping id -> row, which the
-    benchmark's checks index, iterate and count."""
+    """The rows of the draws of a batch: `rows` (n,) distinct int64 ids,
+    ascending, and `data` (n, d). Draw i's row of vertex v is at id
+    i * V + v and its row of category c at i * C + c (C categories), so one
+    draw's rows are at its plain ids. Read as a read-only mapping id -> row,
+    which the benchmark's checks index, iterate and count."""
 
-    def __init__(self, rows: np.ndarray, data: np.ndarray, draw: np.ndarray):
+    def __init__(self, rows: np.ndarray, data: np.ndarray):
         self.rows = rows
         self.data = data
-        self.draw = draw
 
     def __getitem__(self, key) -> np.ndarray:
         i = int(np.searchsorted(self.rows, key))
@@ -293,43 +293,47 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 class _Scored:
     """One scoring pass over a batch of draws."""
 
-    ids: np.ndarray          # distinct vertex ids, ascending
+    ids: np.ndarray          # distinct scored ids, ascending
     local: np.ndarray        # local index of each entry of batch.vertices
     vectors: np.ndarray      # (len(ids), d) vertex vectors
     pairs: np.ndarray        # (P, 2) local indices, positive pairs first
-    pair_draw: np.ndarray    # (P,) the draw of each pair
     n_pos: int
     scores: np.ndarray       # (P,) dot product of each pair
 
 
-def _score_pairs(batch: SubgraphBatch, params: ParamStore, config: LossConfig,
-                 cats: CategoryMap | None) -> _Scored:
-    """Local indices from one np.unique over the draws' vertices and pair
-    endpoints, the vectors of the distinct vertices, and every pair's dot
+def _entries(batch: SubgraphBatch) -> np.ndarray:
+    """The batch's vertices, then its pairs' endpoints, as one id array."""
+    return np.concatenate([batch.vertices, batch.positive_pairs.reshape(-1),
+                           batch.negative_pairs.reshape(-1)])
+
+
+def _score_pairs(batch: SubgraphBatch, ids: np.ndarray, params: ParamStore,
+                 config: LossConfig, cats: CategoryMap | None) -> _Scored:
+    """Local indices from one np.unique over `ids`, the batch's entries as
+    they are scored (the copy ids, or graph ids that draws holding one
+    vertex share), the vectors of the distinct ones, and every pair's dot
     product."""
     n_verts = len(batch.vertices)
-    ids, inverse = np.unique(np.concatenate([batch.vertices,
-                                             batch.positive_pairs.reshape(-1),
-                                             batch.negative_pairs.reshape(-1)]),
-                             return_inverse=True)
+    ids, inverse = np.unique(ids, return_inverse=True)
     local = inverse[n_verts:].reshape(-1, 2)
-    vectors = _vertex_vectors(ids, params, config, cats)
+    vectors = _vertex_vectors(ids % batch.vertex_count, params, config, cats)
     if not np.isfinite(vectors).all():
         raise NumericError("non-finite embedding")
     ends = vectors[local]
     scores = np.einsum("ij,ij->i", ends[:, 0], ends[:, 1])
-    return _Scored(ids, inverse[:n_verts], vectors, local,
-                   np.concatenate([batch.positive_draw, batch.negative_draw]),
-                   len(batch.positive_pairs), scores)
+    return _Scored(ids, inverse[:n_verts], vectors, local, len(batch.positive_pairs), scores)
 
 
-def _observed_base(batch: SubgraphBatch, labels: LabelTable) -> np.ndarray:
+def _observed_base(batch: SubgraphBatch,
+                   labels: LabelTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positions in batch.vertices of the base vertices (the first
-    base_vertex_counts of each draw's) whose labels are observed."""
-    draw = batch.vertex_draw
+    base_vertex_counts of each draw's) whose labels are observed, with the
+    draw and the graph id of each."""
+    draw, v = np.divmod(batch.vertices, batch.vertex_count)
     counts = np.bincount(draw, minlength=len(batch))
     rank = np.arange(len(draw)) - (np.cumsum(counts) - counts)[draw]
-    return np.flatnonzero((rank < batch.base_vertex_counts[draw]) & labels.mask[batch.vertices])
+    at = np.flatnonzero((rank < batch.base_vertex_counts[draw]) & labels.mask[v])
+    return at, draw[at], v[at]
 
 
 def combined_loss(batch: SubgraphBatch, labels: LabelTable | None, params: ParamStore,
@@ -343,19 +347,20 @@ def combined_loss(batch: SubgraphBatch, labels: LabelTable | None, params: Param
     with observed (masked-true) labels."""
     if config.mode == "node_classification" and labels is None:
         raise NumericError("node_classification mode requires labels")
-    sc = _score_pairs(batch, params, config, cats)
+    V = batch.vertex_count
+    sc = _score_pairs(batch, _entries(batch) % V, params, config, cats)
     eps = config.prob_clip
     p = np.clip(_sigmoid(sc.scores), eps, 1.0 - eps)
     p[sc.n_pos:] = 1.0 - p[sc.n_pos:]
-    losses = np.bincount(sc.pair_draw, weights=-np.log(p), minlength=len(batch))
+    draws = np.concatenate([batch.positive_pairs[:, 0], batch.negative_pairs[:, 0]]) // V
+    losses = np.bincount(draws, weights=-np.log(p), minlength=len(batch))
     if config.mode == "node_classification":
-        at = _observed_base(batch, labels)
+        at, draw, v = _observed_base(batch, labels)
         f = np.clip(_sigmoid(sc.vectors[sc.local[at]] @ params.weights + params.bias),
                     eps, 1.0 - eps)
-        l = labels.labels[batch.vertices[at]].astype(np.float64)
+        l = labels.labels[v].astype(np.float64)
         terms = -(l * np.log(f) + (1.0 - l) * np.log(1.0 - f)).sum(axis=1)
-        losses = (config.q * np.bincount(batch.vertex_draw[at], weights=terms,
-                                         minlength=len(batch))
+        losses = (config.q * np.bincount(draw, weights=terms, minlength=len(batch))
                   + (1.0 - config.q) * losses)
     return losses
 
@@ -367,12 +372,12 @@ def gradient(batch: SubgraphBatch, labels: LabelTable | None, params: ParamStore
     parameters, and (in category mode, via the chain rule) every touched
     category embedding, from one scoring pass and one scatter per term.
 
-    Embedding and category rows come one per (draw, id) that occurs,
-    sorted by (draw, id) (see `SparseRows`); `weights` is (m, d, L) and
-    `bias` (m, L) for m draws. A batch of one draw gives one row per
-    vertex, at ascending ids.
+    Embedding and category rows come one per distinct id of the batch,
+    ascending (see `SparseRows`); `weights` is (m, d, L) and `bias` (m, L)
+    for m draws. A batch of one draw gives one row per vertex, at its ids.
     """
-    sc = _score_pairs(batch, params, config, cats)
+    # the scored ids are the batch's own, so the distinct ones are the rows
+    sc = _score_pairs(batch, _entries(batch), params, config, cats)
     eps, m, n = config.prob_clip, len(batch), len(sc.ids)
     p = _sigmoid(sc.scores)
     # inside the clip region the derivative of -log p is (p - 1) for a
@@ -382,30 +387,21 @@ def gradient(batch: SubgraphBatch, labels: LabelTable | None, params: ParamStore
     coef[(p < eps) | (p > 1.0 - eps)] = 0.0
     if config.mode == "node_classification":
         coef *= 1.0 - config.q
-    # code draw * n + i stands for local vertex i in that draw; the
-    # gradient has one row per code that occurs, in code order
-    pair_codes = sc.pairs + n * sc.pair_draw[:, None]
-    occurs = np.zeros(m * n, dtype=bool)
-    occurs[batch.vertex_draw * n + sc.local] = True
-    occurs[pair_codes] = True
-    row_of = np.cumsum(occurs) - 1
-    row_draw, row_local = np.divmod(np.flatnonzero(occurs), n)
-    rows = row_of[pair_codes]
-    grad_vec = _scatter(np.concatenate([rows[:, 0], rows[:, 1]]),
+    grad_vec = _scatter(np.concatenate([sc.pairs[:, 0], sc.pairs[:, 1]]),
                         np.concatenate([sc.pairs[:, 1], sc.pairs[:, 0]]),
-                        np.concatenate([coef, coef]), len(row_draw), sc.vectors)
+                        np.concatenate([coef, coef]), n, sc.vectors)
     weights = np.zeros((m,) + params.weights.shape)
     bias = np.zeros((m,) + params.bias.shape)
 
     if config.mode == "node_classification" and config.q > 0.0:
         if labels is None:
             raise NumericError("node_classification mode requires labels")
-        at = _observed_base(batch, labels)
+        at, draw, v = _observed_base(batch, labels)
         if len(at):
-            local, draw, each = sc.local[at], batch.vertex_draw[at], np.arange(len(at))
+            local, each = sc.local[at], np.arange(len(at))
             lam = sc.vectors[local]
             f = _sigmoid(lam @ params.weights + params.bias)
-            l = labels.labels[batch.vertices[at]].astype(np.float64)
+            l = labels.labels[v].astype(np.float64)
             gz = np.where((f >= eps) & (f <= 1.0 - eps), f - l, 0.0) * config.q
             if m == 1:  # the one draw's sums, as BLAS and np.sum add them
                 weights[0], bias[0] = lam.T @ gz, gz.sum(axis=0)
@@ -413,20 +409,18 @@ def gradient(batch: SubgraphBatch, labels: LabelTable | None, params: ParamStore
                 outer = (lam[:, :, None] * gz[:, None, :]).reshape(len(at), -1)
                 weights = _scatter(draw, each, np.ones(len(at)), m, outer).reshape(weights.shape)
                 bias = _scatter(draw, each, np.ones(len(at)), m, gz)
-            grad_vec += _scatter(row_of[draw * n + local], each, np.ones(len(at)),
-                                 len(row_draw), gz @ params.weights.T)
+            grad_vec += _scatter(local, each, np.ones(len(at)), n, gz @ params.weights.T)
 
-    row_ids = sc.ids[row_local]
-    vertices = categories = SparseRows(row_ids[:0], grad_vec[:0], row_draw[:0])
+    vertices = categories = SparseRows(sc.ids[:0], grad_vec[:0])
     if config.mode == "category_embedding":
         # the chain rule: category c of a draw gathers the rows of that
         # draw's vertices in c
-        owner, cat_local, cat_ids = _memberships(row_ids, cats)
-        cat_codes, cat_row = np.unique(row_draw[owner] * len(cat_ids) + cat_local,
-                                       return_inverse=True)
-        cat_grad = _scatter(cat_row, owner, np.ones(len(owner)), len(cat_codes), grad_vec)
-        cat_draw, cat_local = np.divmod(cat_codes, len(cat_ids))
-        categories = SparseRows(cat_ids[cat_local], cat_grad, cat_draw)
+        draw, v = np.divmod(sc.ids, batch.vertex_count)
+        owner, cat_local, cat_ids = _memberships(v, cats)
+        cat_rows, cat_row = np.unique(draw[owner] * cats.category_count + cat_ids[cat_local],
+                                      return_inverse=True)
+        categories = SparseRows(cat_rows, _scatter(cat_row, owner, np.ones(len(owner)),
+                                                   len(cat_rows), grad_vec))
     else:
-        vertices = SparseRows(row_ids, grad_vec, row_draw)
+        vertices = SparseRows(sc.ids, grad_vec)
     return SparseGradient(vertices, weights, bias, categories)

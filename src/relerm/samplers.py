@@ -8,9 +8,11 @@ by `draw_key` (a retention mask, a walk, or edge indices), that
 (observed edges, or skipgram-hallucinated pairs) and negative pairs
 (observed non-edges); `draw` adds unigram negatives afterwards from further
 randomness. Subgraphs are always a `SubgraphBatch`: a draw is a batch of
-one. The trainer's estimators, exact enumeration and bulk simulation use
-the same key step and map. All samplers are pure functions of their
-inputs; give each worker its own rng stream.
+one, and vertex v of draw i is id i * V + v (a disjoint copy of the graph
+per draw) through the losses and gradients too. The trainer's estimators,
+exact enumeration and bulk simulation use the same key step and map. All
+samplers are pure functions of their inputs; give each worker its own rng
+stream.
 """
 
 from __future__ import annotations
@@ -144,8 +146,10 @@ def draw_key(graph: Graph, config: SamplerConfig, rng: np.random.Generator,
 @dataclass
 class SubgraphBatch:
     """The subgraphs of n draws in one set of arrays: their vertices,
-    positive pairs and negative pairs, each concatenated in draw order, with
-    the draw of every entry alongside. One draw is a batch of one.
+    positive pairs and negative pairs, each concatenated in draw order, on
+    disjoint copies of the graph: id i * V + v (V = vertex_count) is vertex
+    v of draw i, so an entry's draw is its id // V, and one draw has the
+    graph's own ids.
 
     Each draw's vertices are ordered as its sampler produced them: the
     first base_vertex_counts[i] come from the base sampler, the rest were
@@ -153,39 +157,35 @@ class SubgraphBatch:
     `batch[i]` is draw i as a batch of one."""
 
     vertices: np.ndarray            # int64
-    vertex_draw: np.ndarray         # int64, non-decreasing, as the other *_draw
     positive_pairs: np.ndarray      # int64, shape (m, 2), a multiset
-    positive_draw: np.ndarray
     negative_pairs: np.ndarray      # int64, shape (m', 2)
-    negative_draw: np.ndarray
     base_vertex_counts: np.ndarray  # int64, per draw
+    vertex_count: int               # V, of the graph the draws come from
     source: str = ""
 
     def __len__(self) -> int:
         return len(self.base_vertex_counts)
 
     def __getitem__(self, i: int) -> "SubgraphBatch":
-        parts = []
-        for x, draws in ((self.vertices, self.vertex_draw),
-                         (self.positive_pairs, self.positive_draw),
-                         (self.negative_pairs, self.negative_draw)):
-            lo, hi = np.searchsorted(draws, (i, i + 1))
-            parts += [x[lo:hi], np.zeros(hi - lo, dtype=np.int64)]
-        return SubgraphBatch(*parts, self.base_vertex_counts[i:i + 1], self.source)
+        if not -len(self) <= i < len(self):
+            raise IndexError(f"draw {i} of a batch of {len(self)}")
+        i %= len(self)
+        lo, hi = i * self.vertex_count, (i + 1) * self.vertex_count
+        # each array is in draw order, so its first column finds the block
+        parts = [x[slice(*np.searchsorted(x if x.ndim == 1 else x[:, 0], (lo, hi)))] - lo
+                 for x in (self.vertices, self.positive_pairs, self.negative_pairs)]
+        return SubgraphBatch(*parts, self.base_vertex_counts[i:i + 1], self.vertex_count,
+                             self.source)
 
     @staticmethod
     def stack(batches: list["SubgraphBatch"]) -> "SubgraphBatch":
-        """The draws of the given batches in order, as one batch with the
-        first batch's source."""
-        first = np.cumsum([0] + [len(b) for b in batches[:-1]])
-        parts = []
-        for name, draws in (("vertices", "vertex_draw"), ("positive_pairs", "positive_draw"),
-                            ("negative_pairs", "negative_draw")):
-            parts += [np.concatenate([getattr(b, name) for b in batches]),
-                      np.concatenate([getattr(b, draws) for b in batches])
-                      + first.repeat([len(getattr(b, draws)) for b in batches])]
+        """The draws of the given batches (of one graph) in order, as one
+        batch with the first batch's source."""
+        shift = batches[0].vertex_count * np.cumsum([0] + [len(b) for b in batches[:-1]])
+        parts = [np.concatenate([getattr(b, name) + k for b, k in zip(batches, shift)])
+                 for name in ("vertices", "positive_pairs", "negative_pairs")]
         return SubgraphBatch(*parts, np.concatenate([b.base_vertex_counts for b in batches]),
-                             batches[0].source)
+                             batches[0].vertex_count, batches[0].source)
 
 
 def _outcome_ids(graph: Graph, config: SamplerConfig,
@@ -237,10 +237,9 @@ def outcome_batch(graph: Graph, config: SamplerConfig, keys: np.ndarray) -> Subg
     `induced_pairs` call serves every key.
     """
     verts, pos, neg = _outcome_ids(graph, config, keys)
-    (vertex_draw, verts), (pos_draw, pos), (neg_draw, neg) = (
-        np.divmod(x, graph.vertex_count) for x in (verts, pos, neg))
-    return SubgraphBatch(verts, vertex_draw, pos, pos_draw[:, 0], neg, neg_draw[:, 0],
-                         np.bincount(vertex_draw, minlength=len(keys)), _source(config))
+    return SubgraphBatch(verts, pos, neg,
+                         np.bincount(verts // graph.vertex_count, minlength=len(keys)),
+                         graph.vertex_count, _source(config))
 
 
 @dataclass(frozen=True)
@@ -318,10 +317,8 @@ def negative_unigram(graph: Graph, sample: SubgraphBatch, table: UnigramTable,
     neg = np.stack([vv[keep], candidates[keep]], axis=1)
     verts = np.concatenate([verts, np.setdiff1d(candidates[keep], verts)])
     negs = np.concatenate([sample.negative_pairs, neg])
-    return SubgraphBatch(verts, np.zeros(len(verts), dtype=np.int64),
-                         sample.positive_pairs, sample.positive_draw,
-                         negs, np.zeros(len(negs), dtype=np.int64),
-                         sample.base_vertex_counts, sample.source)
+    return SubgraphBatch(verts, sample.positive_pairs, negs, sample.base_vertex_counts,
+                         sample.vertex_count, sample.source)
 
 
 def draw(graph: Graph, config: SamplerConfig, rng: np.random.Generator,

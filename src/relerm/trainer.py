@@ -318,8 +318,8 @@ def _flatten_gradient(grad: SparseGradient, graph: Graph, params: ParamStore) ->
     """A batch's gradients as one row per draw: every vertex embedding
     (zero where untouched), then the weights and the bias."""
     m = len(grad.bias)
-    emb = np.zeros((m, graph.vertex_count, params.dim))
-    emb[grad.embeddings.draw, grad.embeddings.rows] = grad.embeddings.data
+    emb = np.zeros((m * graph.vertex_count, params.dim))
+    emb[grad.embeddings.rows] = grad.embeddings.data
     return np.concatenate([x.reshape(m, -1) for x in (emb, grad.weights, grad.bias)], axis=1)
 
 

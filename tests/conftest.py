@@ -13,16 +13,18 @@ settings.register_profile("reproducible", derandomize=True, database=None, deadl
 settings.load_profile("reproducible")
 
 
-def batch_of_one(vertices, pos=(), neg=(), base_vertex_count=None):
+def batch_of_one(vertices, pos=(), neg=(), base_vertex_count=None, vertex_count=None):
     """One draw with the given vertices and pairs, as a batch of one; every
-    vertex is a base vertex unless base_vertex_count says otherwise."""
+    vertex is a base vertex unless base_vertex_count says otherwise. The
+    draw's graph has vertex_count vertices, by default one more than the
+    largest id given."""
     def arr(pairs):
         return np.array(pairs, dtype=np.int64).reshape(-1, 2)
     vertices, pos, neg = np.array(vertices, dtype=np.int64), arr(pos), arr(neg)
     base = len(vertices) if base_vertex_count is None else base_vertex_count
-    return SubgraphBatch(*[a for x in (vertices, pos, neg)
-                           for a in (x, np.zeros(len(x), dtype=np.int64))],
-                         np.array([base]))
+    if vertex_count is None:
+        vertex_count = int(np.concatenate([vertices, pos.ravel(), neg.ravel()]).max(initial=-1)) + 1
+    return SubgraphBatch(vertices, pos, neg, np.array([base]), vertex_count)
 
 
 @pytest.fixture

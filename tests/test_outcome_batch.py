@@ -56,23 +56,44 @@ def pair_set(pairs):
 def test_outcome_batch_equals_batches_of_one(case):
     g, cfg, keys = case
     batch = outcome_batch(g, cfg, keys)
-    assert len(batch) == len(keys)
-    for draws in (batch.vertex_draw, batch.positive_draw, batch.negative_draw):
-        assert (np.diff(draws) >= 0).all()
+    V = g.vertex_count
+    assert len(batch) == len(keys) and batch.vertex_count == V
+    # vertex v of draw i is id i * V + v, each array is in draw order, and
+    # a pair lies within one draw
+    for first in (batch.vertices, batch.positive_pairs[:, 0], batch.negative_pairs[:, 0]):
+        draws = first // V
+        assert (np.diff(draws) >= 0).all() and ((0 <= draws) & (draws < len(keys))).all()
+    for pairs in (batch.positive_pairs, batch.negative_pairs):
+        assert np.array_equal(pairs[:, 0] // V, pairs[:, 1] // V)
     for i, key in enumerate(keys):
         one, got = outcome_batch(g, cfg, key[None]), batch[i]
-        for name in ("vertices", "vertex_draw", "positive_pairs", "positive_draw",
-                     "negative_pairs", "negative_draw"):
+        for name in ("vertices", "positive_pairs", "negative_pairs"):
             want, have = getattr(one, name), getattr(got, name)
             assert have.dtype == want.dtype == np.int64 and have.shape == want.shape
             assert np.array_equal(have, want)
-        assert not one.vertex_draw.any() and len(one) == len(got) == 1
+            assert ((0 <= have) & (have < V)).all()
+            whole = getattr(batch, name)
+            first = whole if whole.ndim == 1 else whole[:, 0]
+            assert np.array_equal(whole[first // V == i], have + i * V)
+        assert len(one) == len(got) == 1 and got.vertex_count == V
         assert got.source == one.source
         assert got.base_vertex_counts.tolist() == one.base_vertex_counts.tolist() \
             == [len(one.vertices)]
     restacked = SubgraphBatch.stack([batch[i] for i in range(len(batch))])
     for f in fields(SubgraphBatch):
         assert np.array_equal(getattr(restacked, f.name), getattr(batch, f.name))
+
+
+def test_batch_index_counts_from_the_end_and_checks_its_range():
+    cfg = SamplerConfig(retention=0.6)
+    batch = outcome_batch(IRREGULAR, cfg, draw_key(IRREGULAR, cfg, np.random.default_rng(1),
+                                                   size=2))
+    for i in (-2, -1):
+        for f in fields(SubgraphBatch):
+            assert np.array_equal(getattr(batch[i], f.name), getattr(batch[i + 2], f.name))
+    for i in (2, 3, -3):
+        with pytest.raises(IndexError):
+            batch[i]
 
 
 @given(cases())
@@ -208,8 +229,7 @@ def test_key_batches_fill_sim_chunk(monkeypatch):
     assert max(numbers) <= 1.5 * 2000
     assert min(numbers[2:-1]) >= 2000 / 1.5
     whole = outcome_batch(IRREGULAR, cfg, keys)
-    assert np.array_equal(np.concatenate([b.negative_pairs for b in batches]),
-                          whole.negative_pairs)
+    assert np.array_equal(SubgraphBatch.stack(batches).negative_pairs, whole.negative_pairs)
 
 
 GRADIENT_CASES = {
@@ -237,14 +257,13 @@ def test_batched_gradients_match_per_key_gradients(name, mode):
                for k in keys]
     scale = max(np.abs(x).max(initial=0.0) for s in singles
                 for x in (s.embeddings.data, s.categories.data, s.weights, s.bias))
-    for part in ("embeddings", "categories"):
+    for part, size in (("embeddings", g.vertex_count), ("categories", cats.category_count)):
         rows = getattr(got, part)
-        order = np.lexsort((rows.rows, rows.draw))
-        assert np.array_equal(order, np.arange(len(order)))
+        assert (np.diff(rows.rows) > 0).all()
         for i, s in enumerate(singles):
-            want, mine = getattr(s, part), rows.draw == i
-            assert not want.draw.any()
-            assert np.array_equal(rows.rows[mine], want.rows)
+            want, mine = getattr(s, part), rows.rows // size == i
+            assert ((0 <= want.rows) & (want.rows < size)).all()
+            assert np.array_equal(rows.rows[mine] % size, want.rows)
             assert np.abs(rows.data[mine] - want.data).max(initial=0.0) <= 1e-12 * scale
     for i, s in enumerate(singles):
         assert np.abs(got.weights[i] - s.weights[0]).max(initial=0.0) <= 1e-12 * scale
@@ -265,7 +284,7 @@ def test_one_draw_gradient_rows_are_distinct_and_ascending(name, mode):
         s = draw(IRREGULAR, cfg, rng)
         grad = gradient(s, labels, params, loss)
         rows = grad.embeddings.rows
-        assert (np.diff(rows) > 0).all() and not grad.embeddings.draw.any()
+        assert (np.diff(rows) > 0).all() and (rows < IRREGULAR.vertex_count).all()
         assert set(rows.tolist()) == set(s.vertices.tolist())
         assert grad.weights.shape == (1,) + params.weights.shape
         for v in rows.tolist():

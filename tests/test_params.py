@@ -94,11 +94,10 @@ def test_sgd_step_moves_rows_by_exactly_lr_g():
     ps = ParamStore(3, 0, seed=2)
     ps.embeddings[4] = np.array([1.0, -2.0, 0.5])
     before = {v: ps.embedding(v).copy() for v in (1, 4)}
-    rows = SparseRows(np.array([1, 4]), np.array([[1.0, 1.0, 1.0], [0.3, 0.1, -0.7]]),
-                      np.zeros(2, dtype=np.int64))
+    rows = SparseRows(np.array([1, 4]), np.array([[1.0, 1.0, 1.0], [0.3, 0.1, -0.7]]))
     none = np.zeros(0, dtype=np.int64)
     g = SparseGradient(rows, np.zeros((1, 3, 0)), np.zeros((1, 0)),
-                       SparseRows(none, np.zeros((0, 3)), none))
+                       SparseRows(none, np.zeros((0, 3))))
     sgd_step(ps, g, 0.37)
     for v, row in zip(rows.rows.tolist(), rows.data):
         assert np.array_equal(ps.embedding(v), before[v] - 0.37 * row)

@@ -308,7 +308,7 @@ def test_unigram_rejects_bad_input(path3):
 
 def test_negative_unigram_no_nonedges(k2):
     t = build_unigram(k2, tau=0.75)
-    s = batch_of_one([0, 1], [[0, 1]])
+    s = batch_of_one([0, 1], [[0, 1]], vertex_count=k2.vertex_count)
     out = negative_unigram(k2, s, t, 5, np.random.default_rng(0))
     assert len(out.negative_pairs) == 0
     assert np.array_equal(out.vertices, s.vertices)
@@ -316,7 +316,7 @@ def test_negative_unigram_no_nonedges(k2):
 
 def test_negative_unigram_appends_new_vertex(path3):
     t = build_unigram(path3, tau=0.75)
-    s = batch_of_one([0])
+    s = batch_of_one([0], vertex_count=path3.vertex_count)
     rng = np.random.default_rng(0)
     for _ in range(50):
         out = negative_unigram(path3, s, t, 2, rng)
@@ -333,7 +333,7 @@ def test_negative_unigram_conditional_distribution(path5):
     # sample {0} on the 5-path: non-neighbors are {2, 3, 4}; each kept
     # candidate is distributed as the unigram table conditioned on them
     t = build_unigram(path5, tau=0.75)
-    s = batch_of_one([0])
+    s = batch_of_one([0], vertex_count=path5.vertex_count)
     rng = np.random.default_rng(8)
     endpoints = []
     for _ in range(20000):

@@ -6,6 +6,8 @@ in a benchmark run."""
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +27,16 @@ def test_benchmark_span_targets_resolve():
     missing = [f"{owner.__name__}.{attr}" for owner, attr, _, _ in spans.TARGETS
                if not hasattr(owner, attr)]
     assert not missing
+
+
+def test_benchmark_smoke_passes():
+    # the whole harness at reduced sizes, every workload traced and
+    # untraced, each result checked against its references; it writes only
+    # under benchmarks/.work
+    proc = subprocess.run([sys.executable, os.path.join(BENCHMARKS, "smoke.py")],
+                          cwd=os.path.dirname(BENCHMARKS), capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
 
 
 @pytest.fixture

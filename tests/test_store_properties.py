@@ -116,6 +116,59 @@ def test_truncated_checkpoint_names_its_section(params, data, tmp_path_factory):
         load_checkpoint(str(path))
 
 
+def write_checkpoint(path, dim, label_dim, emb_ids, cat_ids, emb_rows=None, cat_rows=None,
+                     weights=None, bias=None):
+    """A checkpoint file with the given sections, as a hand edit would leave
+    it: rows, weights and bias default to zeros of the right size."""
+    def f8(x, n):
+        return np.zeros(n) if x is None else np.asarray(x, dtype=np.float64).reshape(n)
+    with open(path, "wb") as f:
+        f.write(b"RECK" + struct.pack("<IQQQQQ", 1, dim, label_dim, 0,
+                                      len(emb_ids), len(cat_ids)))
+        for x in (np.asarray(emb_ids, dtype="<i8"), f8(emb_rows, len(emb_ids) * dim),
+                  np.asarray(cat_ids, dtype="<i8"), f8(cat_rows, len(cat_ids) * dim),
+                  f8(weights, dim * label_dim), f8(bias, label_dim)):
+            f.write(x.astype(x.dtype.newbyteorder("<")).tobytes())
+
+
+@pytest.mark.parametrize("ids", [[0, 3, 3], [4, 2], [-1, 2], [0, 2 ** 61], [2 ** 31]])
+@pytest.mark.parametrize("section", ["embedding ids", "category ids"])
+def test_checkpoint_rejects_bad_ids(ids, section, tmp_path):
+    # repeated, descending, negative and beyond int32
+    path = str(tmp_path / "c.bin")
+    other = [0, 5]
+    emb, cat = (ids, other) if section == "embedding ids" else (other, ids)
+    write_checkpoint(path, 2, 1, emb, cat)
+    with pytest.raises(ValueError, match=rf"checkpoint {section} are not strictly "
+                                         r"ascending in \[0, 2\^31\)"):
+        load_checkpoint(path)
+    write_checkpoint(path, 2, 1, other, other)  # the same file with good ids loads
+    assert load_checkpoint(path).embeddings.ids().tolist() == other
+
+
+@given(params=stores(), data=st.data())
+def test_checkpoint_rejects_non_finite_values(params, data, tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("ck") / "c.bin")
+    emb, cat = params.embeddings, params.category_embeddings
+    parts = {"embedding rows": emb.data[emb.ids()].copy(),
+             "category rows": cat.data[cat.ids()].copy(),
+             "weights": params.weights.copy(), "bias": params.bias.copy()}
+    section = data.draw(st.sampled_from([k for k, x in parts.items() if x.size]
+                                        or [None]))
+    if section is not None:
+        bad = parts[section].reshape(-1)
+        bad[data.draw(st.integers(0, len(bad) - 1))] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    write_checkpoint(path, params.dim, params.label_dim, emb.ids(), cat.ids(),
+                     parts["embedding rows"], parts["category rows"],
+                     parts["weights"], parts["bias"])
+    if section is None:
+        load_checkpoint(path)
+        return
+    with pytest.raises(ValueError, match=f"checkpoint {section} are not finite"):
+        load_checkpoint(path)
+
+
 # -- graph cache --------------------------------------------------------------
 
 @st.composite

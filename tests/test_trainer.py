@@ -283,7 +283,7 @@ def test_unbiasedness_sees_the_production_walk(path5, monkeypatch):
 def test_sgd_step_zero_gradient():
     params = ParamStore(2, 1, seed=0)
     before = params.embedding(0).copy()
-    none = SparseRows(np.zeros(0, dtype=np.int64), np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+    none = SparseRows(np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
     sgd_step(params, SparseGradient(none, np.zeros((1, 2, 1)), np.zeros((1, 1)), none), 0.1)
     assert np.array_equal(params.embedding(0), before)
 
@@ -291,8 +291,8 @@ def test_sgd_step_zero_gradient():
 def test_sgd_step_single_coordinate():
     params = ParamStore(2, 0, seed=0)
     start = params.embedding(3).copy()
-    none = SparseRows(np.zeros(0, dtype=np.int64), np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
-    g = SparseGradient(SparseRows(np.array([3]), np.array([[2.0, 0.0]]), np.array([0])),
+    none = SparseRows(np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
+    g = SparseGradient(SparseRows(np.array([3]), np.array([[2.0, 0.0]])),
                        np.zeros((1, 2, 0)), np.zeros((1, 0)), none)
     sgd_step(params, g, 0.25)
     assert np.allclose(params.embedding(3), start - [0.5, 0.0])
