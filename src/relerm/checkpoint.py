@@ -59,8 +59,14 @@ def load_checkpoint(path: str) -> ParamStore:
         if not np.isfinite(x).all():
             raise ValueError(f"checkpoint {name} are not finite")
     params = ParamStore(dim, label_dim, int(seed))
-    params.embeddings.put(emb_ids.astype(np.int64), emb_rows.reshape(n_emb, dim))
-    params.category_embeddings.put(cat_ids.astype(np.int64), cat_rows.reshape(n_cat, dim))
+    for name, table, ids, rows in (("embedding ids", params.embeddings, emb_ids, emb_rows),
+                                   ("category ids", params.category_embeddings, cat_ids,
+                                    cat_rows)):
+        try:  # a row table is dense: its largest id sizes it
+            table.put(ids.astype(np.int64), rows.reshape(len(ids), dim))
+        except MemoryError:
+            raise ValueError(f"checkpoint {name} need a dense table of {ids[-1] + 1} rows "
+                             f"of dim {dim}, which cannot be allocated") from None
     params.weights = weights.reshape(dim, label_dim).copy()
     params.bias = bias.copy()
     return params

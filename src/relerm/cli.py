@@ -8,10 +8,10 @@ each subcommand's other keys and their defaults are in COMMANDS. Before a
 subcommand creates its output directory or does any work, one prologue
 reads the required `seed`, rejects every key the subcommand does not read,
 parses every value as the type of its default (booleans: 1/true/yes or
-0/false/no; a tuple: a comma list), validates the configs, and loads the
-graph and labels, reporting all violations at once (exit 2). Every
-subcommand writes the seed into its output header, so a run is
-reproducible from its config alone.
+0/false/no; a tuple: a comma list), checks choices and bounds, validates
+the configs, and loads the graph and labels, reporting all violations at
+once (exit 2). Every subcommand writes the seed into its output header, so
+a run is reproducible from its config alone.
 """
 
 from __future__ import annotations
@@ -73,6 +73,11 @@ LABELS = {"labels.path": "", "labels.dim": 0}
 CHOICES = {"eval.protocol": ("two_stage", "simultaneous"), "eval.schemes": SPLIT_SCHEMES,
            "eval.prediction": PREDICTION_MODES,
            "simulate.experiment": ("mecke", "risk_convergence", "stability")}
+# keys whose value, or each item of whose list, must pass this test: counts
+# and sizes are positive, a fraction lies in [0, 1]
+BOUNDS = {key: (lambda v: v > 0, "must be > 0") for key in (
+    "sample.count", "eval.seeds", "simulate.replicates", "riskcheck.samples", "simulate.sizes")}
+BOUNDS["eval.fraction"] = (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
 
 
 def _cast(raw: str, kind: type):
@@ -171,11 +176,14 @@ def prologue(name: str, cfg: dict[str, str]) -> Run:
         run.config = _section(*spec.config, lambda key, default: _value(cfg, key, default, errors),
                               seed)
         errors.extend(run.config.validate())  # a TrainConfig's covers sampler and loss
-    for key, allowed in CHOICES.items():
+    def items(key):
         values = opts.get(key, ())
+        return values if isinstance(values, tuple) else (values,)
+    for key, allowed in CHOICES.items():
         errors.extend(f"key {key!r}: {v!r} is not one of {allowed}"
-                      for v in (values if isinstance(values, tuple) else (values,))
-                      if v not in allowed)
+                      for v in items(key) if v not in allowed)
+    for key, (test, rule) in BOUNDS.items():
+        errors.extend(f"key {key!r}: {v!r} {rule}" for v in items(key) if not test(v))
     for group in spec.required:
         if not any(opts[key] for key in group):
             errors.append(f"{name} requires {' or '.join(group)}")

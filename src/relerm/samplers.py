@@ -1,14 +1,14 @@
 """Graph subsampling algorithms and negative-sampling add-ons.
 
-`draw(graph, SamplerConfig(...), rng)` is the one way to sample: the config
-names the algorithm, its parameters and the negative mode, and so defines
-the empirical risk the trainer minimizes. A draw is an outcome key, drawn
-by `draw_key` (a retention mask, a walk, or edge indices), that
+`draw(graph, SamplerConfig(...), rng, size=n)` is the one way to sample:
+the config names the algorithm, its parameters and the negative mode, and
+so defines the empirical risk the trainer minimizes. A draw is an outcome
+key, drawn by `draw_key` (a retention mask, a walk, or edge indices), that
 `outcome_batch` maps, many keys at once, to the subgraphs of positive pairs
 (observed edges, or skipgram-hallucinated pairs) and negative pairs
 (observed non-edges); `draw` adds unigram negatives afterwards from further
-randomness. Subgraphs are always a `SubgraphBatch`: a draw is a batch of
-one, and vertex v of draw i is id i * V + v (a disjoint copy of the graph
+randomness. Subgraphs are always a `SubgraphBatch`: n draws are a batch of
+n, and vertex v of draw i is id i * V + v (a disjoint copy of the graph
 per draw) through the losses and gradients too. The trainer's estimators,
 exact enumeration and bulk simulation use the same key step and map. All
 samplers are pure functions of their inputs; give each worker its own rng
@@ -88,6 +88,8 @@ def random_walk(graph: Graph, r: int, rng: np.random.Generator,
     (size, r+1) array of independent walks stepped together."""
     if graph.edge_count == 0:
         raise NoWalkError("cannot walk on a graph with no edges")
+    if size == 1:  # the same numbers; a scalar step costs a fifth of a step of one row
+        return random_walk(graph, r, rng, start)[None]
     offsets, neighbors, deg = graph.offsets, graph.neighbors, graph.degrees
     if start == "uniform_vertex":
         # isolated vertices cannot start a walk; resampling until non-isolated
@@ -176,16 +178,6 @@ class SubgraphBatch:
                  for x in (self.vertices, self.positive_pairs, self.negative_pairs)]
         return SubgraphBatch(*parts, self.base_vertex_counts[i:i + 1], self.vertex_count,
                              self.source)
-
-    @staticmethod
-    def stack(batches: list["SubgraphBatch"]) -> "SubgraphBatch":
-        """The draws of the given batches (of one graph) in order, as one
-        batch with the first batch's source."""
-        shift = batches[0].vertex_count * np.cumsum([0] + [len(b) for b in batches[:-1]])
-        parts = [np.concatenate([getattr(b, name) + k for b, k in zip(batches, shift)])
-                 for name in ("vertices", "positive_pairs", "negative_pairs")]
-        return SubgraphBatch(*parts, np.concatenate([b.base_vertex_counts for b in batches]),
-                             batches[0].vertex_count, batches[0].source)
 
 
 def _outcome_ids(graph: Graph, config: SamplerConfig,
@@ -302,31 +294,34 @@ def _vose_alias(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def negative_unigram(graph: Graph, sample: SubgraphBatch, table: UnigramTable,
                      k_neg: int, rng: np.random.Generator) -> SubgraphBatch:
-    """For each vertex of a one-draw batch, draw k_neg unigram candidates;
-    keep (v, c) as a negative iff it is a non-edge of the full graph and
-    c != v. New candidate vertices are appended to the vertex list. The
-    negatives follow each draw's own randomness, so one draw at a time."""
-    if len(sample) != 1:
-        raise SamplerError(f"unigram negatives are drawn for one draw, not {len(sample)}")
-    verts = sample.vertices
+    """For each vertex of each draw of a batch, draw k_neg unigram
+    candidates into that draw's copy of the graph; keep (v, c) as a
+    negative iff it is a non-edge of the full graph and c != v. A draw's
+    new negatives follow its own, and its new candidate vertices are
+    appended after its own vertices."""
+    verts, V = sample.vertices, sample.vertex_count
     if len(verts) == 0 or k_neg == 0:
         return sample
-    candidates = table.sample(rng, size=len(verts) * k_neg)
     vv = np.repeat(verts, k_neg)
-    keep = (vv != candidates) & ~graph.has_edges(vv, candidates)
-    neg = np.stack([vv[keep], candidates[keep]], axis=1)
-    verts = np.concatenate([verts, np.setdiff1d(candidates[keep], verts)])
-    negs = np.concatenate([sample.negative_pairs, neg])
+    candidates = table.sample(rng, size=len(vv))
+    cc = candidates + vv - vv % V
+    keep = (vv != cc) & ~graph.has_edges(vv % V, candidates)
+    verts = np.concatenate([verts, np.setdiff1d(cc[keep], verts)])
+    negs = np.concatenate([sample.negative_pairs, np.stack([vv[keep], cc[keep]], axis=1)])
+    # each draw's new vertices and negatives after its own (a stable sort by draw)
+    verts = verts[np.argsort(verts // V, kind="stable")]
+    negs = negs[np.argsort(negs[:, 0] // V, kind="stable")]
     return SubgraphBatch(verts, sample.positive_pairs, negs, sample.base_vertex_counts,
-                         sample.vertex_count, sample.source)
+                         V, sample.source)
 
 
 def draw(graph: Graph, config: SamplerConfig, rng: np.random.Generator,
-         unigram_table: UnigramTable | None = None) -> SubgraphBatch:
-    """Draw an outcome key, map it to its subgraph, then apply unigram
-    negative sampling when configured: one draw, as a batch of one.
-    Deterministic given the rng state."""
-    sample = outcome_batch(graph, config, draw_key(graph, config, rng)[None])
+         unigram_table: UnigramTable | None = None, size: int = 1) -> SubgraphBatch:
+    """Draw `size` outcome keys, map them to their subgraphs, then apply
+    unigram negative sampling when configured: `size` independent draws
+    as one batch (by default one draw, a batch of one). Deterministic
+    given the rng state."""
+    sample = outcome_batch(graph, config, draw_key(graph, config, rng, size))
     if config.negative == "unigram":
         if unigram_table is None:
             unigram_table = build_unigram(graph, config.unigram_power)

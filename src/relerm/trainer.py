@@ -8,8 +8,9 @@ the sampler's outcome space on small graphs. They work on outcome keys
 `samplers.outcome_batch`: keys are enumerated with probabilities that
 state the sampler's law independently of its code, simulated in bulk by
 the sampler's own `draw_key`, mapped and scored in batches, and their
-losses and gradients averaged by one weighted mean/variance helper.
-Training draws one `SubgraphBatch` of one draw per step and steps on its
+losses and gradients averaged by one weighted mean/variance helper. The
+per-draw estimate takes its draws in batches from `draw(..., size=n)`.
+Training draws one draw (a batch of one) per step and steps on its
 gradient.
 """
 
@@ -24,8 +25,8 @@ import numpy as np
 from .graph import Graph, LabelTable, CategoryMap
 from .graph import induced_pairs  # noqa: F401 - unused; a span target of benchmarks/spans.py
 from .losses import LossConfig, ParamStore, SparseGradient, combined_loss, gradient
-from .samplers import (WALK_STARTS, SamplerConfig, SubgraphBatch, UnigramTable,
-                       build_unigram, draw, draw_key, outcome_batch)
+from .samplers import (WALK_STARTS, SamplerConfig, UnigramTable, build_unigram, draw,
+                       draw_key, outcome_batch)
 
 
 class TrainerError(Exception):
@@ -214,25 +215,6 @@ def _key_batches(graph: Graph, config: SamplerConfig, keys: np.ndarray, dim: int
                     len(keys), keys.shape[1], dim)
 
 
-def _draw_batches(graph: Graph, config: SamplerConfig, n: int, rng: np.random.Generator,
-                  table: UnigramTable | None, dim: int):
-    """n draws of the sampler in batches (see `_batches`), taking the random
-    numbers of n successive `draw` calls: an (m, V) block of p-sampling
-    masks holds those of m masks, walks and edge indices are drawn one draw
-    at a time, and draws with unigram negatives, whose numbers follow each
-    draw's own, are drawn whole."""
-    def make(lo, hi):
-        if config.negative == "unigram":
-            return SubgraphBatch.stack([draw(graph, config, rng, unigram_table=table)
-                                        for _ in range(lo, hi)])
-        keys = draw_key(graph, config, rng, size=hi - lo) if config.algorithm == "p_sampling" \
-            else np.stack([draw_key(graph, config, rng) for _ in range(lo, hi)])
-        return outcome_batch(graph, config, keys)
-    width = {"p_sampling": graph.vertex_count,
-             "uniform_edge": config.edge_count}.get(config.algorithm, config.walk_length + 1)
-    return _batches(make, n, width, dim)
-
-
 def _exact_risk(graph: Graph, config: SamplerConfig, labels: LabelTable | None,
                 params: ParamStore, loss: LossConfig, cats: CategoryMap | None) -> float:
     keys, probs = _enumerate_keys(graph, config)
@@ -305,7 +287,10 @@ def estimate_risk(graph: Graph, labels: LabelTable | None, params: ParamStore,
         table = unigram_table
         if table is None and sampler.negative == "unigram":
             table = build_unigram(graph, sampler.unigram_power)
-        batches = _draw_batches(graph, sampler, n_samples, rng, table, params.dim)
+        width = {"p_sampling": graph.vertex_count, "uniform_edge": sampler.edge_count}.get(
+            sampler.algorithm, sampler.walk_length + 1)  # the numbers of a key
+        batches = _batches(lambda lo, hi: draw(graph, sampler, rng, table, hi - lo),
+                           n_samples, width, params.dim)
         counts = np.ones(n_samples)
     vals = np.concatenate([combined_loss(b, labels, params, loss, cats) for b in batches])
     mean, var = _weighted_moments(counts, vals, n_samples, ddof=1)

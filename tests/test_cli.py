@@ -304,6 +304,12 @@ def test_cli_rejects_unknown_key(tmp_path, capsys, command, typo):
     ("eval", "train.steps=-1", "steps"),
     ("eval", "eval.schemes=uniform_vertex,bogus", "bogus"),
     ("eval", "eval.prediction=bogus", "bogus"),
+    ("riskcheck", "riskcheck.samples=0", "riskcheck.samples"),
+    ("eval", "eval.fraction=1.5", "eval.fraction"),
+    ("eval", "eval.seeds=0", "eval.seeds"),
+    ("simulate", "simulate.sizes=100,-5", "simulate.sizes"),
+    ("simulate", "simulate.replicates=-1", "simulate.replicates"),
+    ("sample", "sample.count=-3", "sample.count"),
 ])
 def test_cli_bad_value_is_one_violation(tmp_path, capsys, monkeypatch, command, setting,
                                         named):

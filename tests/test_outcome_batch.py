@@ -1,13 +1,13 @@
 """Batched outcome evaluation: `outcome_batch` of many keys against each
-key as a batch of one, the batched estimators and gradients against
-per-draw references, and the random stream of the batched draws against
-successive `draw` calls."""
+key as a batch of one, `draw(..., size=m)` against the invariants of each
+of its draws, and the batched estimators and gradients against per-draw
+references."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import relerm.trainer as T
 from relerm import (LabelTable, LossConfig, ParamStore, SamplerConfig, SubgraphBatch,
@@ -34,18 +34,28 @@ def graphs(draw_, min_edges=0):
 
 
 @st.composite
-def cases(draw_):
-    """A random small graph (isolated vertices included), a sampler config
-    and a block of outcome keys drawn by the sampler's own key step."""
-    algorithm = draw_(st.sampled_from(ALGORITHMS))
-    g = draw_(graphs(min_edges=0 if algorithm == "p_sampling" else 1))
-    cfg = SamplerConfig(algorithm=algorithm, negative=draw_(st.sampled_from(NEGATIVE_MODES)),
+def sampler_cases(draw_, algorithm=None, negative=None):
+    """A random small graph (isolated vertices included), a config of the
+    given sampler (or of a random one), a seed and a number of draws."""
+    algorithm = algorithm or draw_(st.sampled_from(ALGORITHMS))
+    # unigram negatives are drawn from the degrees, walks and edges from the edges
+    g = draw_(graphs(min_edges=0 if algorithm == "p_sampling" and negative != "unigram"
+                     else 1))
+    cfg = SamplerConfig(algorithm=algorithm,
+                        negative=negative or draw_(st.sampled_from(NEGATIVE_MODES)),
                         walk_length=draw_(st.integers(1, 5)), window=draw_(st.integers(1, 4)),
                         retention=draw_(st.sampled_from([0.0, 0.3, 0.7, 1.0])),
                         edge_count=draw_(st.integers(1, 4)),
                         walk_start=draw_(st.sampled_from(WALK_STARTS)))
-    rng = np.random.default_rng(draw_(st.integers(0, 2 ** 32 - 1)))
-    return g, cfg, draw_key(g, cfg, rng, size=draw_(st.integers(1, 6)))
+    return g, cfg, draw_(st.integers(0, 2 ** 32 - 1)), draw_(st.integers(1, 6))
+
+
+@st.composite
+def cases(draw_):
+    """A sampler case and a block of outcome keys drawn by the sampler's
+    own key step."""
+    g, cfg, seed, m = draw_(sampler_cases())
+    return g, cfg, draw_key(g, cfg, np.random.default_rng(seed), size=m)
 
 
 def pair_set(pairs):
@@ -79,9 +89,10 @@ def test_outcome_batch_equals_batches_of_one(case):
         assert got.source == one.source
         assert got.base_vertex_counts.tolist() == one.base_vertex_counts.tolist() \
             == [len(one.vertices)]
-    restacked = SubgraphBatch.stack([batch[i] for i in range(len(batch))])
-    for f in fields(SubgraphBatch):
-        assert np.array_equal(getattr(restacked, f.name), getattr(batch, f.name))
+    # the draws, each moved back to its copy, are the whole batch
+    for name in ("vertices", "positive_pairs", "negative_pairs"):
+        parts = [getattr(batch[i], name) + i * V for i in range(len(batch))]
+        assert np.array_equal(np.concatenate(parts), getattr(batch, name))
 
 
 def test_batch_index_counts_from_the_end_and_checks_its_range():
@@ -123,6 +134,46 @@ def test_induced_pairs_are_edges_and_non_edges(case):
             assert keys[i][s.vertices].all()
 
 
+@pytest.mark.parametrize("negative", NEGATIVE_MODES)
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@settings(max_examples=40)
+@given(data=st.data(), k_neg=st.integers(0, 3))
+def test_batch_draw_keeps_each_draw_apart(algorithm, negative, data, k_neg):
+    # draw(..., size=m) maps the keys of m draws at once and then adds
+    # unigram negatives to every draw: each draw stays on its own copy of
+    # the graph, with its base vertices first and its own loss
+    g, cfg, seed, m = data.draw(sampler_cases(algorithm, negative))
+    cfg = replace(cfg, negatives_per_vertex=k_neg)
+    batch = draw(g, cfg, np.random.default_rng(seed), size=m)
+    keys = draw_key(g, cfg, np.random.default_rng(seed), size=m)
+    base = outcome_batch(g, cfg, keys)
+    V = g.vertex_count
+    assert len(batch) == m and batch.vertex_count == V
+    assert np.array_equal(batch.base_vertex_counts, base.base_vertex_counts)
+    labels, loss = fixture_labels(g), LossConfig(mode="node_classification", q=0.4)
+    params = fixture_params(g, label_dim=2)
+    losses = combined_loss(batch, labels, params, loss)
+    for i in range(m):
+        s, n_base = batch[i], batch.base_vertex_counts[i]
+        for x in (s.vertices, s.positive_pairs, s.negative_pairs):
+            assert ((0 <= x) & (x < V)).all()
+        assert len(np.unique(s.vertices)) == len(s.vertices)
+        assert np.array_equal(s.vertices[:n_base], base[i].vertices)
+        assert np.array_equal(s.positive_pairs, base[i].positive_pairs)
+        if cfg.negative == "unigram":
+            neg = s.negative_pairs
+            assert (neg[:, 0] != neg[:, 1]).all()
+            assert not g.has_edges(neg[:, 0], neg[:, 1]).any()
+            assert set(neg[:, 0].tolist()) <= set(base[i].vertices.tolist())
+            # the appended vertices: the kept candidates the draw lacked
+            assert s.vertices[n_base:].tolist() == sorted(
+                set(neg[:, 1].tolist()) - set(base[i].vertices.tolist()))
+        else:
+            assert np.array_equal(s.negative_pairs, base[i].negative_pairs)
+        one = combined_loss(s, labels, params, loss)[0]
+        assert abs(losses[i] - one) <= 1e-12 * max(1.0, abs(one))
+
+
 # -- estimators against per-draw references -----------------------------------
 
 def fixture_params(graph, dim=3, label_dim=0, seed=11):
@@ -157,11 +208,17 @@ LOOP_CASES = {
 @pytest.mark.parametrize("mode", ["edge_only", "node_classification"])
 @pytest.mark.parametrize("name", list(LOOP_CASES))
 def test_loop_estimate_matches_per_draw_losses(name, mode, chunk, monkeypatch):
-    # the batched per-draw estimate against one `draw` and one
-    # `combined_loss` per draw from the same seed; a small SIM_CHUNK cuts
-    # the draws into many batches
+    # the batched per-draw estimate against one `combined_loss` per draw of
+    # the same `draw(..., size=k)` batches from the same seed; a small
+    # SIM_CHUNK cuts the draws into many batches
     if chunk:
         monkeypatch.setattr(T, "SIM_CHUNK", chunk)
+    sizes = []
+
+    def counted_draw(graph, config, rng, table, size):
+        sizes.append(size)
+        return draw(graph, config, rng, table, size)
+    monkeypatch.setattr(T, "draw", counted_draw)
     cfg = LOOP_CASES[name]
     loss = LossConfig(mode=mode, q=0.4)
     labels = fixture_labels(IRREGULAR) if mode == "node_classification" else None
@@ -171,38 +228,13 @@ def test_loop_estimate_matches_per_draw_losses(name, mode, chunk, monkeypatch):
                         method="loop")
     rng = np.random.default_rng(5)
     table = build_unigram(IRREGULAR, cfg.unigram_power) if cfg.negative == "unigram" else None
-    ref = np.array([combined_loss(draw(IRREGULAR, cfg, rng, unigram_table=table), labels,
-                                  params, loss)[0] for _ in range(n)])
-    assert est.n_samples == n
+    batches = [draw(IRREGULAR, cfg, rng, table, k) for k in sizes]
+    ref = np.array([combined_loss(b[i], labels, params, loss)[0]
+                    for b in batches for i in range(len(b))])
+    assert est.n_samples == n == len(ref) and len(sizes) > (8 if chunk else 2)
     assert abs(est.mean - ref.mean()) <= 1e-12 * abs(ref.mean())
     se = ref.std(ddof=1) / np.sqrt(n)
     assert abs(est.std_error - se) <= 1e-12 * se
-
-
-@pytest.mark.parametrize("chunk", [None, 40], ids=["one_batch", "chunked"])
-@pytest.mark.parametrize("negative", NEGATIVE_MODES)
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_draw_batches_take_the_numbers_of_successive_draws(algorithm, negative, chunk,
-                                                           monkeypatch):
-    # p-sampling masks come in (m, V) blocks, the other keys one draw at a
-    # time: either way the draws and the generator's final state are those
-    # of n successive `draw` calls
-    if chunk:
-        monkeypatch.setattr(T, "SIM_CHUNK", chunk)
-    cfg = SamplerConfig(algorithm=algorithm, negative=negative, retention=0.4, walk_length=4,
-                        window=3, edge_count=3, negatives_per_vertex=2)
-    table = build_unigram(IRREGULAR, cfg.unigram_power)
-    a, b = np.random.default_rng(9), np.random.default_rng(9)
-    got = [batch[i] for batch in T._draw_batches(IRREGULAR, cfg, 50, a, table, 3)
-           for i in range(len(batch))]
-    want = [draw(IRREGULAR, cfg, b, unigram_table=table) for _ in range(50)]
-    assert len(got) == 50
-    for s, t in zip(got, want):
-        for name in ("vertices", "positive_pairs", "negative_pairs"):
-            assert np.array_equal(getattr(s, name), getattr(t, name))
-        assert np.array_equal(s.base_vertex_counts, t.base_vertex_counts)
-        assert s.source == t.source
-    assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_psampling_mask_block_is_successive_masks():
@@ -229,7 +261,9 @@ def test_key_batches_fill_sim_chunk(monkeypatch):
     assert max(numbers) <= 1.5 * 2000
     assert min(numbers[2:-1]) >= 2000 / 1.5
     whole = outcome_batch(IRREGULAR, cfg, keys)
-    assert np.array_equal(SubgraphBatch.stack(batches).negative_pairs, whole.negative_pairs)
+    starts = np.cumsum([0] + sizes[:-1]) * IRREGULAR.vertex_count
+    assert np.array_equal(np.concatenate([b.negative_pairs + k for b, k in zip(batches, starts)]),
+                          whole.negative_pairs)
 
 
 GRADIENT_CASES = {

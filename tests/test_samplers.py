@@ -5,7 +5,8 @@ from scipy.stats import chisquare
 from relerm import (SamplerConfig, build_unigram, draw, negative_unigram, random_walk,
                     skipgram_pairs)
 from relerm import samplers
-from relerm.samplers import ALGORITHMS, NEGATIVE_MODES, WALK_STARTS, NoWalkError, SamplerError
+from relerm.samplers import (ALGORITHMS, NEGATIVE_MODES, WALK_STARTS, NoWalkError, SamplerError,
+                             SubgraphBatch)
 from relerm.graph import from_edges
 from conftest import batch_of_one
 
@@ -330,20 +331,26 @@ def test_negative_unigram_appends_new_vertex(path3):
 
 
 def test_negative_unigram_conditional_distribution(path5):
-    # sample {0} on the 5-path: non-neighbors are {2, 3, 4}; each kept
-    # candidate is distributed as the unigram table conditioned on them
+    # a batch of three draws on the 5-path, {0}, {4} and {0}, whose
+    # non-neighbors are {2, 3, 4}, {0, 1, 2} and {2, 3, 4}: each kept
+    # candidate lies in its own draw's copy and is distributed as the
+    # unigram table conditioned on that draw's non-neighbors
     t = build_unigram(path5, tau=0.75)
-    s = batch_of_one([0], vertex_count=path5.vertex_count)
+    V = path5.vertex_count
+    none = np.zeros((0, 2), dtype=np.int64)
+    s = SubgraphBatch(np.array([0, V + 4, 2 * V]), none, none, np.ones(3, dtype=np.int64), V)
     rng = np.random.default_rng(8)
-    endpoints = []
+    endpoints = [[], [], []]
     for _ in range(20000):
         out = negative_unigram(path5, s, t, 1, rng)
-        if len(out.negative_pairs):
-            endpoints.append(int(out.negative_pairs[0, 1]))
-    freq = np.bincount(endpoints, minlength=5) / len(endpoints)
-    cond = t.probabilities * [0, 0, 1, 1, 1]
-    cond = cond / cond.sum()
-    assert np.abs(freq - cond).max() < 0.02
+        for u, c in out.negative_pairs.tolist():
+            assert u // V == c // V
+            endpoints[u // V].append(c % V)
+    for ends, allowed in zip(endpoints, ([0, 0, 1, 1, 1], [1, 1, 1, 0, 0], [0, 0, 1, 1, 1])):
+        freq = np.bincount(ends, minlength=5) / len(ends)
+        cond = t.probabilities * allowed
+        cond = cond / cond.sum()
+        assert np.abs(freq - cond).max() < 0.02
 
 
 # -- dispatcher ---------------------------------------------------------------

@@ -131,18 +131,21 @@ def write_checkpoint(path, dim, label_dim, emb_ids, cat_ids, emb_rows=None, cat_
             f.write(x.astype(x.dtype.newbyteorder("<")).tobytes())
 
 
-@pytest.mark.parametrize("ids", [[0, 3, 3], [4, 2], [-1, 2], [0, 2 ** 61], [2 ** 31]])
+@pytest.mark.parametrize("ids", [[0, 3, 3], [4, 2], [-1, 2], [0, 2 ** 61], [2 ** 31],
+                                 [0, 2 ** 31 - 1]])
 @pytest.mark.parametrize("section", ["embedding ids", "category ids"])
 def test_checkpoint_rejects_bad_ids(ids, section, tmp_path):
-    # repeated, descending, negative and beyond int32
+    # repeated, descending, negative and beyond int32; and ids in range
+    # whose dense table at dim 2^16 would take 1 PiB, from a 1 MiB section
     path = str(tmp_path / "c.bin")
-    other = [0, 5]
+    dim, other = 2 ** 16, [0, 5]
     emb, cat = (ids, other) if section == "embedding ids" else (other, ids)
-    write_checkpoint(path, 2, 1, emb, cat)
-    with pytest.raises(ValueError, match=rf"checkpoint {section} are not strictly "
-                                         r"ascending in \[0, 2\^31\)"):
+    write_checkpoint(path, dim, 1, emb, cat)
+    problem = (rf"need a dense table of {2 ** 31} rows of dim {dim}, which cannot be allocated"
+               if ids == [0, 2 ** 31 - 1] else r"are not strictly ascending in \[0, 2\^31\)")
+    with pytest.raises(ValueError, match=rf"checkpoint {section} {problem}"):
         load_checkpoint(path)
-    write_checkpoint(path, 2, 1, other, other)  # the same file with good ids loads
+    write_checkpoint(path, dim, 1, other, other)  # the same file with good ids loads
     assert load_checkpoint(path).embeddings.ids().tolist() == other
 
 
