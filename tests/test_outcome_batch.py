@@ -237,6 +237,49 @@ def test_loop_estimate_matches_per_draw_losses(name, mode, chunk, monkeypatch):
     assert abs(est.std_error - se) <= 1e-12 * se
 
 
+@pytest.mark.parametrize("chunk", [None, 40], ids=["one_batch", "chunked"])
+@pytest.mark.parametrize("negative", NEGATIVE_MODES)
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_draw_batches_take_the_numbers_of_successive_draws(algorithm, negative, chunk,
+                                                           monkeypatch):
+    # the per-draw estimate takes its draws from successive
+    # `draw(..., size=k)` calls and no other numbers: the draws and the
+    # generator's final state are those of the same calls on a fresh
+    # generator; p-sampling masks come in (m, V) blocks, so without unigram
+    # negatives they are also those of n successive single draws
+    if chunk:
+        monkeypatch.setattr(T, "SIM_CHUNK", chunk)
+    made = []
+
+    def recorded_draw(graph, config, rng, table, size):
+        made.append(draw(graph, config, rng, table, size))
+        return made[-1]
+    monkeypatch.setattr(T, "draw", recorded_draw)
+    cfg = SamplerConfig(algorithm=algorithm, negative=negative, retention=0.4, walk_length=4,
+                        window=3, edge_count=3, negatives_per_vertex=2)
+    table = build_unigram(IRREGULAR, cfg.unigram_power)
+    a, b, c = (np.random.default_rng(9) for _ in range(3))
+    estimate_risk(IRREGULAR, None, fixture_params(IRREGULAR), cfg,
+                  LossConfig(mode="edge_only"), 50, a, method="loop", unigram_table=table)
+    sizes = [len(batch) for batch in made]
+    assert sum(sizes) == 50 and sizes[0] == 1 and len(sizes) > (4 if chunk else 1)
+    want = [draw(IRREGULAR, cfg, b, table, k) for k in sizes]
+    got = [batch[i] for batch in made for i in range(len(batch))]
+    want = [batch[i] for batch in want for i in range(len(batch))]
+    if algorithm == "p_sampling" and negative != "unigram":
+        singles = [draw(IRREGULAR, cfg, c, table) for _ in range(50)]
+        want += singles
+        got += got
+        assert a.bit_generator.state == c.bit_generator.state
+    assert len(got) == len(want)
+    for s, t in zip(got, want):
+        for name in ("vertices", "positive_pairs", "negative_pairs"):
+            assert np.array_equal(getattr(s, name), getattr(t, name))
+        assert np.array_equal(s.base_vertex_counts, t.base_vertex_counts)
+        assert s.source == t.source
+    assert a.bit_generator.state == b.bit_generator.state
+
+
 def test_psampling_mask_block_is_successive_masks():
     cfg = SamplerConfig(retention=0.3)
     a, b = np.random.default_rng(3), np.random.default_rng(3)
