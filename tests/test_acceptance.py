@@ -328,7 +328,7 @@ def test_risk_convergence_trend():
         stds = {}
         for n in sizes:
             recs = risk_convergence_experiment(
-                spec, kernel, [n], cfg_for(n), LossConfig(), replicates=20,
+                spec, kernel, [n], cfg_for(n), LossConfig(), replicates=100,
                 rng=np.random.default_rng(1234), n_risk_samples=n_risk)
             stds[n] = [r["value"] for r in recs
                        if r["statistic"] == "risk_std_over_reps"][0]
@@ -339,7 +339,7 @@ def test_risk_convergence_trend():
         f"{name}: " + " > ".join(f"{stds[n]:.3f}" for n in (100, 200, 400))
         for name, stds in results.items())
     report("cross-replicate risk dispersion strictly decreases with graph "
-           "size (20 replicates, both samplers)", ok, f"{detail}, {dt:.0f}s")
+           "size (100 replicates, both samplers)", ok, f"{detail}, {dt:.0f}s")
 
 
 # -- criterion 9: trained embeddings stabilize with graph size ----------------
