@@ -73,10 +73,11 @@ LABELS = {"labels.path": "", "labels.dim": 0}
 CHOICES = {"eval.protocol": ("two_stage", "simultaneous"), "eval.schemes": SPLIT_SCHEMES,
            "eval.prediction": PREDICTION_MODES,
            "simulate.experiment": ("mecke", "risk_convergence", "stability")}
-# keys whose value, or each item of whose list, must pass this test: counts
-# and sizes are positive, a fraction lies in [0, 1]
+# keys whose value, or each item of whose list, must pass this test: counts,
+# sizes and the stability size step are positive, a fraction lies in [0, 1]
 BOUNDS = {key: (lambda v: v > 0, "must be > 0") for key in (
-    "sample.count", "eval.seeds", "simulate.replicates", "riskcheck.samples", "simulate.sizes")}
+    "sample.count", "eval.seeds", "simulate.replicates", "riskcheck.samples", "simulate.sizes",
+    "simulate.delta")}
 BOUNDS["eval.fraction"] = (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
 
 

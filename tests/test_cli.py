@@ -309,6 +309,7 @@ def test_cli_rejects_unknown_key(tmp_path, capsys, command, typo):
     ("eval", "eval.seeds=0", "eval.seeds"),
     ("simulate", "simulate.sizes=100,-5", "simulate.sizes"),
     ("simulate", "simulate.replicates=-1", "simulate.replicates"),
+    ("simulate", "simulate.delta=-60", "simulate.delta"),
     ("sample", "sample.count=-3", "sample.count"),
 ])
 def test_cli_bad_value_is_one_violation(tmp_path, capsys, monkeypatch, command, setting,
