@@ -3,9 +3,11 @@ experiments.
 
 A graph of size n is generated from a Poisson process of candidate
 vertices with latent features; pairs connect independently with
-probability W(x_i, x_j), and isolated candidates are dropped. Nested
-sizes can be coupled through one latent draw, which is what makes the
-embedding-stability experiment well defined.
+probability W(x_i, x_j), and isolated candidates are dropped. W is a
+product graphon f(x) f(y), which lets the edges be drawn exactly in time
+linear in the candidates and edges rather than in the candidate pairs
+(`_product_edges`). Nested sizes can be coupled through one latent draw,
+which is what makes the embedding-stability experiment well defined.
 """
 
 from __future__ import annotations
@@ -28,28 +30,29 @@ class GraphexError(Exception):
 
 @dataclass(frozen=True)
 class GraphonSpec:
-    """Symmetric integrable connection-probability function W on R+^2,
-    truncated at x_max; edge_rate = (1/2) * integral of W."""
+    """Product graphon W(x, y) = factor(x) * factor(y) on R+^2, with the
+    factor in [0, 1], truncated at x_max; edge_rate = (1/2) * integral
+    of W."""
 
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    factor: Callable[[np.ndarray], np.ndarray]
     x_max: float
     edge_rate: float
     name: str = "graphon"
 
     @staticmethod
     def exp_decay(tail: float = 1e-8) -> "GraphonSpec":
-        """W(x, y) = exp(-x - y): closed-form marginal exp(-x) and
-        edge_rate 1/2. Truncated where exp(-x_max) = tail."""
-        return GraphonSpec(fn=lambda x, y: np.exp(-x - y),
+        """W(x, y) = exp(-x - y), factor exp(-x): closed-form marginal
+        exp(-x) and edge_rate 1/2. Truncated where exp(-x_max) = tail."""
+        return GraphonSpec(factor=lambda x: np.exp(-x),
                            x_max=float(-np.log(tail)),
                            edge_rate=0.5, name="exp_decay")
 
     @staticmethod
     def constant(c: float) -> "GraphonSpec":
-        """Dense sanity-check graphon: W = c on [0, 1]^2."""
+        """Dense sanity-check graphon: W = c on [0, 1]^2, factor sqrt(c)."""
         if not 0.0 <= c <= 1.0:
             raise GraphexError("constant graphon level must be in [0, 1]")
-        return GraphonSpec(fn=lambda x, y: np.full(np.broadcast(x, y).shape, c),
+        return GraphonSpec(factor=lambda x: np.full(np.shape(x), np.sqrt(c)),
                            x_max=1.0, edge_rate=c / 2.0, name=f"constant({c})")
 
 
@@ -76,6 +79,10 @@ class MarkingKernel:
 
 
 MAX_EXPECTED_CANDIDATES = 2 * 10 ** 6
+# caps edge_rate * n^2, the expected edge count of one draw: at this cap
+# (exp_decay, n = 4,472) a draw peaked at 1.4 GiB RSS, about 145 bytes
+# per edge, and took 5 s on a 2-vCPU VM
+MAX_EXPECTED_EDGES = 10 ** 7
 
 
 @dataclass
@@ -85,41 +92,75 @@ class _CandidateDraw:
     edges: np.ndarray  # (m, 2) candidate-index pairs
 
 
+def _product_edges(f: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Candidate pairs joined independently, pair {i, j} with probability
+    f[i] * f[j] (each f in [0, 1]), as (k, 2) rows of candidate indices.
+
+    Exact thinning (Miller & Hagberg 2011): sorted by f, largest first, the
+    candidates are cut into levels, each holding the values within a factor
+    2 of its first. For a pair of levels, every slot (a position in one
+    level, a position in the other) is proposed with the bound p = product
+    of the levels' first values: a Binomial(slots, p) count of distinct
+    slots drawn uniformly, which makes the slots i.i.d. Bernoulli(p). A
+    proposed slot is kept with probability f_i f_j / p, which exceeds 1/4,
+    so the work follows the edge count, not the m^2 candidate pairs.
+    Within one level the slots are ordered pairs and only i < j is used, so
+    each unordered pair has exactly one slot.
+    """
+    order = np.argsort(-f, kind="stable")[:np.count_nonzero(f > 0)]
+    fs = f[order]
+    starts = [0]
+    while starts[-1] < len(fs):
+        # first position whose value is at most half the level's first
+        starts.append(int(np.searchsorted(-fs, -fs[starts[-1]] / 2)))
+    levels = list(zip(starts[:-1], starts[1:]))
+    src, dst = [], []
+    for a, (a0, a1) in enumerate(levels):
+        for b0, b1 in levels[a:]:
+            width, p = b1 - b0, fs[a0] * fs[b0]
+            slots = (a1 - a0) * width
+            k = rng.binomial(slots, p)
+            if not k:
+                continue
+            picked = rng.choice(slots, k, replace=False, shuffle=False)
+            i, j = a0 + picked // width, b0 + picked % width
+            if a0 == b0:
+                upper = i < j
+                i, j = i[upper], j[upper]
+            keep = rng.random(len(i)) < fs[i] * fs[j] / p
+            src.append(i[keep])
+            dst.append(j[keep])
+    if not src:
+        return np.zeros((0, 2), dtype=np.int64)
+    return order[np.stack([np.concatenate(src), np.concatenate(dst)], axis=1)]
+
+
 def _draw_candidates(spec: GraphonSpec, n: float, rng: np.random.Generator) -> _CandidateDraw:
     expected = n * spec.x_max
     if expected > MAX_EXPECTED_CANDIDATES:
         raise GraphexError(
             f"expected candidate count {expected:.0f} exceeds memory budget")
+    if spec.edge_rate * n ** 2 > MAX_EXPECTED_EDGES:
+        raise GraphexError(
+            f"expected edge count {spec.edge_rate * n ** 2:.0f} exceeds memory budget "
+            f"{MAX_EXPECTED_EDGES}")
     m = rng.poisson(expected)
     labels = rng.uniform(0.0, n, m)
     latents = rng.uniform(0.0, spec.x_max, m)
-    src, dst = [], []
-    block = max(1, int(4 * 10 ** 6 / max(m, 1)))
-    for i0 in range(0, m, block):
-        i1 = min(i0 + block, m)
-        probs = spec.fn(latents[i0:i1, None], latents[None, :])
-        coins = rng.random((i1 - i0, m)) < probs
-        # keep i < j only
-        rows, cols = np.nonzero(coins)
-        rows = rows + i0
-        keep = rows < cols
-        src.append(rows[keep])
-        dst.append(cols[keep])
-    edges = (np.stack([np.concatenate(src), np.concatenate(dst)], axis=1)
-             if src else np.zeros((0, 2), dtype=np.int64))
-    return _CandidateDraw(labels, latents, edges)
+    f = np.asarray(spec.factor(latents), dtype=np.float64)
+    if not ((f >= 0) & (f <= 1)).all():
+        raise GraphexError(f"graphon {spec.name}: factor outside [0, 1]")
+    return _CandidateDraw(labels, latents, _product_edges(f, rng))
 
 
 def _restrict(draw: _CandidateDraw, n: float) -> LatentGraph:
     """Graph induced by candidates with label <= n, isolated ones dropped."""
     inside = draw.labels <= n
-    if len(draw.edges):
-        sel = inside[draw.edges[:, 0]] & inside[draw.edges[:, 1]]
-        edges = draw.edges[sel]
-    else:
-        edges = draw.edges
-    survivors = np.unique(edges) if len(edges) else np.zeros(0, dtype=np.int64)
-    graph = from_edges(len(survivors), np.searchsorted(survivors, edges))
+    edges = draw.edges[inside[draw.edges[:, 0]] & inside[draw.edges[:, 1]]]
+    kept = np.zeros(len(draw.labels), dtype=bool)
+    kept[edges] = True
+    survivors = np.flatnonzero(kept)
+    graph = from_edges(len(survivors), (np.cumsum(kept) - 1)[edges])
     return LatentGraph(graph=graph,
                        latents=draw.latents[survivors],
                        labels=draw.labels[survivors],

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from relerm import (GraphonSpec, LossConfig, MarkingKernel, SamplerConfig,
                     TrainConfig, mark_embeddings, sample_graphex,
                     sample_graphex_coupled)
-from relerm.graphex import (GraphexError, global_param_experiment,
-                            risk_convergence_experiment, stability_experiment)
+from relerm.graphex import (MAX_EXPECTED_EDGES, GraphexError, _product_edges,
+                            global_param_experiment, risk_convergence_experiment,
+                            stability_experiment)
 
 
 def exp_spec():
@@ -22,13 +24,14 @@ def test_zero_graphon_gives_empty_graphs():
 
 
 def test_constant_graphon_moments():
-    # dense regime on [0,1]^2: candidate count ~ Poisson(n), each pair an
-    # independent c-coin; E[edges] = c * E[m(m-1)/2] = c (n^2 + n) / 2
+    # dense regime on [0,1]^2: candidate count m ~ Poisson(n), each pair an
+    # independent c-coin; E[m(m-1)] = n^2 for a Poisson count, so
+    # E[edges] = c * E[m(m-1)/2] = c n^2 / 2
     c, n, reps = 0.2, 30, 200
     spec = GraphonSpec.constant(c)
     rng = np.random.default_rng(1)
     counts = [sample_graphex(spec, n, rng).graph.edge_count for _ in range(reps)]
-    expected = c * (n ** 2 + n) / 2
+    expected = c * n ** 2 / 2
     se = np.std(counts, ddof=1) / np.sqrt(reps)
     assert abs(np.mean(counts) - expected) < 4 * se
 
@@ -46,6 +49,80 @@ def test_candidate_budget_guard():
         sample_graphex(exp_spec(), 10 ** 9, np.random.default_rng(0))
     with pytest.raises(GraphexError):
         sample_graphex(exp_spec(), -1, np.random.default_rng(0))
+    # within the candidate budget (about 1.8e5 expected candidates) but
+    # past the edge budget (n^2 / 2 = 5e7 expected edges): refused before
+    # the generator is touched
+    n = 10 ** 4
+    assert n * exp_spec().x_max < 2 * 10 ** 6 < MAX_EXPECTED_EDGES < n ** 2 / 2
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(GraphexError, match="edge count"):
+        sample_graphex(exp_spec(), n, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_factor_outside_unit_interval_rejected():
+    spec = GraphonSpec(factor=lambda x: 2.0 * np.exp(-x), x_max=5.0, edge_rate=2.0)
+    with pytest.raises(GraphexError, match="factor"):
+        sample_graphex(spec, 10, np.random.default_rng(0))
+
+
+def _pearson(observed, expected, variance):
+    """Chi-square statistic of counts against their exact means and
+    variances, and its upper-tail probability."""
+    stat = float((((observed - expected) ** 2) / variance).sum())
+    return stat, chi2.sf(stat, len(observed))
+
+
+def test_product_edges_pair_frequencies():
+    # every pair {i, j} an independent f_i f_j coin; 40 values spanning 9
+    # levels (a level holds the values within a factor 2 of its first), in
+    # shuffled order so positions and ranks differ
+    rng = np.random.default_rng(21)
+    f = rng.permutation(2.0 ** -np.linspace(0.0, 8.5, 40))
+    reps = 5000
+    counts = np.zeros((40, 40))
+    for _ in range(reps):
+        e = _product_edges(f, rng)
+        assert (e[:, 0] != e[:, 1]).all()
+        lo, hi = e.min(axis=1), e.max(axis=1)
+        assert len(np.unique(lo * 40 + hi)) == len(e)
+        counts += np.bincount(lo * 40 + hi, minlength=1600).reshape(40, 40)
+    iu, ju = np.triu_indices(40, k=1)
+    q = f[iu] * f[ju]
+    assert (np.tril(counts) == 0).all()
+    z = (counts[iu, ju] - reps * q) / np.sqrt(reps * q * (1 - q))
+    stat, p = _pearson(counts[iu, ju], reps * q, reps * q * (1 - q))
+    assert p > 1e-3, (stat / len(q), np.abs(z).max())
+
+
+def test_product_edges_binned_counts():
+    # exp_decay latents at n = 2000 / x_max, edges counted per pair of 12
+    # latent bins against the closed form; sparse cells are pooled
+    spec = exp_spec()
+    rng = np.random.default_rng(22)
+    x = rng.uniform(0.0, spec.x_max, 2000)
+    f = spec.factor(x)
+    bins = np.minimum((x / spec.x_max * 12).astype(int), 11)
+    reps = 400
+    counts = np.zeros((12, 12))
+    for _ in range(reps):
+        e = _product_edges(f, rng)
+        a, b = np.sort(bins[e], axis=1).T
+        counts += np.bincount(a * 12 + b, minlength=144).reshape(12, 12)
+    # sums over the pairs of each cell of q = f_i f_j and q (1 - q)
+    F, G, H = (np.bincount(bins, weights=f ** k, minlength=12) for k in (1, 2, 4))
+    mean, var = np.outer(F, F), np.outer(F, F) - np.outer(G, G)
+    np.fill_diagonal(mean, (F ** 2 - G) / 2)
+    np.fill_diagonal(var, (F ** 2 - G - G ** 2 + H) / 2)
+    iu, ju = np.triu_indices(12)
+    obs, mean, var = counts[iu, ju], reps * mean[iu, ju], reps * var[iu, ju]
+    dense = mean >= 5
+    assert dense.sum() >= 20
+    stat, p = _pearson(np.append(obs[dense], obs[~dense].sum()),
+                       np.append(mean[dense], mean[~dense].sum()),
+                       np.append(var[dense], var[~dense].sum()))
+    assert p > 1e-3, stat / (dense.sum() + 1)
 
 
 def test_no_isolated_vertices():
