@@ -80,7 +80,7 @@ class MarkingKernel:
 
 MAX_EXPECTED_CANDIDATES = 2 * 10 ** 6
 # caps edge_rate * n^2, the expected edge count of one draw: at this cap
-# (exp_decay, n = 4,472) a draw peaked at 1.4 GiB RSS, about 145 bytes
+# (exp_decay, n = 4,472) a draw peaked at 1.4 GiB RSS, about 140 bytes
 # per edge, and took 5 s on a 2-vCPU VM
 MAX_EXPECTED_EDGES = 10 ** 7
 
