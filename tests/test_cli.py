@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -9,8 +10,10 @@ from relerm.checkpoint import (export_embeddings, load_checkpoint,
                                save_checkpoint)
 from relerm import cli
 from relerm.cli import main, parse_config, ConfigError
+from relerm.graph import from_edges
 from relerm.losses import ParamStore, RowTable
-from relerm.trainer import TrainConfig
+from relerm.samplers import SamplerConfig
+from relerm.trainer import TrainConfig, train
 
 
 # -- checkpoints --------------------------------------------------------------
@@ -183,6 +186,63 @@ def test_cli_train_deterministic(tmp_path, capsys):
         a = (outs[0] / fname).read_bytes()
         b = (outs[1] / fname).read_bytes()
         assert a == b, f"{fname} differs between identical runs"
+
+
+# sha256 of outputs recorded when every initial row came from its own
+# np.random.default_rng((seed, kind, key)); a faster initialiser must leave
+# every byte as it was
+GOLDEN_OUTPUTS = {
+    "rw_skipgram/checkpoint.bin":
+        "3e9e4080803e245dbe26e2de8231270722236292d7314337254b77142fcd2d6e",
+    "rw_skipgram/embeddings.tsv":
+        "7f1d2813cf14cc0fb3477de7751638fb16e420cc0f7777a23167f507d386fa48",
+    "p_sampling/checkpoint.bin":
+        "76a34423216ce54248f5cf00feebd2c0bd87750717fd31515961063094bd6da9",
+    "p_sampling/embeddings.tsv":
+        "e757a8ad6d45b68361d89473dc78891c9c1d0119cc96b85ef5edcb679a6e74f6",
+    "category_rows":
+        "c069e61a5330e9ec334209e2aeaa4af4660db8ed7f2dc61284597749d6d2e6f3",
+}
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_cli_train_outputs_are_golden(tmp_path, capsys):
+    # rw_skipgram with unigram negatives at d=16 on a ring of 30 with chords
+    edges = tmp_path / "chords.txt"
+    edges.write_text("".join(f"{i} {(i + 1) % 30}\n{i} {(7 * i + 3) % 30}\n" for i in range(30)))
+    out = tmp_path / "out"
+    rc = main(["train", "--set", "seed=11", "--set", f"graph.edges={edges}",
+               "--set", f"output.dir={out}", "--set", "train.steps=40",
+               "--set", "train.embedding_dim=16", "--set", "sampler.algorithm=rw_skipgram",
+               "--set", "sampler.negative=unigram", "--set", "sampler.walk_length=6"])
+    assert rc == 0
+    for name in ("checkpoint.bin", "embeddings.tsv"):
+        assert sha256_of(out / name) == GOLDEN_OUTPUTS[f"rw_skipgram/{name}"], name
+
+
+def test_train_with_init_ids_outputs_are_golden(tmp_path):
+    # p_sampling at d=8 from a store keyed by init_ids, some of them past
+    # 2^32, with a seed of two 32-bit words
+    seed = 2 ** 40 + 11
+    g = from_edges(20, np.array([[i, (i + 1) % 20] for i in range(20)]
+                                + [[i, (3 * i + 5) % 20] for i in range(0, 20, 2)]))
+    init_ids = np.array([(2 ** 32 + 7 * i if i % 3 == 0 else 1000 - 13 * i) for i in range(20)])
+    config = TrainConfig(sampler=SamplerConfig(algorithm="p_sampling", retention=0.4),
+                         steps=30, embedding_dim=8, seed=seed)
+    params, _ = train(g, None, None, config, ParamStore(8, 0, seed=seed, init_ids=init_ids))
+    save_checkpoint(params, str(tmp_path / "checkpoint.bin"))
+    export_embeddings(params.embeddings, str(tmp_path / "embeddings.tsv"))
+    for name in ("checkpoint.bin", "embeddings.tsv"):
+        assert sha256_of(tmp_path / name) == GOLDEN_OUTPUTS[f"p_sampling/{name}"], name
+
+
+def test_category_rows_are_golden():
+    # a seed of three 32-bit words: the hashed entropy runs past its pool of 4
+    rows = ParamStore(5, 0, seed=2 ** 70 + 3).category_embeddings.rows([9, 0, 4])
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == GOLDEN_OUTPUTS["category_rows"]
 
 
 def test_cli_train_steps_zero_checkpoint_is_initialization(tmp_path, capsys):
