@@ -22,8 +22,7 @@ def save_checkpoint(params: ParamStore, path: str) -> None:
     emb_ids, cat_ids = emb.ids(), cat.ids()
     with open(path, "wb") as f:
         f.write(_MAGIC)
-        f.write(struct.pack("<IQQQQQ", _VERSION, params.dim, params.label_dim,
-                            params.seed if params.seed >= 0 else 0,
+        f.write(struct.pack("<IQQQQQ", _VERSION, params.dim, params.label_dim, params.seed,
                             len(emb_ids), len(cat_ids)))
         f.write(emb_ids.astype("<i8").tobytes())
         f.write(emb.data[emb_ids].astype("<f8").tobytes())

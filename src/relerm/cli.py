@@ -176,7 +176,9 @@ def prologue(name: str, cfg: dict[str, str]) -> Run:
     if spec.config:
         run.config = _section(*spec.config, lambda key, default: _value(cfg, key, default, errors),
                               seed)
-        errors.extend(run.config.validate())  # a TrainConfig's covers sampler and loss
+        errors.extend(run.config.validate())  # a TrainConfig's covers sampler, loss and seed
+    if seed < 0 and not isinstance(run.config, TrainConfig):
+        errors.append(f"seed {seed} must be >= 0")
     def items(key):
         values = opts.get(key, ())
         return values if isinstance(values, tuple) else (values,)
@@ -192,6 +194,9 @@ def prologue(name: str, cfg: dict[str, str]) -> Run:
             and "labels.path" in opts and not opts["labels.path"] \
             and ("labels.path",) not in spec.required:
         errors.append("node_classification loss requires labels.path")
+    if isinstance(run.config, TrainConfig) and run.config.loss.mode == "category_embedding":
+        errors.append("category_embedding loss requires categories, which the CLI cannot "
+                      "load yet")
     if opts.get("labels.path") and "labels.dim" not in cfg:
         errors.append("missing required key 'labels.dim'")
     errors.extend(f"{key} path {opts[key]!r} does not exist"

@@ -13,7 +13,10 @@ Output probabilities are clipped to [eps, 1-eps], which bounds the loss.
 Parameters live in dense row tables (`RowTable`), read and written as
 arrays: `rows(ids)` gathers rows, drawing missing ones from the table's
 initialiser, `put(ids, rows)` sets them, `ids()` lists the present ones and
-`data` is the (capacity, dim) array itself. A gradient carries its rows the
+`data` is the (capacity, dim) array itself. An initial row is bit for bit
+what np.random.default_rng((seed, kind, key)) draws; the seeding hash runs
+in bulk, once per table over its id range, and the table caches 32 B of
+seed words per row (`UniformRows`). A gradient carries its rows the
 same way, as `SparseRows` (ascending ids and one row array).
 The loss and the gradient take a `SubgraphBatch` and give one value per
 draw; one draw is a batch of one. A gradient keeps the batch's id space:
@@ -24,11 +27,13 @@ through one scatter kernel.
 
 from __future__ import annotations
 
-import functools
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import PCG64
+from numpy.random.bit_generator import ISeedSequence
 from scipy.sparse import csr_array
 
 from .graph import CategoryMap, LabelTable
@@ -60,19 +65,134 @@ class LossConfig:
 
 # -- parameter storage --------------------------------------------------------
 
-def _uniform_rows(seed: int, kind: int, dim: int, keys: np.ndarray | None,
-                  ids: np.ndarray) -> np.ndarray:
-    """Initial rows for `ids`, each U(-0.5/dim, 0.5/dim) from a generator
-    keyed by (seed, kind, key) with key = keys[id] (id itself when keys is
-    None), so a row's initial value does not depend on visit order."""
-    if keys is not None:
-        ids = keys[ids]
-    u = np.empty((len(ids), dim))
-    for i, key in enumerate(ids.tolist()):
-        u[i] = np.random.default_rng((seed, kind, key)).random(dim)
-    lo, hi = -0.5 / dim, 0.5 / dim
-    # bit for bit what Generator.uniform(lo, hi, dim) draws
-    return lo + (hi - lo) * u
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) with its pool
+# of 4 words: the multipliers of the k-th hash step are INIT * MULT^k mod
+# 2^32 whatever the data, so they are tabled once
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _powers(init: int, mult: int, n: int) -> np.ndarray:
+    out = [init]
+    for _ in range(n - 1):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)
+
+
+_STATE_B = _powers(_INIT_B, _MULT_B, 9)
+
+
+def _seed_words(n: int) -> list[int]:
+    """A non-negative int as SeedSequence reads it: its 32-bit words, least
+    significant first, and [0] for 0."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"seed {n} is negative; seeds are integers >= 0")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_seeds(entropy: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    """SeedSequence(words).generate_state(4, np.uint64) for the entropy
+    words of each row of `entropy`, an (n, L) uint32 array, in uint32
+    arithmetic over all rows at once. `mults` tables the hash multipliers,
+    _powers(_INIT_A, _MULT_A, 4 * max(L, 4) + 1) or more."""
+    k = 0
+
+    def hashmix(x: np.ndarray) -> np.ndarray:
+        # the next x.shape[1] hash steps, one per column
+        nonlocal k
+        m = x.shape[1]
+        x = (x ^ mults[k:k + m]) * mults[k + 1:k + m + 1]
+        k += m
+        return x ^ (x >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        r = _MIX_L * x - _MIX_R * y
+        return r ^ (r >> 16)
+
+    n, width = entropy.shape
+    pool = np.zeros((n, 4), dtype=np.uint32)
+    pool[:, :min(width, 4)] = entropy[:, :4]
+    pool = hashmix(pool)
+    # every pool word into each other word; a source word is not written
+    # while it feeds the other three
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        pool[:, dst] = mix(pool[:, dst], hashmix(np.repeat(pool[:, src:src + 1], 3, axis=1)))
+    # entropy past the pool: each word into every pool word
+    for src in range(4, width):
+        pool = mix(pool, hashmix(np.repeat(entropy[:, src:src + 1], 4, axis=1)))
+    state = (pool[:, [0, 1, 2, 3, 0, 1, 2, 3]] ^ _STATE_B[:8]) * _STATE_B[1:]
+    state ^= state >> 16
+    return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+class _CachedSeed(ISeedSequence):
+    """Four seed words, handed to PCG64 as SeedSequence would hash them."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+class UniformRows:
+    """A table's initialiser: row `id` is U(-0.5/dim, 0.5/dim) drawn bit for
+    bit as np.random.default_rng((seed, kind, key)).uniform(lo, hi, dim)
+    draws it, with key = keys[id] (id itself when keys is None), so a row's
+    initial value does not depend on visit order or batch size.
+
+    The SeedSequence hash of (seed, kind, key) runs in bulk over the id
+    range and its 4 seed words (32 B) per row are cached; the range grows
+    geometrically past the largest id asked for. A call gathers the cached
+    words and runs one PCG64 per row. The cache holds a pure function of the
+    id, so tables may share one initialiser.
+    """
+
+    def __init__(self, seed: int, kind: int, dim: int, keys: np.ndarray | None = None):
+        self.dim = dim
+        self.keys = keys
+        self.prefix = _seed_words(seed) + [kind]
+        # at most two words per key, since keys are int64
+        self.mults = _powers(_INIT_A, _MULT_A, 4 * max(len(self.prefix) + 2, 4) + 1)
+        self.seeds = np.zeros((0, 4), dtype=np.uint64)
+
+    def _grow(self, size: int) -> None:
+        """Hash the seeds of the ids below `size`, or below twice the cached
+        range when that is more (never past the last key)."""
+        have = len(self.seeds)
+        size = max(size, 2 * have)
+        keys = np.arange(have, size) if self.keys is None else self.keys[have:size]
+        words = np.column_stack([np.tile(self.prefix, (len(keys), 1)), keys & _MASK32,
+                                 keys >> 32]).astype(np.uint32)
+        wide = keys > _MASK32  # a key of two words
+        seeds = np.empty((len(keys), 4), dtype=np.uint64)
+        seeds[~wide] = _hash_seeds(words[~wide, :-1], self.mults)
+        seeds[wide] = _hash_seeds(words[wide], self.mults)
+        self.seeds = np.concatenate([self.seeds, seeds])
+
+    def __call__(self, ids: np.ndarray) -> np.ndarray:
+        if ids.max() >= len(self.seeds):
+            self._grow(int(ids.max()) + 1)
+        raw = np.array([PCG64(_CachedSeed(words)).random_raw(self.dim)
+                        for words in self.seeds[ids]])
+        # PCG64's words to doubles in [0, 1) as Generator.random makes them,
+        # then to [lo, hi) as Generator.uniform does, operation for operation
+        lo, hi = -0.5 / self.dim, 0.5 / self.dim
+        rows = (raw >> 11).astype(np.float64)
+        rows *= 2.0 ** -53
+        rows *= hi - lo
+        rows += lo
+        return rows
 
 
 class RowTable:
@@ -164,11 +284,13 @@ class ParamStore:
     """Per-vertex embeddings (lazily initialized), global logistic weights,
     and optional per-category embeddings, the embeddings in `RowTable`s.
 
-    A missing row is drawn from a generator keyed by (seed, kind, id), kind
-    0 for vertices and 1 for categories, so an entry's initial value does
-    not depend on visit order. `init_ids` optionally maps vertex index ->
-    stable id, so coupled graphs of different sizes share initializations
-    for shared vertices.
+    A missing row is drawn bit for bit as np.random.default_rng((seed,
+    kind, key)) draws it (`UniformRows`), kind 0 for vertices and 1 for
+    categories, so an entry's initial value does not depend on visit order
+    or batch size. The seeds are hashed in bulk and cached per table, 32 B
+    per row. `init_ids` optionally maps vertex index -> stable id, the key,
+    so coupled graphs of different sizes share initializations for shared
+    vertices. The seed and the init_ids must be >= 0.
     """
 
     def __init__(self, dim: int, label_dim: int = 0, seed: int = 0,
@@ -178,11 +300,13 @@ class ParamStore:
         self.seed = seed
         self.init_ids = init_ids
         keys = None if init_ids is None else np.asarray(init_ids, dtype=np.int64)
-        # the initialisers are module-level partials: a table that held a
-        # method of its store would make a reference cycle, and dead stores
+        if keys is not None and len(keys) and keys.min() < 0:
+            raise ValueError(f"init_ids must be >= 0, got {int(keys.min())}")
+        # the initialisers hold no reference to the store: a table that held
+        # a method of its store would make a reference cycle, and dead stores
         # would wait for the cyclic garbage collector
-        self.embeddings = RowTable(dim, functools.partial(_uniform_rows, seed, 0, dim, keys))
-        self.category_embeddings = RowTable(dim, functools.partial(_uniform_rows, seed, 1, dim, None))
+        self.embeddings = RowTable(dim, UniformRows(seed, 0, dim, keys))
+        self.category_embeddings = RowTable(dim, UniformRows(seed, 1, dim))
         self.weights = np.zeros((dim, label_dim))
         self.bias = np.zeros(label_dim)
 

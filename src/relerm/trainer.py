@@ -64,6 +64,8 @@ class TrainConfig:
             errs.append("steps must be >= 0")
         if self.embedding_dim < 1:
             errs.append("embedding_dim must be >= 1")
+        if self.seed < 0:
+            errs.append(f"seed {self.seed} must be >= 0")
         return errs
 
 

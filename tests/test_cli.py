@@ -371,6 +371,12 @@ def test_cli_rejects_unknown_key(tmp_path, capsys, command, typo):
     ("simulate", "simulate.replicates=-1", "simulate.replicates"),
     ("simulate", "simulate.delta=-60", "simulate.delta"),
     ("sample", "sample.count=-3", "sample.count"),
+    ("riskcheck", "seed=-1", "seed"),
+    ("sample", "seed=-1", "seed"),
+    ("train", "seed=-1", "seed"),
+    ("train", "loss.mode=category_embedding", "category_embedding"),
+    ("eval", "loss.mode=category_embedding", "category_embedding"),
+    ("simulate", "loss.mode=category_embedding", "category_embedding"),
 ])
 def test_cli_bad_value_is_one_violation(tmp_path, capsys, monkeypatch, command, setting,
                                         named):

@@ -9,6 +9,7 @@ import pytest
 from relerm import (CategoryMap, LabelTable, LossConfig, ParamStore, SparseGradient,
                     combined_loss, gradient, sgd_step)
 from relerm.losses import RowTable, SparseRows
+from relerm.trainer import TrainConfig
 from conftest import batch_of_one
 from test_losses import edge_loss
 
@@ -88,6 +89,15 @@ def test_store_is_freed_without_cyclic_gc():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_negative_seed_and_init_ids_are_rejected():
+    with pytest.raises(ValueError, match="seed -1"):
+        ParamStore(4, 0, seed=-1)
+    with pytest.raises(ValueError, match="init_ids"):
+        ParamStore(4, 0, seed=0, init_ids=np.array([3, -2]))
+    assert any("seed -1" in e for e in TrainConfig(seed=-1).validate())
+    assert TrainConfig(seed=2 ** 70).validate() == []
 
 
 def test_sgd_step_moves_rows_by_exactly_lr_g():

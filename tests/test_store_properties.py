@@ -38,28 +38,49 @@ def test_row_table_agrees_with_dict_model(dim, batches, data):
         table.rows([max(model, default=-1) + 1])
 
 
-@given(dim=st.integers(1, 5), seed=st.integers(0, 2 ** 32), keyed=st.booleans(),
-       batches=id_batches(40), queries=st.lists(st.integers(0, 39), max_size=12))
-def test_param_store_rows_agree_with_dict_model(dim, seed, keyed, batches, queries):
-    # ids of a store with init_ids are vertex indices into it
-    init_ids = np.arange(1000, 1040)[::-1] * 3 if keyed else None
-    ps, model = ParamStore(dim, 0, seed=seed, init_ids=init_ids), {}
+# a store's ids reach 5 * 2^7 - 1 in the last of 8 steps; with init_ids they
+# index keys in descending order, every fourth past 2^32 (two 32-bit words)
+MAX_STEPS = 8
+KEYS = np.arange(5 * 2 ** MAX_STEPS)[::-1] * 3 + (np.arange(5 * 2 ** MAX_STEPS) % 4 == 0) * 2 ** 33
+
+
+@given(dim=st.integers(1, 5), seed=st.integers(0, 2 ** 96), kind=st.sampled_from([0, 1]),
+       keyed=st.booleans(), data=st.data())
+def test_param_store_rows_agree_with_dict_model(dim, seed, kind, keyed, data):
+    # every initial row is what its own default_rng((seed, kind, key)) draws,
+    # whatever the order, batch sizes and copies of the stores that ask for
+    # it; step i's ids lie below 5 * 2^i, so the cached seeds grow past their
+    # range; category rows (kind 1) are never keyed
+    init_ids = KEYS if keyed and kind == 0 else None
+
+    def table(ps):
+        return ps.embeddings if kind == 0 else ps.category_embeddings
 
     def initial(v):
         key = v if init_ids is None else int(init_ids[v])
-        return np.random.default_rng((seed, 0, key)).uniform(-0.5 / dim, 0.5 / dim, dim)
+        return np.random.default_rng((seed, kind, key)).uniform(-0.5 / dim, 0.5 / dim, dim)
 
-    for step, ids in enumerate(batches):
-        rows = np.full((len(ids), dim), float(step)) + np.arange(len(ids))[:, None]
-        ps.embeddings.put(np.array(ids, dtype=np.int64), rows)
-        model.update(zip(ids, rows))
-    got = ps.embeddings.rows(queries)  # missing rows come from the initialiser
-    for v in queries:
-        model.setdefault(v, initial(v))
-    assert np.array_equal(got, np.array([model[v] for v in queries]).reshape(-1, dim))
-    assert ps.embeddings.ids().tolist() == sorted(model)
-    for v in model:
-        assert np.array_equal(ps.embedding(v), model[v])
+    stores = [(ParamStore(dim, 0, seed=seed, init_ids=init_ids), {})]
+    for step in range(data.draw(st.integers(1, MAX_STEPS))):
+        action = data.draw(st.sampled_from(["put", "rows", "copy"]))
+        ps, model = stores[data.draw(st.integers(0, len(stores) - 1))]
+        ids = data.draw(st.lists(st.integers(0, 5 * 2 ** step - 1), max_size=6,
+                                 unique=action == "put"))
+        if action == "put":
+            rows = np.full((len(ids), dim), float(step)) + np.arange(len(ids))[:, None]
+            table(ps).put(np.array(ids, dtype=np.int64), rows)
+            model.update(zip(ids, rows))
+        elif action == "rows":
+            got = table(ps).rows(ids)  # missing rows come from the initialiser
+            for v in ids:
+                model.setdefault(v, initial(v))
+            assert np.array_equal(got, np.array([model[v] for v in ids]).reshape(-1, dim))
+        else:
+            stores.append((ps.copy(), dict(model)))
+    for ps, model in stores:
+        assert table(ps).ids().tolist() == sorted(model)
+        for v in model:
+            assert np.array_equal(table(ps).row(v), model[v])
 
 
 @st.composite
