@@ -183,12 +183,16 @@ class UniformRows:
     def __call__(self, ids: np.ndarray) -> np.ndarray:
         if ids.max() >= len(self.seeds):
             self._grow(int(ids.max()) + 1)
-        raw = np.array([PCG64(_CachedSeed(words)).random_raw(self.dim)
-                        for words in self.seeds[ids]])
+        # one preallocated block, shifted in place: a cold table's first
+        # call often draws every row, so its peak memory is two blocks
+        raw = np.empty((len(ids), self.dim), dtype=np.uint64)
+        for row, words in zip(raw, self.seeds[ids]):
+            row[:] = PCG64(_CachedSeed(words)).random_raw(self.dim)
         # PCG64's words to doubles in [0, 1) as Generator.random makes them,
         # then to [lo, hi) as Generator.uniform does, operation for operation
         lo, hi = -0.5 / self.dim, 0.5 / self.dim
-        rows = (raw >> 11).astype(np.float64)
+        raw >>= 11
+        rows = raw.astype(np.float64)
         rows *= 2.0 ** -53
         rows *= hi - lo
         rows += lo
