@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from relerm import SubgraphBatch, from_edges
+from relerm import CategoryMap, SubgraphBatch, from_edges
 
 # property tests draw the same examples on every run and keep no example
 # database, so a Tier-1 run is reproducible; no deadline, since timing on a
@@ -25,6 +25,12 @@ def batch_of_one(vertices, pos=(), neg=(), base_vertex_count=None, vertex_count=
     if vertex_count is None:
         vertex_count = int(np.concatenate([vertices, pos.ravel(), neg.ravel()]).max(initial=-1)) + 1
     return SubgraphBatch(vertices, pos, neg, np.array([base]), vertex_count)
+
+
+def category_map(memberships, count):
+    """A CategoryMap of `count` categories from one list of category ids
+    per vertex, each list in its given order."""
+    return CategoryMap(count, tuple(np.array(m, dtype=np.int64) for m in memberships))
 
 
 @pytest.fixture

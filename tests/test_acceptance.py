@@ -21,7 +21,7 @@ from relerm import (GraphonSpec, LabelTable, LossConfig, MarkingKernel,
                     simultaneous_eval, two_stage_eval)
 from relerm.graphex import risk_convergence_experiment, stability_experiment
 from relerm.losses import ParamStore, combined_loss, gradient
-from conftest import batch_of_one
+from conftest import batch_of_one, category_map
 from relerm.cli import main as cli_main
 
 
@@ -139,7 +139,6 @@ def _numeric_vs_analytic(sample, labels, params, cfg, cats=None, h=1e-5):
 
 
 def test_analytic_gradient_correctness():
-    from relerm.graph import CategoryMap
     t0 = time.time()
     worst = 0.0
     rng = np.random.default_rng(7)
@@ -157,9 +156,8 @@ def test_analytic_gradient_correctness():
                 nc = 3
                 params.category_embeddings.put(np.arange(nc),
                                                rng.normal(scale=0.8, size=(nc, d)))
-                cats = CategoryMap(nc, tuple(
-                    rng.choice(nc, size=rng.integers(0, nc + 1), replace=False)
-                    for _ in range(n)))
+                cats = category_map([rng.choice(nc, size=rng.integers(0, nc + 1), replace=False)
+                                     for _ in range(n)], nc)
             labels = LabelTable(L, rng.random((n, L)) < 0.5,
                                 rng.random(n) < 0.8)
             m_pos, m_neg = int(rng.integers(1, 5)), int(rng.integers(0, 4))

@@ -11,9 +11,10 @@ from relerm.checkpoint import (export_embeddings, load_checkpoint,
 from relerm import cli
 from relerm.cli import main, parse_config, ConfigError
 from relerm.graph import from_edges
-from relerm.losses import ParamStore, RowTable
+from relerm.losses import LossConfig, ParamStore, RowTable
 from relerm.samplers import SamplerConfig
 from relerm.trainer import TrainConfig, train
+from conftest import category_map
 
 
 # -- checkpoints --------------------------------------------------------------
@@ -202,6 +203,8 @@ GOLDEN_OUTPUTS = {
         "e757a8ad6d45b68361d89473dc78891c9c1d0119cc96b85ef5edcb679a6e74f6",
     "category_rows":
         "c069e61a5330e9ec334209e2aeaa4af4660db8ed7f2dc61284597749d6d2e6f3",
+    "category_embedding/checkpoint.bin":
+        "59e87af6669c047bdd5aafc86327b662e613597c4fde5cf84f80a3df53883ab5",
 }
 
 
@@ -237,6 +240,22 @@ def test_train_with_init_ids_outputs_are_golden(tmp_path):
     export_embeddings(params.embeddings, str(tmp_path / "embeddings.tsv"))
     for name in ("checkpoint.bin", "embeddings.tsv"):
         assert sha256_of(tmp_path / name) == GOLDEN_OUTPUTS[f"p_sampling/{name}"], name
+
+
+def test_category_embedding_checkpoint_is_golden(tmp_path):
+    # rw_skipgram+unigram through the category loss, a fixed map of 7
+    # categories over the 30-vertex ring with chords, 1-2 per vertex
+    g = from_edges(30, np.array([[i, (i + 1) % 30] for i in range(30)]
+                                + [[i, (7 * i + 3) % 30] for i in range(30)]))
+    cats = category_map([[i % 7] + ([(3 * i + 1) % 7] if i % 3 else []) for i in range(30)], 7)
+    config = TrainConfig(sampler=SamplerConfig(algorithm="rw_skipgram", negative="unigram",
+                                               walk_length=6, window=3),
+                         loss=LossConfig(mode="category_embedding"),
+                         steps=30, embedding_dim=8, seed=17, eval_every=10)
+    params, _ = train(g, None, cats, config)
+    save_checkpoint(params, str(tmp_path / "checkpoint.bin"))
+    assert sha256_of(tmp_path / "checkpoint.bin") \
+        == GOLDEN_OUTPUTS["category_embedding/checkpoint.bin"]
 
 
 def test_category_rows_are_golden():

@@ -3,9 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from relerm import CategoryMap, LabelTable, LossConfig, ParamStore, combined_loss, gradient
+from relerm import LabelTable, LossConfig, ParamStore, combined_loss, gradient
 from relerm.losses import NumericError, _vertex_vectors
-from conftest import batch_of_one as make_sample
+from conftest import batch_of_one as make_sample, category_map
 
 
 def edge_loss(sample, params, config, cats=None):
@@ -148,10 +148,6 @@ def test_combined_loss_requires_labels():
 
 # -- category embeddings ------------------------------------------------------
 
-def cats_for(memberships, count):
-    return CategoryMap(count, tuple(np.array(m, dtype=np.int64) for m in memberships))
-
-
 def test_category_vertex_embedding():
     def vector(v):
         cfg = LossConfig(mode="category_embedding")
@@ -160,7 +156,7 @@ def test_category_vertex_embedding():
     params = ParamStore(2, 0, seed=0)
     params.category_embeddings[0] = np.array([1.0, 2.0])
     params.category_embeddings[1] = np.array([0.0, 1.0])
-    cats = cats_for([[0], [0, 1], []], 2)
+    cats = category_map([[0], [0, 1], []], 2)
     assert np.array_equal(vector(0), [1, 2])
     params.category_embeddings[0] = np.array([1.0, 0.0])
     assert np.array_equal(vector(1), [1, 1])
@@ -171,7 +167,7 @@ def test_category_mode_loss_and_gradient():
     params = ParamStore(2, 0, seed=0)
     params.category_embeddings[0] = np.array([1.0, 0.0])
     params.category_embeddings[1] = np.array([0.0, 1.0])
-    cats = cats_for([[0], [0, 1]], 2)
+    cats = category_map([[0], [0, 1]], 2)
     cfg = LossConfig(mode="category_embedding")
     sample = make_sample([0, 1], pos=[[0, 1]])
     # vertex vectors (1,0) and (1,1): score 1
@@ -258,7 +254,7 @@ def test_gradient_finite_difference_modes():
             if mode == "category_embedding":
                 params.category_embeddings.put(np.arange(3),
                                                rng.normal(scale=0.7, size=(3, 3)))
-                cats = cats_for([rng.choice(3, size=rng.integers(0, 3),
+                cats = category_map([rng.choice(3, size=rng.integers(0, 3),
                                             replace=False) for _ in range(n)], 3)
             labels = LabelTable(L, rng.random((n, L)) < 0.5,
                                 np.ones(n, dtype=bool))

@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 import relerm.trainer as T
 from relerm import (LabelTable, LossConfig, ParamStore, SamplerConfig, SubgraphBatch,
                     build_unigram, draw, estimate_risk, from_edges)
-from relerm.graph import CategoryMap
 from relerm.losses import combined_loss, gradient
 from relerm.samplers import ALGORITHMS, NEGATIVE_MODES, WALK_STARTS, draw_key, outcome_batch
+from conftest import category_map
 
 # a triangle with a pendant path, a second triangle, a tail and an isolated
 # vertex (as in test_samplers)
@@ -325,7 +325,7 @@ def test_batched_gradients_match_per_key_gradients(name, mode):
     keys, _ = T._enumerate_keys(g, cfg)
     loss = LossConfig(mode=mode, q=0.4)
     labels = fixture_labels(g) if mode == "node_classification" else None
-    cats = CategoryMap(3, tuple(np.array(m) for m in ([0], [1, 2], [0, 2], [], [1], [2])))
+    cats = category_map([[0], [1, 2], [0, 2], [], [1], [2]], 3)
     params = fixture_params(g, label_dim=2 if labels else 0)
     params.category_embeddings.put(np.arange(3), np.random.default_rng(2).normal(size=(3, 3)))
     # draws of the enumeration share vertices (the triangle's, above all)
@@ -347,6 +347,31 @@ def test_batched_gradients_match_per_key_gradients(name, mode):
         assert np.abs(got.bias[i] - s.bias[0]).max(initial=0.0) <= 1e-12 * scale
     assert got.weights.shape == (len(keys),) + params.weights.shape
     assert got.bias.shape == (len(keys),) + params.bias.shape
+
+
+# digests of category-mode losses and gradients recorded while each vertex's
+# memberships were a separate array; the memberships' layout must not move
+# a bit
+CATEGORY_GOLDENS = {
+    "rw_skipgram": "4d67040339394a78",
+    "p_sampling/induced": "e0ff8ff2a421d99a",
+}
+
+
+@pytest.mark.parametrize("name", list(CATEGORY_GOLDENS))
+def test_category_mode_loss_and_gradient_are_golden(name, digest):
+    cfg = {"rw_skipgram": SamplerConfig(algorithm="rw_skipgram", walk_length=5, window=2),
+           "p_sampling/induced": SamplerConfig(retention=0.5, negative="induced")}[name]
+    # repeated, unordered and missing memberships; vertex 8 is isolated
+    cats = category_map([[0, 3], [1], [], [2, 0], [4], [3, 1, 2], [3], [0, 0], [4]], 5)
+    params = ParamStore(4, 0, seed=9)  # category rows from the initialiser
+    batch = outcome_batch(IRREGULAR, cfg, draw_key(IRREGULAR, cfg, np.random.default_rng(5), 12))
+    loss = LossConfig(mode="category_embedding")
+    g = gradient(batch, None, params, loss, cats)
+    assert len(batch) == 12 and len(g.categories.rows) > 12
+    assert digest([combined_loss(batch, None, params, loss, cats), g.categories.rows,
+                   g.categories.data, g.embeddings.rows, g.weights, g.bias]) \
+        == CATEGORY_GOLDENS[name]
 
 
 @pytest.mark.parametrize("mode", ["edge_only", "node_classification"])

@@ -6,11 +6,11 @@ import weakref
 import numpy as np
 import pytest
 
-from relerm import (CategoryMap, LabelTable, LossConfig, ParamStore, SparseGradient,
+from relerm import (LabelTable, LossConfig, ParamStore, SparseGradient,
                     combined_loss, gradient, sgd_step)
 from relerm.losses import RowTable, SparseRows
 from relerm.trainer import TrainConfig
-from conftest import batch_of_one
+from conftest import batch_of_one, category_map
 from test_losses import edge_loss
 
 
@@ -131,20 +131,22 @@ def _setup(mode, rng, n=6, dim=3, L=2):
     params.embeddings.put(np.arange(n), rng.normal(scale=0.7, size=(n, dim)))
     params.weights = rng.normal(scale=0.5, size=params.weights.shape)
     params.bias = rng.normal(scale=0.5, size=params.bias.shape)
-    cats = None
+    cats = members = None
     if mode == "category_embedding":
         params.category_embeddings.put(np.arange(4), rng.normal(scale=0.7, size=(4, dim)))
-        cats = CategoryMap(4, tuple(np.sort(rng.choice(4, size=rng.integers(0, 3),
-                                                       replace=False)).astype(np.int64)
-                                    for _ in range(n)))
+        members = [np.sort(rng.choice(4, size=rng.integers(0, 3), replace=False))
+                   for _ in range(n)]
+        cats = category_map(members, 4)
     labels = LabelTable(L, rng.random((n, L)) < 0.5, rng.random(n) < 0.8)
-    return params, cats, labels
+    return params, cats, labels, members
 
 
-def _vectors(params, cats, mode, n):
+def _vectors(params, members, mode, n):
+    """Each vertex's vector; in category mode the sum of the rows of its
+    categories, `members[v]`."""
     if mode != "category_embedding":
         return {v: params.embedding(v).copy() for v in range(n)}
-    return {v: sum((params.category_embeddings.row(int(c)) for c in cats.memberships[v]),
+    return {v: sum((params.category_embeddings.row(int(c)) for c in members[v]),
                    np.zeros(params.dim)) for v in range(n)}
 
 
@@ -152,9 +154,9 @@ def _vectors(params, cats, mode, n):
 def test_edge_loss_hand_value_with_repeats(mode):
     rng = np.random.default_rng(5)
     for _ in range(5):
-        params, cats, _ = _setup(mode, rng)
+        params, cats, _, members = _setup(mode, rng)
         sample = _sample(rng, 6)
-        vec = _vectors(params, cats, mode, 6)
+        vec = _vectors(params, members, mode, 6)
         eps = LossConfig().prob_clip
         want = 0.0
         for (a, b), sign in [(p, 1) for p in sample.positive_pairs.tolist()] + \
@@ -170,7 +172,7 @@ def test_gradient_matches_central_differences_with_repeats(mode):
     rng = np.random.default_rng(6)
     h = 1e-6
     for _ in range(4):
-        params, cats, labels = _setup(mode, rng)
+        params, cats, labels, _ = _setup(mode, rng)
         sample = _sample(rng, 6)
         cfg = LossConfig(q=0.4 if mode == "node_classification" else 0.0, mode=mode)
         grad = gradient(sample, labels, params, cfg, cats)
