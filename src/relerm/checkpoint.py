@@ -18,6 +18,8 @@ _VERSION = 1
 
 
 def save_checkpoint(params: ParamStore, path: str) -> None:
+    if not 0 <= params.seed < 2 ** 64:  # the header holds it in 64 bits
+        raise ValueError(f"seed {params.seed} does not fit a checkpoint's 64-bit field")
     emb, cat = params.embeddings, params.category_embeddings
     emb_ids, cat_ids = emb.ids(), cat.ids()
     with open(path, "wb") as f:

@@ -146,11 +146,9 @@ def predict_labels(params: ParamStore, vertices: np.ndarray, truth: LabelTable,
     z = lam @ params.weights + params.bias
     if mode == "threshold":
         pred[vertices] = z > 0.0
-    else:  # top_k
-        counts = truth.labels[vertices].sum(axis=1)
-        order = np.argsort(-z, axis=1)
-        for row, (v, k) in enumerate(zip(vertices, counts)):
-            pred[v, order[row, :k]] = True
+    else:  # top_k: each label's rank is the inverse permutation of the order
+        rank = np.argsort(np.argsort(-z, axis=1), axis=1)
+        pred[vertices] = rank < truth.labels[vertices].sum(axis=1)[:, None]
     return pred
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable
 
@@ -93,16 +93,35 @@ class LabelTable:
 
 @dataclass(frozen=True)
 class CategoryMap:
-    """Per-vertex category memberships (vertex embeddings are built as sums
-    of category embeddings in the category-embedding loss mode)."""
+    """Per-vertex category memberships in the Graph's CSR layout: vertex v
+    is in categories members[offsets[v]:offsets[v + 1]] (in the category
+    loss mode its vector is the sum of theirs, a repeat adding once more)."""
 
     category_count: int
-    memberships: tuple  # tuple of int arrays, one per vertex
+    offsets: np.ndarray  # integer, length V+1
+    members: np.ndarray  # integer category ids in [0, category_count)
 
     def __post_init__(self):
-        for m in self.memberships:
-            if len(m) and m.max() >= self.category_count:
-                raise GraphError("category index out of range")
+        offsets, members = self.offsets, self.members
+        if offsets.ndim != 1 or members.ndim != 1 or offsets.dtype.kind != "i" \
+                or (len(members) and members.dtype.kind != "i") or not len(offsets) \
+                or offsets[0] != 0 or offsets[-1] != len(members) or (np.diff(offsets) < 0).any():
+            raise GraphError("category map malformed: offsets rising 0..len(members) and members "
+                             "must be 1-D signed integer arrays")
+        if len(members) and not 0 <= members.min() <= members.max() < self.category_count:
+            raise GraphError(f"category ids {members.min()}..{members.max()} out of range "
+                             f"[0, {self.category_count})")
+
+
+def gather_segments(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of the selected `rows` of a CSR layout (row r at
+    offsets[r]:offsets[r + 1] of a flat array), row after row: the index in
+    `rows` of each entry's owner, and the entry's position in the flat array."""
+    starts = offsets[rows]
+    counts = offsets[rows + 1] - starts
+    ends = counts.cumsum()
+    at = np.arange(ends[-1] if len(ends) else 0) + (starts - ends + counts).repeat(counts)
+    return np.arange(len(rows)).repeat(counts), at
 
 
 def from_edges(vertex_count: int, edges: np.ndarray) -> Graph:
@@ -130,14 +149,14 @@ def from_edges(vertex_count: int, edges: np.ndarray) -> Graph:
 
 def load_edge_list(
     source: IO[str] | Iterable[str],
-    deduplicate: bool = True,
     drop_self_loops: bool = False,
     largest_component_only: bool = False,
 ) -> tuple[Graph, dict[int, int]]:
     """Parse a 'u v' per-line edge list into a Graph.
 
-    Lines starting with '#' are skipped. Vertices are relabeled to a dense
-    0-based range; the original->dense map is returned alongside.
+    Lines starting with '#' are skipped; repeated edges merge. Vertices are
+    relabeled to a dense 0-based range; the original->dense map is returned
+    alongside.
     """
     us, vs = [], []
     for line_no, line in enumerate(source, start=1):
@@ -166,17 +185,9 @@ def load_edge_list(
     us = np.array(us, dtype=np.int64)
     vs = np.array(vs, dtype=np.int64)
     original_ids = np.unique(np.concatenate([us, vs]))
-    dense = {int(o): i for i, o in enumerate(original_ids)}
     us = np.searchsorted(original_ids, us)
     vs = np.searchsorted(original_ids, vs)
     n = len(original_ids)
-
-    if not deduplicate:
-        lo = np.minimum(us, vs)
-        hi = np.maximum(us, vs)
-        codes = lo * n + hi
-        if len(np.unique(codes)) != len(codes):
-            raise GraphError("duplicate edges present (pass deduplicate)")
     graph = from_edges(n, np.stack([us, vs], axis=1))
 
     if largest_component_only:
@@ -187,17 +198,21 @@ def load_edge_list(
         )
         n_comp, comp = connected_components(adj, directed=False)
         if n_comp > 1:
-            sizes = np.bincount(comp)
-            keep = np.flatnonzero(comp == sizes.argmax())
-            keep_mask = np.zeros(n, dtype=bool)
-            keep_mask[keep] = True
-            sel = keep_mask[graph.edge_list[:, 0]] & keep_mask[graph.edge_list[:, 1]]
-            remap = -np.ones(n, dtype=np.int64)
-            remap[keep] = np.arange(len(keep))
-            edges = remap[graph.edge_list[sel]]
-            graph = from_edges(len(keep), edges)
-            dense = {o: int(remap[i]) for o, i in dense.items() if keep_mask[i]}
-    return graph, dense
+            # a component has no isolated vertex here: all of it survives
+            graph, kept = induced_subgraph(graph.edge_list, comp == np.bincount(comp).argmax())
+            original_ids = original_ids[kept]
+    return graph, {int(o): i for i, o in enumerate(original_ids)}
+
+
+def induced_subgraph(edges: np.ndarray, vertex_mask: np.ndarray) -> tuple[Graph, np.ndarray]:
+    """The graph of the (u, v) rows of `edges` with both ends in a boolean
+    `vertex_mask`, its vertices that keep an edge relabelled 0.. in order,
+    and the old id of each new vertex."""
+    edges = edges[vertex_mask[edges[:, 0]] & vertex_mask[edges[:, 1]]]
+    kept = np.zeros(len(vertex_mask), dtype=bool)
+    kept[edges] = True
+    survivors = np.flatnonzero(kept)
+    return from_edges(len(survivors), (np.cumsum(kept) - 1)[edges]), survivors
 
 
 def load_labels(source: IO[str] | Iterable[str], graph: Graph, label_dim: int) -> LabelTable:
@@ -271,12 +286,9 @@ def induced_edges(graph: Graph, vertex_mask: np.ndarray) -> np.ndarray:
     if len(ids) < 2:
         return np.zeros((0, 2), dtype=np.int64)
     us = ids % graph.vertex_count
-    deg = graph.degrees[us]
-    ends = deg.cumsum()
-    # position in graph.neighbors of each selected vertex's neighbours
-    at = np.arange(ends[-1]) + (graph.offsets[us] - ends + deg).repeat(deg)
-    src = ids.repeat(deg)
-    dst = graph.neighbors[at] + (ids - us).repeat(deg)
+    owner, at = gather_segments(graph.offsets, us)
+    src = ids[owner]
+    dst = graph.neighbors[at] + (ids - us)[owner]
     keep = mask[dst] & (dst > src)
     return np.concatenate((src[keep, None], dst[keep, None]), axis=1)
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import Graph, LabelTable, from_edges
+from .graph import Graph, LabelTable, induced_subgraph
 from .losses import LossConfig, ParamStore
 from .samplers import SamplerConfig
 from .trainer import TrainConfig, estimate_risk, train
@@ -155,12 +155,7 @@ def _draw_candidates(spec: GraphonSpec, n: float, rng: np.random.Generator) -> _
 
 def _restrict(draw: _CandidateDraw, n: float) -> LatentGraph:
     """Graph induced by candidates with label <= n, isolated ones dropped."""
-    inside = draw.labels <= n
-    edges = draw.edges[inside[draw.edges[:, 0]] & inside[draw.edges[:, 1]]]
-    kept = np.zeros(len(draw.labels), dtype=bool)
-    kept[edges] = True
-    survivors = np.flatnonzero(kept)
-    graph = from_edges(len(survivors), (np.cumsum(kept) - 1)[edges])
+    graph, survivors = induced_subgraph(draw.edges, draw.labels <= n)
     return LatentGraph(graph=graph,
                        latents=draw.latents[survivors],
                        labels=draw.labels[survivors],

@@ -22,7 +22,8 @@ The loss and the gradient take a `SubgraphBatch` and give one value per
 draw; one draw is a batch of one. A gradient keeps the batch's id space:
 vertex v of draw i has its row at id i * V + v. One pair-scoring pass
 serves both the loss and its gradient, and every sum of rows into rows goes
-through one scatter kernel.
+through one scatter kernel. In category mode the pass reads memberships by
+one segment gather over `CategoryMap`'s CSR arrays; the chain rule reuses them.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from numpy.random import PCG64
 from numpy.random.bit_generator import ISeedSequence
 from scipy.sparse import csr_array
 
-from .graph import CategoryMap, LabelTable
+from .graph import CategoryMap, LabelTable, gather_segments
 from .samplers import SubgraphBatch
 
 LOSS_MODES = ("edge_only", "node_classification", "category_embedding")
@@ -386,30 +387,6 @@ def _scatter(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, n_rows: in
     return coef @ x
 
 
-def _memberships(ids: np.ndarray, cats: CategoryMap) -> tuple[np.ndarray, ...]:
-    """The category memberships of vertices `ids` as (owner, cat_local,
-    cat_ids): membership k links ids[owner[k]] to category
-    cat_ids[cat_local[k]]."""
-    members = [np.asarray(cats.memberships[v], dtype=np.int64) for v in ids.tolist()]
-    owner = np.repeat(np.arange(len(ids)), [len(m) for m in members])
-    cat_ids, cat_local = np.unique(np.concatenate(members) if members
-                                   else np.zeros(0, dtype=np.int64), return_inverse=True)
-    return owner, cat_local, cat_ids
-
-
-def _vertex_vectors(ids: np.ndarray, params: ParamStore, config: LossConfig,
-                    cats: CategoryMap | None) -> np.ndarray:
-    """The vectors of distinct vertices `ids`; in category mode the sums of
-    their categories' embeddings."""
-    if config.mode != "category_embedding":
-        return params.embeddings.rows(ids)
-    if cats is None:
-        raise NumericError("category_embedding mode requires a CategoryMap")
-    owner, cat_local, cat_ids = _memberships(ids, cats)
-    return _scatter(owner, cat_local, np.ones(len(owner)), len(ids),
-                    params.category_embeddings.rows(cat_ids))
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so exp never
     # overflows
@@ -427,6 +404,9 @@ class _Scored:
     pairs: np.ndarray        # (P, 2) local indices, positive pairs first
     n_pos: int
     scores: np.ndarray       # (P,) dot product of each pair
+    # category mode: (owner, cat_local, cat_ids), membership k linking
+    # ids[owner[k]] to category cat_ids[cat_local[k]]; else ()
+    memberships: tuple
 
 
 def _entries(batch: SubgraphBatch) -> np.ndarray:
@@ -439,17 +419,30 @@ def _score_pairs(batch: SubgraphBatch, ids: np.ndarray, params: ParamStore,
                  config: LossConfig, cats: CategoryMap | None) -> _Scored:
     """Local indices from one np.unique over `ids`, the batch's entries as
     they are scored (the copy ids, or graph ids that draws holding one
-    vertex share), the vectors of the distinct ones, and every pair's dot
-    product."""
-    n_verts = len(batch.vertices)
+    vertex share), the vectors of the distinct ones (in category mode the
+    sums of their categories' embeddings), and every pair's dot product."""
+    n_verts, v = len(batch.vertices), batch.vertex_count
     ids, inverse = np.unique(ids, return_inverse=True)
     local = inverse[n_verts:].reshape(-1, 2)
-    vectors = _vertex_vectors(ids % batch.vertex_count, params, config, cats)
+    memberships = ()
+    if config.mode != "category_embedding":
+        vectors = params.embeddings.rows(ids % v)
+    elif cats is None:
+        raise NumericError("category_embedding mode requires a CategoryMap")
+    elif len(cats.offsets) != v + 1:
+        raise NumericError(f"category map of {len(cats.offsets) - 1} vertices for a graph of {v}")
+    else:
+        owner, at = gather_segments(cats.offsets, ids % v)
+        cat_ids, cat_local = np.unique(cats.members[at], return_inverse=True)
+        vectors = _scatter(owner, cat_local, np.ones(len(owner)), len(ids),
+                           params.category_embeddings.rows(cat_ids))
+        memberships = owner, cat_local, cat_ids
     if not np.isfinite(vectors).all():
         raise NumericError("non-finite embedding")
     ends = vectors[local]
     scores = np.einsum("ij,ij->i", ends[:, 0], ends[:, 1])
-    return _Scored(ids, inverse[:n_verts], vectors, local, len(batch.positive_pairs), scores)
+    return _Scored(ids, inverse[:n_verts], vectors, local, len(batch.positive_pairs), scores,
+                   memberships)
 
 
 def _observed_base(batch: SubgraphBatch,
@@ -543,8 +536,8 @@ def gradient(batch: SubgraphBatch, labels: LabelTable | None, params: ParamStore
     if config.mode == "category_embedding":
         # the chain rule: category c of a draw gathers the rows of that
         # draw's vertices in c
-        draw, v = np.divmod(sc.ids, batch.vertex_count)
-        owner, cat_local, cat_ids = _memberships(v, cats)
+        owner, cat_local, cat_ids = sc.memberships
+        draw = sc.ids // batch.vertex_count
         cat_rows, cat_row = np.unique(draw[owner] * cats.category_count + cat_ids[cat_local],
                                       return_inverse=True)
         categories = SparseRows(cat_rows, _scatter(cat_row, owner, np.ones(len(owner)),

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, LabelTable, CategoryMap
+from .graph import CategoryMap, Graph, LabelTable, gather_segments
 from .graph import induced_pairs  # noqa: F401 - unused; a span target of benchmarks/spans.py
 from .losses import LossConfig, ParamStore, SparseGradient, combined_loss, gradient
 from .samplers import (WALK_STARTS, SamplerConfig, UnigramTable, build_unigram, draw,
@@ -64,8 +64,8 @@ class TrainConfig:
             errs.append("steps must be >= 0")
         if self.embedding_dim < 1:
             errs.append("embedding_dim must be >= 1")
-        if self.seed < 0:
-            errs.append(f"seed {self.seed} must be >= 0")
+        if not 0 <= self.seed < 2 ** 64:
+            errs.append(f"seed {self.seed} must be in [0, 2^64)")
         return errs
 
 
@@ -141,12 +141,9 @@ def _enumerate_keys(graph: Graph, config: SamplerConfig,
     probs = start_probs[walks[:, 0]]
     for _ in range(r):
         last = walks[:, -1]
-        d = deg[last]
-        rows = np.repeat(np.arange(len(walks)), d)
-        # position in graph.neighbors of each walk end's neighbours
-        at = np.arange(d.sum()) + np.repeat(graph.offsets[last] - np.cumsum(d) + d, d)
+        rows, at = gather_segments(graph.offsets, last)
         walks = np.column_stack([walks[rows], graph.neighbors[at]])
-        probs = probs[rows] / d[rows]
+        probs = probs[rows] / deg[last][rows]
     return walks, probs
 
 

@@ -30,7 +30,10 @@ def batch_of_one(vertices, pos=(), neg=(), base_vertex_count=None, vertex_count=
 def category_map(memberships, count):
     """A CategoryMap of `count` categories from one list of category ids
     per vertex, each list in its given order."""
-    return CategoryMap(count, tuple(np.array(m, dtype=np.int64) for m in memberships))
+    offsets = np.zeros(len(memberships) + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum([len(m) for m in memberships])
+    return CategoryMap(count, offsets, np.concatenate(
+        [np.zeros(0, dtype=np.int64)] + [np.asarray(m, dtype=np.int64) for m in memberships]))
 
 
 @pytest.fixture

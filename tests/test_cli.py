@@ -393,6 +393,7 @@ def test_cli_rejects_unknown_key(tmp_path, capsys, command, typo):
     ("riskcheck", "seed=-1", "seed"),
     ("sample", "seed=-1", "seed"),
     ("train", "seed=-1", "seed"),
+    ("train", f"seed={2 ** 64}", str(2 ** 64)),
     ("train", "loss.mode=category_embedding", "category_embedding"),
     ("eval", "loss.mode=category_embedding", "category_embedding"),
     ("simulate", "loss.mode=category_embedding", "category_embedding"),

@@ -200,6 +200,27 @@ def test_predict_labels_threshold_and_topk():
         predict_labels(params, verts, truth, "nope")
 
 
+def test_predict_labels_topk_matches_a_per_vertex_loop():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        n, d, L = int(rng.integers(1, 40)), int(rng.integers(1, 4)), int(rng.integers(1, 7))
+        truth = LabelTable(L, rng.random((n, L)) < 0.4, np.ones(n, dtype=bool))
+        params = ParamStore(d, L, seed=0)
+        # small integers, so many vertices score labels equally
+        params.embeddings.put(np.arange(n), rng.integers(-1, 2, size=(n, d)).astype(float))
+        params.weights = rng.integers(-1, 2, size=(d, L)).astype(float)
+        params.bias = rng.integers(-1, 2, size=L).astype(float)
+        verts = np.flatnonzero(rng.random(n) < 0.6)[::-1]  # neither contiguous nor ascending
+        if not len(verts):
+            continue
+        want = np.zeros((n, L), dtype=bool)
+        z = params.embedding_matrix(verts) @ params.weights + params.bias
+        order = np.argsort(-z, axis=1)
+        for row, (v, k) in enumerate(zip(verts, truth.labels[verts].sum(axis=1))):
+            want[v, order[row, :k]] = True
+        assert np.array_equal(predict_labels(params, verts, truth, "top_k"), want)
+
+
 # -- end-to-end protocols -----------------------------------------------------
 
 def planted_toy(rng, blocks=2, per_block=20, p_in=0.5, p_out=0.02):

@@ -5,8 +5,8 @@ import pytest
 
 from relerm import from_edges, induced_pairs, load_cache, load_edge_list, \
     load_labels, save_cache, validate
-from relerm.graph import EmptyGraphError, Graph, GraphError, ParseError, \
-    induced_edges
+from relerm.graph import CategoryMap, EmptyGraphError, Graph, GraphError, ParseError, \
+    gather_segments, induced_edges
 
 
 def pairs_set(arr):
@@ -52,8 +52,6 @@ def test_load_edge_list_errors():
 def test_load_edge_list_duplicate_policy():
     g, _ = load_edge_list(io.StringIO("0 1\n1 0\n"))
     assert g.edge_count == 1
-    with pytest.raises(GraphError):
-        load_edge_list(io.StringIO("0 1\n1 0\n"), deduplicate=False)
 
 
 def test_load_edge_list_largest_component():
@@ -61,6 +59,41 @@ def test_load_edge_list_largest_component():
                             largest_component_only=True)
     assert g.vertex_count == 3 and g.edge_count == 2
     assert set(ids) == {0, 1, 2}
+    # the survivors keep their order and are relabelled densely
+    g, ids = load_edge_list(io.StringIO("0 1\n9 5\n5 7\n7 9\n"),
+                            largest_component_only=True)
+    assert ids == {5: 0, 7: 1, 9: 2}
+    assert g.edge_list.tolist() == [[0, 1], [0, 2], [1, 2]] and not validate(g)
+
+
+def test_category_map_holds_csr_memberships():
+    cats = CategoryMap(3, np.array([0, 2, 2, 3]), np.array([0, 2, 1]))
+    assert cats.members[cats.offsets[2]:cats.offsets[3]].tolist() == [1]
+
+
+def test_category_map_rejects_a_negative_member():
+    with pytest.raises(GraphError, match=r"category ids -1\.\.0 out of range"):
+        CategoryMap(2, np.array([0, 1, 2]), np.array([-1, 0]))
+
+
+def test_category_map_rejects_a_member_past_the_count():
+    with pytest.raises(GraphError, match=r"category ids 0\.\.2 out of range \[0, 2\)"):
+        CategoryMap(2, np.array([0, 1, 2]), np.array([0, 2]))
+
+
+@pytest.mark.parametrize("offsets", [[], [1, 1], [0, 2, 1], [0, 2], [[0, 1]], [0.0, 1.0]])
+def test_category_map_rejects_malformed_offsets(offsets):
+    with pytest.raises(GraphError, match="category map malformed"):
+        CategoryMap(2, np.array(offsets), np.array([1]))
+
+
+def test_gather_segments_reads_selected_rows_in_order():
+    offsets = np.array([0, 2, 2, 5, 6])  # row 1 is empty
+    owner, at = gather_segments(offsets, np.array([2, 1, 0, 2]))
+    assert owner.tolist() == [0, 0, 0, 2, 2, 3, 3, 3]
+    assert at.tolist() == [2, 3, 4, 0, 1, 2, 3, 4]
+    owner, at = gather_segments(offsets, np.zeros(0, dtype=np.int64))
+    assert len(owner) == len(at) == 0
 
 
 def test_load_labels(path3):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from relerm import LabelTable, LossConfig, ParamStore, combined_loss, gradient
-from relerm.losses import NumericError, _vertex_vectors
+from relerm.losses import NumericError, _score_pairs
 from conftest import batch_of_one as make_sample, category_map
 
 
@@ -151,7 +151,8 @@ def test_combined_loss_requires_labels():
 def test_category_vertex_embedding():
     def vector(v):
         cfg = LossConfig(mode="category_embedding")
-        return _vertex_vectors(np.array([v]), params, cfg, cats)[0]
+        return _score_pairs(make_sample([v], vertex_count=3), np.array([v]), params, cfg,
+                            cats).vectors[0]
 
     params = ParamStore(2, 0, seed=0)
     params.category_embeddings[0] = np.array([1.0, 2.0])
@@ -176,6 +177,16 @@ def test_category_mode_loss_and_gradient():
     g = gradient(sample, None, params, cfg, cats)
     assert set(g.categories) == {0, 1}
     assert not g.embeddings
+
+
+def test_category_map_of_another_vertex_count_is_rejected():
+    params = ParamStore(2, 0, seed=0)
+    cfg = LossConfig(mode="category_embedding")
+    sample = make_sample([0, 1, 2], pos=[[0, 1], [1, 2]])  # a graph of 3 vertices
+    for cats in (category_map([[0], [1]], 2), category_map([[0], [1], [], [0]], 2)):
+        for f in (combined_loss, gradient):
+            with pytest.raises(NumericError, match=f"{len(cats.offsets) - 1} vertices .* 3"):
+                f(sample, None, params, cfg, cats)
 
 
 # -- analytic gradients -------------------------------------------------------

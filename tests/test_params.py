@@ -9,6 +9,7 @@ import pytest
 from relerm import (LabelTable, LossConfig, ParamStore, SparseGradient,
                     combined_loss, gradient, sgd_step)
 from relerm.losses import RowTable, SparseRows
+from relerm.checkpoint import load_checkpoint, save_checkpoint
 from relerm.trainer import TrainConfig
 from conftest import batch_of_one, category_map
 from test_losses import edge_loss
@@ -97,6 +98,18 @@ def test_negative_seed_and_init_ids_are_rejected():
     with pytest.raises(ValueError, match="init_ids"):
         ParamStore(4, 0, seed=0, init_ids=np.array([3, -2]))
     assert any("seed -1" in e for e in TrainConfig(seed=-1).validate())
+
+
+def test_seed_past_64_bits_fails_before_a_checkpoint_is_written(tmp_path):
+    # the checkpoint header holds the seed in 64 bits
+    path = tmp_path / "checkpoint.bin"
+    with pytest.raises(ValueError, match=f"seed {2 ** 64}"):
+        save_checkpoint(ParamStore(2, 0, seed=2 ** 64), str(path))
+    assert not path.exists()
+    assert any(f"seed {2 ** 64}" in e for e in TrainConfig(seed=2 ** 64).validate())
+    assert not TrainConfig(seed=2 ** 64 - 1).validate()
+    save_checkpoint(ParamStore(2, 0, seed=2 ** 64 - 1), str(path))
+    assert load_checkpoint(str(path)).seed == 2 ** 64 - 1
 
 
 def test_sgd_step_moves_rows_by_exactly_lr_g():
