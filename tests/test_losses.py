@@ -266,7 +266,7 @@ def test_gradient_finite_difference_modes():
                 params.category_embeddings.put(np.arange(3),
                                                rng.normal(scale=0.7, size=(3, 3)))
                 cats = category_map([rng.choice(3, size=rng.integers(0, 3),
-                                            replace=False) for _ in range(n)], 3)
+                                                replace=False) for _ in range(n)], 3)
             labels = LabelTable(L, rng.random((n, L)) < 0.5,
                                 np.ones(n, dtype=bool))
             sample = make_sample(range(n), pos=[[0, 1], [2, 3], [0, 1]],
