@@ -9,8 +9,7 @@ from .samplers import (SamplerConfig, SubgraphBatch, UnigramTable, build_unigram
                        negative_unigram, outcome_batch, random_walk, skipgram_pairs)
 from .losses import LossConfig, ParamStore, SparseGradient, combined_loss, gradient
 from .trainer import (RiskEstimate, TrainConfig, check_unbiasedness,
-                      estimate_risk, exact_risk_psample, exact_risk_walk,
-                      sgd_step, train)
+                      estimate_risk, exact_risk, sgd_step, train)
 from .evaluation import (Split, macro_f1, make_split, simultaneous_eval,
                          two_stage_eval)
 from .graphex import (GraphonSpec, LatentGraph, MarkingKernel, mark_embeddings,

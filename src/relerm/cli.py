@@ -34,7 +34,7 @@ from .graphex import (GraphonSpec, MarkingKernel, risk_convergence_experiment,
 from .losses import LossConfig, ParamStore
 from .samplers import SamplerConfig, build_unigram, draw
 from .trainer import PSAMPLE_MAX_VERTICES, TrainConfig, check_unbiasedness, \
-    estimate_risk, exact_risk_psample, exact_risk_walk, train
+    estimate_risk, exact_risk, train
 
 
 class ConfigError(Exception):
@@ -335,22 +335,19 @@ def cmd_riskcheck(run: Run) -> int:
         ps.embeddings.materialise(np.arange(g.vertex_count))
         return ps
 
-    for name, sampler in (
-        ("p_sampling", SamplerConfig(algorithm="p_sampling", retention=0.5)),
-        ("rw_induced", SamplerConfig(algorithm="rw_induced", walk_length=2)),
-    ):
+    # one rng in order: a sampler appended here leaves the earlier checks as they were
+    for sampler in (SamplerConfig(algorithm="p_sampling", retention=0.5),
+                    SamplerConfig(algorithm="rw_induced", walk_length=2),
+                    SamplerConfig(algorithm="rw_skipgram", walk_length=2, window=2)):
         ps = param_store()
-        if name == "p_sampling":
-            exact = exact_risk_psample(g, None, ps, 0.5, loss)
-        else:
-            exact = exact_risk_walk(g, None, ps, 2, "uniform_vertex", loss)
+        exact = exact_risk(g, None, ps, sampler, loss)
         est = estimate_risk(g, None, ps, sampler, loss, n, rng)
         se = max(est.std_error, 1e-12)
         risk_z = abs(est.mean - exact) / se
         rep = check_unbiasedness(g, ps, sampler, loss, n, rng)
         passed = bool(risk_z < 4.0 and rep.max_abs_z < 4.0)
         ok = ok and passed
-        report["checks"].append({"sampler": name, "exact_risk": exact,
+        report["checks"].append({"sampler": sampler.algorithm, "exact_risk": exact,
                                  "mc_risk": est.mean, "risk_z": float(risk_z),
                                  "max_grad_z": rep.max_abs_z, "pass": passed})
     path = run.path("riskcheck.json")

@@ -69,12 +69,18 @@ class Graph:
         return bool(self.has_edges(np.array([u]), np.array([v]))[0])
 
     def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Vectorized edge membership for pairs (us[i], vs[i])."""
+        """Vectorized edge membership for pairs (us[i], vs[i]); raises
+        GraphError for a vertex id outside [0, V)."""
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
+        lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+        if len(lo) and (lo.min() < 0 or hi.max() >= self.vertex_count):
+            ids = np.column_stack([us, vs]).reshape(-1)
+            bad = ids[(ids < 0) | (ids >= self.vertex_count)][0]
+            raise GraphError(f"vertex id {bad} outside [0, {self.vertex_count})")
         if len(self._edge_codes) == 0:
             return np.zeros(len(us), dtype=bool)
-        codes = np.minimum(us, vs) * self.vertex_count + np.maximum(us, vs)
+        codes = lo * self.vertex_count + hi
         idx = np.minimum(np.searchsorted(self._edge_codes, codes), len(self._edge_codes) - 1)
         return self._edge_codes[idx] == codes
 

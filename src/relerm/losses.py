@@ -415,12 +415,15 @@ def _entries(batch: SubgraphBatch) -> np.ndarray:
                            batch.negative_pairs.reshape(-1)])
 
 
-def _score_pairs(batch: SubgraphBatch, ids: np.ndarray, params: ParamStore,
-                 config: LossConfig, cats: CategoryMap | None) -> _Scored:
+def _score_pairs(batch: SubgraphBatch, ids: np.ndarray, labels: LabelTable | None,
+                 params: ParamStore, config: LossConfig, cats: CategoryMap | None) -> _Scored:
     """Local indices from one np.unique over `ids`, the batch's entries as
     they are scored (the copy ids, or graph ids that draws holding one
     vertex share), the vectors of the distinct ones (in category mode the
-    sums of their categories' embeddings), and every pair's dot product."""
+    sums of their categories' embeddings), and every pair's dot product.
+    Checks that the mode has the labels or categories it reads."""
+    if config.mode == "node_classification" and labels is None:
+        raise NumericError("node_classification mode requires labels")
     n_verts, v = len(batch.vertices), batch.vertex_count
     ids, inverse = np.unique(ids, return_inverse=True)
     local = inverse[n_verts:].reshape(-1, 2)
@@ -466,10 +469,8 @@ def combined_loss(batch: SubgraphBatch, labels: LabelTable | None, params: Param
     sigma_eps) over negatives, multiset multiplicity included. The label
     loss is the per-label logistic cross-entropy over the base vertices
     with observed (masked-true) labels."""
-    if config.mode == "node_classification" and labels is None:
-        raise NumericError("node_classification mode requires labels")
     V = batch.vertex_count
-    sc = _score_pairs(batch, _entries(batch) % V, params, config, cats)
+    sc = _score_pairs(batch, _entries(batch) % V, labels, params, config, cats)
     eps = config.prob_clip
     p = np.clip(_sigmoid(sc.scores), eps, 1.0 - eps)
     p[sc.n_pos:] = 1.0 - p[sc.n_pos:]
@@ -498,7 +499,7 @@ def gradient(batch: SubgraphBatch, labels: LabelTable | None, params: ParamStore
     for m draws. A batch of one draw gives one row per vertex, at its ids.
     """
     # the scored ids are the batch's own, so the distinct ones are the rows
-    sc = _score_pairs(batch, _entries(batch), params, config, cats)
+    sc = _score_pairs(batch, _entries(batch), labels, params, config, cats)
     eps, m, n = config.prob_clip, len(batch), len(sc.ids)
     p = _sigmoid(sc.scores)
     # inside the clip region the derivative of -log p is (p - 1) for a
@@ -515,8 +516,6 @@ def gradient(batch: SubgraphBatch, labels: LabelTable | None, params: ParamStore
     bias = np.zeros((m,) + params.bias.shape)
 
     if config.mode == "node_classification" and config.q > 0.0:
-        if labels is None:
-            raise NumericError("node_classification mode requires labels")
         at, draw, v = _observed_base(batch, labels)
         if len(at):
             local, each = sc.local[at], np.arange(len(at))

@@ -16,9 +16,8 @@ from scipy.stats import chi2 as chi2_dist
 
 from relerm import (GraphonSpec, LabelTable, LossConfig, MarkingKernel,
                     SamplerConfig, TrainConfig, build_unigram, draw,
-                    check_unbiasedness, estimate_risk, exact_risk_psample,
-                    exact_risk_walk, from_edges, make_split, sample_graphex,
-                    simultaneous_eval, two_stage_eval)
+                    check_unbiasedness, estimate_risk, exact_risk, from_edges,
+                    make_split, sample_graphex, simultaneous_eval, two_stage_eval)
 from relerm.graphex import risk_convergence_experiment, stability_experiment
 from relerm.losses import ParamStore, combined_loss, gradient
 from conftest import batch_of_one, category_map
@@ -66,10 +65,9 @@ def test_oracle_equivalence_psampling():
     for name, g in fixture_graphs().items():
         params = random_params(g, 3, seed=1)
         loss = LossConfig()
-        exact = exact_risk_psample(g, None, params, 0.35, loss)
-        est = estimate_risk(g, None, params,
-                            SamplerConfig(algorithm="p_sampling", retention=0.35),
-                            loss, 10 ** 6, np.random.default_rng(2))
+        sampler = SamplerConfig(algorithm="p_sampling", retention=0.35)
+        exact = exact_risk(g, None, params, sampler, loss)
+        est = estimate_risk(g, None, params, sampler, loss, 10 ** 6, np.random.default_rng(2))
         z = abs(est.mean - exact) / max(est.std_error, 1e-12)
         worst = max(worst, z)
         assert z < 3.0, f"{name}: |z| = {z:.2f}"
@@ -90,10 +88,9 @@ def test_oracle_equivalence_random_walk():
         g = graphs[name]
         params = random_params(g, 3, seed=3)
         loss = LossConfig()
-        exact = exact_risk_walk(g, None, params, r, "uniform_vertex", loss)
-        est = estimate_risk(g, None, params,
-                            SamplerConfig(algorithm="rw_induced", walk_length=r),
-                            loss, 10 ** 6, np.random.default_rng(4))
+        sampler = SamplerConfig(algorithm="rw_induced", walk_length=r)
+        exact = exact_risk(g, None, params, sampler, loss)
+        est = estimate_risk(g, None, params, sampler, loss, 10 ** 6, np.random.default_rng(4))
         z = abs(est.mean - exact) / max(est.std_error, 1e-12)
         worst = max(worst, z)
         assert z < 3.0, f"{name} r={r}: |z| = {z:.2f}"

@@ -319,7 +319,7 @@ def test_cli_riskcheck_builtin_fixture(tmp_path, capsys):
     assert rc == 0
     report = json.loads(open(out / "riskcheck.json").read())
     assert report["seed"] == 7
-    assert {c["sampler"] for c in report["checks"]} == {"p_sampling", "rw_induced"}
+    assert [c["sampler"] for c in report["checks"]] == ["p_sampling", "rw_induced", "rw_skipgram"]
     for check in report["checks"]:
         assert check["pass"]
         assert check["risk_z"] < 4.0 and check["max_grad_z"] < 4.0

@@ -22,6 +22,19 @@ def test_from_edges_canonicalizes():
     assert g.has_edge(2, 1) and not g.has_edge(0, 1)
 
 
+def test_has_edges_rejects_vertices_out_of_range():
+    # code u * V + v of (0, 5) would alias the edge (1, 2)
+    g = from_edges(3, np.array([[0, 1], [1, 2]]))
+    with pytest.raises(GraphError, match="vertex id 5 outside"):
+        g.has_edge(0, 5)
+    with pytest.raises(GraphError, match="vertex id 5 outside"):
+        g.has_edges(np.array([0, 2]), np.array([5, 4]))
+    with pytest.raises(GraphError, match="vertex id -1 outside"):
+        g.has_edges(np.array([1, -1]), np.array([2, 0]))
+    assert g.has_edges(np.array([1, 0]), np.array([2, 2])).tolist() == [True, False]
+    assert len(g.has_edges(np.zeros(0), np.zeros(0))) == 0
+
+
 def test_from_edges_rejects_self_loop():
     with pytest.raises(GraphError):
         from_edges(2, np.array([[1, 1]]))

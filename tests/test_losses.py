@@ -140,10 +140,13 @@ def test_combined_loss_mixing():
 
 
 def test_combined_loss_requires_labels():
+    # the loss and its gradient share one check, also at q = 0, where
+    # neither reads a label
     params = preset_params({0: (1.0,), 1: (1.0,)})
-    with pytest.raises(NumericError):
-        combined_loss(make_sample([0, 1]), None, params,
-                      LossConfig(mode="node_classification"))
+    for fn in (combined_loss, gradient):
+        with pytest.raises(NumericError, match="requires labels"):
+            fn(make_sample([0, 1]), None, params,
+               LossConfig(q=0.0, mode="node_classification"))
 
 
 # -- category embeddings ------------------------------------------------------
@@ -151,8 +154,8 @@ def test_combined_loss_requires_labels():
 def test_category_vertex_embedding():
     def vector(v):
         cfg = LossConfig(mode="category_embedding")
-        return _score_pairs(make_sample([v], vertex_count=3), np.array([v]), params, cfg,
-                            cats).vectors[0]
+        return _score_pairs(make_sample([v], vertex_count=3), np.array([v]), None, params,
+                            cfg, cats).vectors[0]
 
     params = ParamStore(2, 0, seed=0)
     params.category_embeddings[0] = np.array([1.0, 2.0])

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from relerm import (LossConfig, ParamStore, SamplerConfig, TrainConfig,
-                    check_unbiasedness, estimate_risk, exact_risk_psample,
-                    exact_risk_walk, sgd_step, train)
-from relerm.losses import SparseGradient, SparseRows, combined_loss, _sigmoid
-from relerm.samplers import draw
-from relerm.trainer import OracleError, TrainerError, enumerate_outcomes
+from relerm import (LabelTable, LossConfig, ParamStore, SamplerConfig, TrainConfig,
+                    check_unbiasedness, estimate_risk, exact_risk, sgd_step, train)
+from relerm.losses import SparseGradient, SparseRows, combined_loss, gradient, _sigmoid
+from relerm.samplers import draw, outcome_batch
+from relerm.trainer import OracleError, TrainerError, _enumerate_keys
 from relerm.graph import from_edges
+from conftest import category_map
 
 LN2 = float(np.log(2))
 
@@ -19,15 +19,30 @@ def zero_params(v, dim=2, label_dim=0):
     return params
 
 
+def psample(p):
+    return SamplerConfig(algorithm="p_sampling", retention=p)
+
+
+def walk(r):
+    return SamplerConfig(algorithm="rw_induced", walk_length=r)
+
+
+def outcomes(graph, config):
+    """Every outcome of positive probability, as (probability, draw) pairs."""
+    keys, probs = _enumerate_keys(graph, config)
+    batch = outcome_batch(graph, config, keys)
+    return [(p, batch[i]) for i, p in enumerate(probs.tolist())]
+
+
 # -- enumeration oracles ------------------------------------------------------
 
 def test_psample_subset_table_path3(path3):
     # re-derive the per-subset pair counts, including isolated-deletion
-    outcomes = enumerate_outcomes(path3, SamplerConfig(algorithm="p_sampling", retention=0.5))
-    assert len(outcomes) == 8
-    assert all(abs(p - 0.125) < 1e-15 for p, _ in outcomes)
+    table = outcomes(path3, psample(0.5))
+    assert len(table) == 8
+    assert all(abs(p - 0.125) < 1e-15 for p, _ in table)
     by_pairs = {}
-    for _, sub in outcomes:
+    for _, sub in table:
         k = len(sub.positive_pairs) + len(sub.negative_pairs)
         by_pairs[k] = by_pairs.get(k, 0) + 1
     # subsets {0,1} and {1,2} give 1 pair; {0,1,2} gives 3; the other five
@@ -36,7 +51,7 @@ def test_psample_subset_table_path3(path3):
 
 
 def test_exact_risk_psample_path3(path3):
-    risk = exact_risk_psample(path3, None, zero_params(3), 0.5, LossConfig())
+    risk = exact_risk(path3, None, zero_params(3), psample(0.5), LossConfig())
     assert abs(risk - (5 / 8) * LN2) < 1e-12
     assert abs(risk - 0.4332) < 5e-5
 
@@ -44,49 +59,46 @@ def test_exact_risk_psample_path3(path3):
 def test_exact_risk_psample_extremes(path3):
     params = zero_params(3)
     # p=1: deterministic full graph (2 edges + 1 non-edge) -> 3 ln 2
-    assert abs(exact_risk_psample(path3, None, params, 1.0, LossConfig())
+    assert abs(exact_risk(path3, None, params, psample(1.0), LossConfig())
                - 3 * LN2) < 1e-12
-    assert exact_risk_psample(path3, None, params, 0.0, LossConfig()) == 0.0
+    assert exact_risk(path3, None, params, psample(0.0), LossConfig()) == 0.0
 
 
 def test_psample_enumeration_size_limit():
     g = from_edges(21, np.array([[i, i + 1] for i in range(20)]))
-    with pytest.raises(OracleError):
-        enumerate_outcomes(g, SamplerConfig(algorithm="p_sampling", retention=0.5))
+    with pytest.raises(OracleError, match="<= 20 vertices"):
+        exact_risk(g, None, zero_params(21), psample(0.5), LossConfig())
 
 
 def test_walk_enumeration_path3(path3):
-    outcomes = enumerate_outcomes(path3, SamplerConfig(algorithm="rw_induced", walk_length=1))
-    probs = {tuple(np.sort(sub.vertices).tolist()): 0.0 for _, sub in outcomes}
+    table = outcomes(path3, walk(1))
     walks = {}
-    for p, sub in outcomes:
+    for p, sub in table:
         key = tuple(sub.vertices.tolist())
         walks[key] = walks.get(key, 0.0) + p
     assert abs(walks[(0, 1)] - 1 / 3) < 1e-15  # walk (0,1)
     assert abs(walks[(1, 0)] - 1 / 6) < 1e-15
     assert abs(walks[(1, 2)] - 1 / 6) < 1e-15
     assert abs(walks[(2, 1)] - 1 / 3) < 1e-15
-    assert abs(sum(p for p, _ in outcomes) - 1.0) < 1e-12
+    assert abs(sum(p for p, _ in table) - 1.0) < 1e-12
 
 
 def test_exact_risk_walk_path3(path3):
-    risk = exact_risk_walk(path3, None, zero_params(3), 1, "uniform_vertex",
-                           LossConfig())
+    risk = exact_risk(path3, None, zero_params(3), walk(1), LossConfig())
     assert abs(risk - LN2) < 1e-12
 
 
 def test_exact_risk_walk_k2(k2):
     params = zero_params(2)
     for r in (1, 2, 5):
-        risk = exact_risk_walk(k2, None, params, r, "uniform_vertex",
-                               LossConfig())
+        risk = exact_risk(k2, None, params, walk(r), LossConfig())
         assert abs(risk - LN2) < 1e-12
 
 
 def test_walk_enumeration_limit(triangle):
-    with pytest.raises(OracleError):
-        enumerate_outcomes(triangle, SamplerConfig(algorithm="rw_induced", walk_length=30),
-                           max_walks=1000)
+    # 3 * 2^30 walks of 30 steps, past the limit of 10^6
+    with pytest.raises(OracleError, match="exceeds enumeration limit"):
+        exact_risk(triangle, None, zero_params(3), walk(30), LossConfig())
 
 
 # -- Monte-Carlo risk estimation ----------------------------------------------
@@ -121,12 +133,12 @@ def test_estimate_risk_aggregated_matches_exact(path3, triangle):
     cfg = SamplerConfig(algorithm="p_sampling", retention=0.5)
     est = estimate_risk(path3, None, params, cfg, loss, 10 ** 5,
                         np.random.default_rng(1))
-    exact = exact_risk_psample(path3, None, params, 0.5, loss)
+    exact = exact_risk(path3, None, params, cfg, loss)
     assert abs(est.mean - exact) < 4 * est.std_error
     cfg = SamplerConfig(algorithm="rw_induced", walk_length=2)
     est = estimate_risk(triangle, None, params, cfg, loss, 10 ** 5,
                         np.random.default_rng(2))
-    exact = exact_risk_walk(triangle, None, params, 2, "uniform_vertex", loss)
+    exact = exact_risk(triangle, None, params, cfg, loss)
     assert abs(est.mean - exact) < 4 * max(est.std_error, 1e-12)
 
 
@@ -239,11 +251,8 @@ def test_unbiasedness_detects_bias(path3):
     # same exact risk is recomputed for p=0.9, so compare draws at p=0.9
     # against the p=0.5 enumerated gradient manually instead:
     from relerm.trainer import _decode, _flatten_gradient, _key_dims, _simulate_key_counts
-    from relerm.losses import gradient
-    from relerm.samplers import outcome_batch
     exact = np.zeros(path3.vertex_count * params.dim)
-    exact_cfg = SamplerConfig(algorithm="p_sampling", retention=0.5)
-    for prob, sub in enumerate_outcomes(path3, exact_cfg):
+    for prob, sub in outcomes(path3, psample(0.5)):
         g = gradient(sub, None, params, LossConfig())
         exact += prob * _flatten_gradient(g, path3, params)[0, :len(exact)]
     cfg = SamplerConfig(algorithm="p_sampling", retention=0.9)
@@ -278,6 +287,42 @@ def test_unbiasedness_sees_the_production_walk(path5, monkeypatch):
     assert rep.max_abs_z > 4.0
 
 
+LABEL_CASES = {
+    "p_sampling": psample(0.5),
+    "rw_skipgram": SamplerConfig(algorithm="rw_skipgram", walk_length=3, window=2),
+}
+
+
+@pytest.mark.parametrize("name", list(LABEL_CASES))
+def test_oracles_node_classification(path5, name):
+    # q = 0.5 mixes the label and edge terms; vertex 2's labels are unobserved
+    sampler, loss = LABEL_CASES[name], LossConfig(q=0.5, mode="node_classification")
+    rng = np.random.default_rng(8)
+    labels = LabelTable(2, rng.random((5, 2)) < 0.5, np.array([1, 1, 0, 1, 1], dtype=bool))
+    params = ParamStore(3, 2, seed=9)
+    params.embeddings.put(np.arange(5), rng.normal(scale=0.5, size=(5, 3)))
+    params.weights[:] = rng.normal(size=(3, 2))
+    params.bias[:] = rng.normal(size=2)
+    exact = exact_risk(path5, labels, params, sampler, loss)
+    for method in ("aggregated", "loop"):
+        est = estimate_risk(path5, labels, params, sampler, loss, 10 ** 5, rng, method=method)
+        assert abs(est.mean - exact) < 4 * est.std_error, method
+    rep = check_unbiasedness(path5, params, sampler, loss, 10 ** 5, rng, labels=labels)
+    assert rep.max_abs_z < 4.0
+    # the gradient the check enumerates is the gradient of the exact risk:
+    # central differences over every embedding entry, weight and bias
+    h, diffs = 1e-6, []
+    for table in (params.embeddings.data[:5], params.weights, params.bias):
+        for at in np.ndindex(table.shape):
+            risks = []
+            for step in (h, -2 * h):
+                table[at] += step
+                risks.append(exact_risk(path5, labels, params, sampler, loss))
+            table[at] += h
+            diffs.append((risks[0] - risks[1]) / (2 * h))
+    assert np.abs(rep.exact_gradient - diffs).max() < 1e-6
+
+
 # -- SGD ----------------------------------------------------------------------
 
 def test_sgd_step_zero_gradient():
@@ -300,7 +345,6 @@ def test_sgd_step_single_coordinate():
 
 def test_sgd_descends_on_convex_instance():
     params = ParamStore(2, 0, seed=4)
-    from relerm.losses import gradient
     from test_losses import make_sample
     sample = make_sample([0, 1], pos=[[0, 1]])
     cfg = LossConfig()
@@ -382,6 +426,17 @@ def test_train_trace_schedule(path3):
     assert all(r["wallclock"] is None for r in trace)
     _, trace = train(path3, None, None, cfg, trace_wallclock=True)
     assert all(isinstance(r["wallclock"], float) for r in trace)
+
+
+def test_train_in_category_mode_reserves_no_vertex_rows():
+    n = 2000
+    ring = from_edges(n, np.array([[i, (i + 1) % n] for i in range(n)]))
+    cfg = TrainConfig(sampler=SamplerConfig(algorithm="rw_skipgram", walk_length=3, window=2),
+                      loss=LossConfig(mode="category_embedding"), steps=3,
+                      embedding_dim=16, seed=2)
+    params, _ = train(ring, None, category_map([[v % 4] for v in range(n)], 4), cfg)
+    assert params.embeddings.data.shape == (0, 16)
+    assert len(params.category_embeddings.ids()) == 4
 
 
 def test_train_rejects_invalid_config(path3):
