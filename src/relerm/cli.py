@@ -321,19 +321,32 @@ def cmd_simulate(run: Run) -> int:
     return 0
 
 
+# riskcheck's gradient check: central differences of the exact risk, step
+# FD_STEP, along FD_DIRECTIONS random unit directions of the embeddings; at
+# this step a correct gradient is off by about 1e-9 on the built-in path,
+# and a gradient scaled by 1.1 by about 1e-2
+FD_STEP, FD_DIRECTIONS, FD_TOLERANCE = 1e-6, 3, 1e-6
+
+
 def cmd_riskcheck(run: Run) -> int:
     seed, n = run.seed, run.opts["riskcheck.samples"]
     g = run.graph if run.graph is not None else \
         graph_mod.load_edge_list(PATH3_EDGES.splitlines())[0]
     loss = LossConfig(mode="edge_only")
     rng = np.random.default_rng(seed)
-    report = {"record": "riskcheck", "seed": seed, "checks": []}
+    directions = np.random.default_rng((seed, 1))  # leaves `rng`'s stream as it was
+    report = {"record": "riskcheck", "seed": seed, "fd_tolerance": FD_TOLERANCE, "checks": []}
     ok = True
 
     def param_store():
         ps = ParamStore(4, 0, seed=seed)
         ps.embeddings.materialise(np.arange(g.vertex_count))
         return ps
+
+    def moved(ps, step):
+        out = ps.copy()
+        out.embeddings.data[:g.vertex_count] += step
+        return out
 
     # one rng in order: a sampler appended here leaves the earlier checks as they were
     for sampler in (SamplerConfig(algorithm="p_sampling", retention=0.5),
@@ -345,11 +358,21 @@ def cmd_riskcheck(run: Run) -> int:
         se = max(est.std_error, 1e-12)
         risk_z = abs(est.mean - exact) / se
         rep = check_unbiasedness(g, ps, sampler, loss, n, rng)
-        passed = bool(risk_z < 4.0 and rep.max_abs_z < 4.0)
+        # both sides of the unbiasedness check weight the same per-draw
+        # gradients, so only a derivative of the risk itself can show that
+        # they are not the gradient of the loss
+        fd_error = 0.0
+        for u in directions.standard_normal((FD_DIRECTIONS, g.vertex_count, ps.dim)):
+            u /= np.linalg.norm(u)
+            slope = (exact_risk(g, None, moved(ps, FD_STEP * u), sampler, loss)
+                     - exact_risk(g, None, moved(ps, -FD_STEP * u), sampler, loss)) / (2 * FD_STEP)
+            fd_error = max(fd_error, abs(float(rep.exact_gradient @ u.ravel()) - slope))
+        passed = bool(risk_z < 4.0 and rep.max_abs_z < 4.0 and fd_error <= FD_TOLERANCE)
         ok = ok and passed
         report["checks"].append({"sampler": sampler.algorithm, "exact_risk": exact,
                                  "mc_risk": est.mean, "risk_z": float(risk_z),
-                                 "max_grad_z": rep.max_abs_z, "pass": passed})
+                                 "max_grad_z": rep.max_abs_z, "max_grad_fd_error": fd_error,
+                                 "pass": passed})
     path = run.path("riskcheck.json")
     with open(path, "w") as f:
         json.dump(report, f, indent=2)

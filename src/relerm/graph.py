@@ -8,10 +8,11 @@ safe to share across concurrent readers.
 from __future__ import annotations
 
 import json
+import re
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable, NoReturn, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -162,39 +163,19 @@ def load_edge_list(
 
     Lines starting with '#' are skipped; repeated edges merge. Vertices are
     relabeled to a dense 0-based range; the original->dense map is returned
-    alongside.
+    alongside. The grammar and its errors are `_read_pairs`'.
     """
-    us, vs = [], []
-    for line_no, line in enumerate(source, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
-        if len(parts) != 2:
-            raise ParseError(line_no, line.rstrip("\n"), "expected two fields")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(line_no, line.rstrip("\n"), "non-integer vertex id")
-        if u < 0 or v < 0:
-            raise ParseError(line_no, line.rstrip("\n"), "negative vertex id")
-        if u == v:
-            if drop_self_loops:
-                continue
-            raise ParseError(line_no, line.rstrip("\n"), "self-loop (pass drop_self_loops)")
-        us.append(u)
-        vs.append(v)
-
-    if not us:
+    rules = [("negative vertex id", lambda u, v: (u < 0) | (v < 0))]
+    if not drop_self_loops:
+        rules.append(("self-loop (pass drop_self_loops)", lambda u, v: u == v))
+    pairs = _read_pairs(source, "vertex id", rules)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    if not len(pairs):
         raise EmptyGraphError("edge list contains no edges")
 
-    us = np.array(us, dtype=np.int64)
-    vs = np.array(vs, dtype=np.int64)
-    original_ids = np.unique(np.concatenate([us, vs]))
-    us = np.searchsorted(original_ids, us)
-    vs = np.searchsorted(original_ids, vs)
+    original_ids, dense = np.unique(pairs, return_inverse=True)
     n = len(original_ids)
-    graph = from_edges(n, np.stack([us, vs], axis=1))
+    graph = from_edges(n, dense.reshape(-1, 2))
 
     if largest_component_only:
         adj = csr_matrix(
@@ -207,7 +188,7 @@ def load_edge_list(
             # a component has no isolated vertex here: all of it survives
             graph, kept = induced_subgraph(graph.edge_list, comp == np.bincount(comp).argmax())
             original_ids = original_ids[kept]
-    return graph, {int(o): i for i, o in enumerate(original_ids)}
+    return graph, dict(zip(original_ids.tolist(), range(len(original_ids))))
 
 
 def induced_subgraph(edges: np.ndarray, vertex_mask: np.ndarray) -> tuple[Graph, np.ndarray]:
@@ -222,25 +203,103 @@ def induced_subgraph(edges: np.ndarray, vertex_mask: np.ndarray) -> tuple[Graph,
 
 
 def load_labels(source: IO[str] | Iterable[str], graph: Graph, label_dim: int) -> LabelTable:
-    """Parse 'vertex label_index' lines into a LabelTable (all masks True)."""
-    labels = np.zeros((graph.vertex_count, label_dim), dtype=bool)
-    for line_no, line in enumerate(source, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+    """Parse 'vertex label_index' lines into a LabelTable (all masks True);
+    the grammar and its errors are `_read_pairs`'."""
+    v = graph.vertex_count
+    pairs = _read_pairs(source, "field", (
+        ("vertex out of range", lambda u, l: (u < 0) | (u >= v)),
+        ("label index out of range", lambda u, l: (l < 0) | (l >= label_dim))))
+    labels = np.zeros((v, label_dim), dtype=bool)
+    labels[pairs[:, 0], pairs[:, 1]] = True
+    return LabelTable(label_dim, labels, np.ones(v, dtype=bool))
+
+
+# -- text input ---------------------------------------------------------------
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+# a field that reads as a number: ASCII digits, or a negative number, which
+# the loaders' rules reject with their own reasons
+_NUMBER = re.compile(rb"[0-9]+|-0*[1-9][0-9]*")
+
+# (reason, broken(a, b)): a loader's check of a line's two ids, written with
+# operators that work on Python ints and on arrays of ids alike
+_Rule = tuple[str, Callable]
+
+
+def _read_pairs(source: IO[str] | Iterable[str], noun: str,
+                rules: Sequence[_Rule]) -> np.ndarray:
+    """The lines of `source` that hold data, as an (n, 2) int64 array in
+    line order.
+
+    Lines end at '\\n'; each element of an iterable source is one line,
+    with or without its '\\n'. A data line holds two ids, each of ASCII
+    decimal digits and below 2^63, between ASCII blanks (space, tab, '\\r',
+    '\\v', '\\f'). Blank lines and lines whose first non-blank byte is '#'
+    are skipped. Every data line must pass each of `rules`.
+
+    A few numpy passes read the text: a byte-class scan finds the fields
+    and their lines, and `np.fromstring` parses every id at once. Only when
+    a check fails does `_diagnose` walk the lines, to raise a ParseError
+    (reason `noun`-worded) at the first offending one.
+    """
+    if hasattr(source, "read"):
+        text = source.read()
+    else:
+        text = "\n".join(line.removesuffix("\n") for line in source)
+    data = text.encode("ascii", "replace")  # a non-ASCII character is one "other" byte
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # blanks: ' ' and the bytes 9-13, '\t' '\n' '\v' '\f' '\r' (uint8 wraps below 9)
+    blank = (buf == ord(" ")) | (buf - 9 < 5)
+    newlines = np.flatnonzero(buf == ord("\n"))
+    bounds = np.flatnonzero(np.diff(np.concatenate(([True], blank, [True]))))
+    starts, ends = bounds[::2], bounds[1::2]  # of each field, in text order
+    # the fields of line k are starts[opens[k]:opens[k] + counts[k]]
+    opens = np.searchsorted(starts, np.concatenate(([0], newlines + 1)))
+    counts = np.diff(opens, append=len(starts))
+    comment = (counts > 0) & (np.append(buf[starts], 0)[opens] == ord("#"))
+    odd = np.flatnonzero(~blank & (buf - ord("0") >= 10))  # neither blank nor digit
+    if comment.any():
+        # blank the comment lines, so that only the data is left to parse
+        buf = buf.copy()
+        buf[comment.repeat(np.diff(newlines, prepend=-1, append=len(buf) - 1))] = ord(" ")
+        data = buf.tobytes()
+        keep = ~comment.repeat(counts)
+        starts, ends = starts[keep], ends[keep]
+        counts[comment] = 0
+        odd = odd[~comment[np.searchsorted(newlines, odd)]]
+    if len(odd) or not ((counts == 0) | (counts == 2)).all():
+        _diagnose(text, noun, rules)
+    if not len(starts):  # np.fromstring reads blank text as [0]
+        return np.zeros((0, 2), dtype=np.int64)
+    values = np.fromstring(data, dtype=np.int64, sep=" ")
+    # np.fromstring saturates an id past 2^63 - 1 at that value
+    if len(values) != len(starts) or any(int(data[starts[i]:ends[i]]) > _INT64_MAX
+                                         for i in np.flatnonzero(values == _INT64_MAX)):
+        _diagnose(text, noun, rules)
+    pairs = values.reshape(-1, 2)
+    if any(broken(pairs[:, 0], pairs[:, 1]).any() for _, broken in rules):
+        _diagnose(text, noun, rules)
+    return pairs
+
+
+def _diagnose(text: str, noun: str, rules: Sequence[_Rule]) -> NoReturn:
+    """Raise the ParseError of the first line of `text` that breaks
+    `_read_pairs`' grammar or one of `rules`, walking line by line."""
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        fields = line.encode("ascii", "replace").split()
+        if not fields or fields[0].startswith(b"#"):
             continue
-        parts = stripped.split()
-        if len(parts) != 2:
-            raise ParseError(line_no, line.rstrip("\n"), "expected two fields")
-        try:
-            v, l = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(line_no, line.rstrip("\n"), "non-integer field")
-        if not 0 <= v < graph.vertex_count:
-            raise ParseError(line_no, line.rstrip("\n"), "vertex out of range")
-        if not 0 <= l < label_dim:
-            raise ParseError(line_no, line.rstrip("\n"), "label index out of range")
-        labels[v, l] = True
-    return LabelTable(label_dim, labels, np.ones(graph.vertex_count, dtype=bool))
+        if len(fields) != 2:
+            raise ParseError(line_no, line, "expected two fields")
+        if not all(_NUMBER.fullmatch(f) for f in fields):
+            raise ParseError(line_no, line, f"non-integer {noun}")
+        a, b = (int(f) for f in fields)
+        for reason, broken in rules:
+            if broken(a, b):
+                raise ParseError(line_no, line, reason)
+        if max(a, b) > _INT64_MAX:
+            raise ParseError(line_no, line, f"{noun} not below 2^63")
+    raise AssertionError("a bulk check of the text failed, but no line breaks a rule")
 
 
 def induced_pairs(graph: Graph, vertices: np.ndarray,

@@ -8,7 +8,7 @@ import pytest
 
 from relerm.checkpoint import (export_embeddings, load_checkpoint,
                                save_checkpoint)
-from relerm import cli
+from relerm import cli, trainer
 from relerm.cli import main, parse_config, ConfigError
 from relerm.graph import from_edges
 from relerm.losses import LossConfig, ParamStore, RowTable
@@ -323,6 +323,28 @@ def test_cli_riskcheck_builtin_fixture(tmp_path, capsys):
     for check in report["checks"]:
         assert check["pass"]
         assert check["risk_z"] < 4.0 and check["max_grad_z"] < 4.0
+        assert check["max_grad_fd_error"] <= report["fd_tolerance"]
+
+
+def test_cli_riskcheck_fails_a_gradient_that_is_not_the_derivative(tmp_path, capsys,
+                                                                    monkeypatch):
+    # 1.1 times the gradient is still unbiased for 1.1 times the risk, so
+    # only the finite differences of the exact risk can catch it
+    exact = trainer.gradient
+
+    def scaled(*args, **kwargs):
+        grad = exact(*args, **kwargs)
+        grad.embeddings.data *= 1.1
+        return grad
+    monkeypatch.setattr(trainer, "gradient", scaled)
+    out = tmp_path / "rc"
+    rc = main(["riskcheck", "--set", "seed=7", "--set", f"output.dir={out}",
+               "--set", "riskcheck.samples=20000"])
+    assert rc == 1
+    report = json.loads(open(out / "riskcheck.json").read())
+    for check in report["checks"]:
+        assert check["max_grad_z"] < 4.0
+        assert check["max_grad_fd_error"] > report["fd_tolerance"] and not check["pass"]
 
 
 def test_cli_runtime_error_exit_code(tmp_path, capsys):

@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from relerm import from_edges, induced_pairs, load_cache, load_edge_list, \
     load_labels, save_cache, validate
@@ -119,6 +120,126 @@ def test_load_labels(path3):
         load_labels(io.StringIO("0 9\n"), path3, 5)
     with pytest.raises(ParseError):
         load_labels(io.StringIO("9 0\n"), path3, 5)
+
+
+def test_load_edge_list_rejects_ids_past_int64_naming_the_line(path3):
+    g, ids = load_edge_list(io.StringIO(f"{2 ** 63 - 1} 1\n"))
+    assert ids == {1: 0, 2 ** 63 - 1: 1}
+    for text in ("99999999999999999999 1\n", f"0 1\n1 {2 ** 63}\n"):
+        with pytest.raises(ParseError, match="vertex id not below 2\\^63") as exc:
+            load_edge_list(io.StringIO(text))
+        assert exc.value.line_no == text.count("\n")
+    with pytest.raises(ParseError, match="vertex out of range") as exc:
+        load_labels(io.StringIO("0 1\n99999999999999999999 1\n"), path3, 2)
+    assert exc.value.line_no == 2
+
+
+@pytest.mark.parametrize("field", ["+5", "1_000", "١", "１", "-0", "1e3", "0x1"])
+def test_ids_are_ascii_decimal_digits_only(field, path3):
+    # Python's int() reads all but the last two
+    with pytest.raises(ParseError, match="non-integer vertex id") as exc:
+        load_edge_list(io.StringIO(f"0 1\n{field} 2\n"))
+    assert exc.value.line_no == 2
+    with pytest.raises(ParseError, match="non-integer field") as exc:
+        load_labels(io.StringIO(f"0 1\n1 {field}\n"), path3, 2)
+    assert exc.value.line_no == 2
+
+
+# -- property tests of the text reader ----------------------------------------
+
+blanks = st.text(" \t", max_size=3)
+fillers = st.one_of(blanks, st.builds(lambda pre, rest: pre + "#" + rest, blanks,
+                                      st.text(" \t#-x09", max_size=6)))
+
+
+@st.composite
+def rendered(draw, rows):
+    """`rows` as the lines of a text file, without their '\\n', between
+    blank and '#' lines, with random blanks around and between the two
+    fields and a '\\r' before some line ends; and the line number of each
+    row."""
+    lines, line_nos = [], []
+    for a, b in rows:
+        lines += draw(st.lists(fillers, max_size=2))
+        lines.append(draw(blanks) + str(a) + draw(blanks.map(lambda s: s or " ")) + str(b)
+                     + draw(blanks) + draw(st.sampled_from(["", "\r"])))
+        line_nos.append(len(lines))
+    lines += draw(st.lists(fillers, max_size=2))
+    return lines, line_nos
+
+
+def sources(draw, lines):
+    """The same lines as a text file (with or without a last '\\n') and as a
+    list of lines (each with or without its '\\n')."""
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    ends = draw(st.lists(st.sampled_from(["", "\n"]), min_size=len(lines), max_size=len(lines)))
+    return [io.StringIO(text), [line + end for line, end in zip(lines, ends)]]
+
+
+def assert_corrupt_line_named(load, data, lines, line_nos, faults):
+    """Replace one data line by a line that breaks one rule; the loader
+    must raise a ParseError with that line's number and the rule's reason."""
+    if not line_nos:
+        return
+    at = data.draw(st.sampled_from(line_nos))
+    line, reason = data.draw(st.sampled_from(faults(*map(int, lines[at - 1].split()))))
+    lines = lines[:at - 1] + [line] + lines[at:]
+    for source in sources(data.draw, lines):
+        with pytest.raises(ParseError, match=reason) as exc:
+            load(source)
+        assert exc.value.line_no == at
+
+
+ids = st.one_of(st.integers(0, 12), st.integers(0, 2 ** 63 - 1))
+
+
+@given(rows=st.lists(st.tuples(ids, ids), max_size=12), drop=st.booleans(), data=st.data())
+def test_load_edge_list_equals_from_edges_on_any_rendering(rows, drop, data):
+    if not drop:
+        rows = [(a, b) for a, b in rows if a != b]
+    lines, line_nos = data.draw(rendered(rows))
+    pairs = np.array([(a, b) for a, b in rows if a != b], dtype=np.int64).reshape(-1, 2)
+    for source in sources(data.draw, lines):
+        if not len(pairs):  # whitespace and comments only, or self-loops dropped
+            with pytest.raises(EmptyGraphError):
+                load_edge_list(source, drop_self_loops=drop)
+            continue
+        g, relabel = load_edge_list(source, drop_self_loops=drop)
+        original = np.unique(pairs)
+        want = from_edges(len(original), np.searchsorted(original, pairs))
+        for name in ("offsets", "neighbors", "edge_list"):
+            got, expected = getattr(g, name), getattr(want, name)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+        assert relabel == dict(zip(original.tolist(), range(len(original))))
+
+    def faults(a, b):
+        return [(f"{a} {b} {b}", "expected two fields"), (f"{a} {b}x", "non-integer vertex id"),
+                (f"{a} -{b + 1}", "negative vertex id"),
+                (f"{a} {2 ** 63 + b}", "vertex id not below 2\\^63")] \
+            + ([] if drop else [(f"{a} {a}", "self-loop")])
+    assert_corrupt_line_named(lambda s: load_edge_list(s, drop_self_loops=drop),
+                              data, lines, line_nos, faults)
+
+
+@given(rows=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2)), max_size=12),
+       data=st.data())
+def test_load_labels_sets_each_row_on_any_rendering(rows, data):
+    graph = from_edges(5, np.array([[0, 1], [1, 2], [2, 3], [3, 4]]))
+    lines, line_nos = data.draw(rendered(rows))
+    want = np.zeros((5, 3), dtype=bool)
+    for v, label in rows:
+        want[v, label] = True
+    for source in sources(data.draw, lines):
+        table = load_labels(source, graph, 3)
+        assert np.array_equal(table.labels, want) and table.mask.all()
+
+    def faults(v, label):
+        return [(f"{v} {label} {label}", "expected two fields"),
+                (f"x{v} {label}", "non-integer field"), (f"{v} -{label + 1}", "label index out"),
+                (f"{2 ** 63 + v} {label}", "vertex out of range"),
+                (f"{v + 5} {label}", "vertex out of range"),
+                (f"{v} {label + 3}", "label index out of range")]
+    assert_corrupt_line_named(lambda s: load_labels(s, graph, 3), data, lines, line_nos, faults)
 
 
 def test_induced_pairs_triangle(triangle):
