@@ -322,9 +322,9 @@ def cmd_simulate(run: Run) -> int:
 
 
 # riskcheck's gradient check: central differences of the exact risk, step
-# FD_STEP, along FD_DIRECTIONS random unit directions of the embeddings; at
-# this step a correct gradient is off by about 1e-9 on the built-in path,
-# and a gradient scaled by 1.1 by about 1e-2
+# FD_STEP, along FD_DIRECTIONS random unit directions of the embeddings; on
+# the built-in path a correct gradient is off by about 1e-10, and a
+# gradient scaled by 1.1 by about 3e-3
 FD_STEP, FD_DIRECTIONS, FD_TOLERANCE = 1e-6, 3, 1e-6
 
 
