@@ -14,7 +14,6 @@ from .evaluation import (Split, macro_f1, make_split, simultaneous_eval,
                          two_stage_eval)
 from .graphex import (GraphonSpec, LatentGraph, MarkingKernel, mark_embeddings,
                       risk_convergence_experiment, sample_graphex,
-                      sample_graphex_coupled, stability_experiment,
-                      global_param_experiment)
+                      sample_graphex_coupled, stability_experiment)
 
 __version__ = "0.1.0"

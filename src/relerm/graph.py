@@ -63,12 +63,6 @@ class Graph:
         v = self.vertex_count
         return self.edge_list[:, 0].astype(np.int64) * v + self.edge_list[:, 1]
 
-    def neighbors_of(self, v: int) -> np.ndarray:
-        return self.neighbors[self.offsets[v]:self.offsets[v + 1]]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.has_edges(np.array([u]), np.array([v]))[0])
-
     def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Vectorized edge membership for pairs (us[i], vs[i]); raises
         GraphError for a vertex id outside [0, V)."""

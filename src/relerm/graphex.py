@@ -21,7 +21,6 @@ from .graph import Graph, LabelTable, induced_subgraph
 from .losses import LossConfig, ParamStore
 from .samplers import SamplerConfig
 from .trainer import TrainConfig, estimate_risk, train
-from .evaluation import fit_logistic
 
 
 class GraphexError(Exception):
@@ -264,37 +263,4 @@ def stability_experiment(spec: GraphonSpec, sizes: list[float], delta: float,
         records.append({"experiment": "stability", "n": n, "replicate": -1,
                         "statistic": "mean_drift_over_reps",
                         "value": float(np.mean(drifts)) if drifts else 0.0})
-    return records
-
-
-def global_param_experiment(spec: GraphonSpec, sizes: list[float],
-                            label_fn: Callable[[float], np.ndarray],
-                            config: TrainConfig, rng: np.random.Generator) -> list[dict]:
-    """Two-stage fit at each size: embeddings on structure, then a convex
-    logistic fit of the global parameters; reports each gamma_hat and its
-    distance to the largest-size fit."""
-    gammas = {}
-    records = []
-    for n in sorted(sizes):
-        lg = sample_graphex(spec, n, rng)
-        label_probs = np.array([label_fn(float(x)) for x in lg.latents])
-        labels = rng.random(label_probs.shape) < label_probs
-        params = _train_on(lg, config)
-        if config.steps == 0:
-            L = labels.shape[1]
-            w = np.zeros((config.embedding_dim, L))
-            b = np.zeros(L)
-        else:
-            feats = params.embedding_matrix(
-                np.arange(lg.graph.vertex_count, dtype=np.int64))
-            w, b = fit_logistic(feats, labels)
-        gammas[n] = np.concatenate([w.reshape(-1), b])
-        records.append({"experiment": "global_param", "n": n, "replicate": 0,
-                        "statistic": "gamma_norm",
-                        "value": float(np.linalg.norm(gammas[n]))})
-    n_max = max(gammas)
-    for n in sorted(gammas):
-        records.append({"experiment": "global_param", "n": n, "replicate": 0,
-                        "statistic": "gamma_dist_to_largest",
-                        "value": float(np.linalg.norm(gammas[n] - gammas[n_max]))})
     return records

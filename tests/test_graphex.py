@@ -6,8 +6,7 @@ from relerm import (GraphonSpec, LossConfig, MarkingKernel, SamplerConfig,
                     TrainConfig, mark_embeddings, sample_graphex,
                     sample_graphex_coupled)
 from relerm.graphex import (MAX_EXPECTED_EDGES, GraphexError, _product_edges,
-                            global_param_experiment, risk_convergence_experiment,
-                            stability_experiment)
+                            risk_convergence_experiment, stability_experiment)
 
 
 def exp_spec():
@@ -205,36 +204,3 @@ def test_stability_zero_delta_zero_drift():
     for rec in records:
         if rec["statistic"].startswith("mean_drift"):
             assert rec["value"] == 0.0
-
-
-def test_global_param_steps_zero():
-    cfg = TrainConfig(sampler=SamplerConfig(algorithm="p_sampling", retention=0.2),
-                      steps=0, embedding_dim=4, seed=14)
-    records = global_param_experiment(
-        exp_spec(), [30, 60], lambda x: np.array([0.5]), cfg,
-        np.random.default_rng(15))
-    norms = [r["value"] for r in records if r["statistic"] == "gamma_norm"]
-    assert all(v == 0.0 for v in norms)
-
-
-def test_global_param_no_signal_bias():
-    # labels independent of the latent feature: the fit should keep the
-    # weights near zero and push the bias toward logit(label frequency)
-    cfg = TrainConfig(sampler=SamplerConfig(algorithm="p_sampling", retention=0.3),
-                      steps=30, embedding_dim=2, seed=16, lr_start=1e-3,
-                      lr_end=1e-4)
-    records = global_param_experiment(
-        exp_spec(), [120], lambda x: np.array([0.7]), cfg,
-        np.random.default_rng(17))
-    # re-run the fit directly for the assertion
-    from relerm.graphex import _train_on
-    from relerm.evaluation import fit_logistic
-    rng = np.random.default_rng(18)
-    lg = sample_graphex(exp_spec(), 120, rng)
-    labels = (rng.random((lg.graph.vertex_count, 1)) < 0.7)
-    params = _train_on(lg, cfg)
-    feats = params.embedding_matrix(np.arange(lg.graph.vertex_count))
-    w, b = fit_logistic(feats, labels)
-    freq = labels.mean()
-    assert abs(b[0] - np.log(freq / (1 - freq))) < 0.5
-    assert np.abs(w).max() < 2.0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from relerm import (LabelTable, LossConfig, ParamStore, SamplerConfig, TrainConf
                     check_unbiasedness, estimate_risk, exact_risk, sgd_step, train)
 from relerm.losses import SparseGradient, SparseRows, combined_loss, gradient, _sigmoid
 from relerm.samplers import draw, outcome_batch
-from relerm.trainer import OracleError, TrainerError, _enumerate_keys
+from relerm import trainer
+from relerm.trainer import FD_TOLERANCE, OracleError, TrainerError, _enumerate_keys
 from relerm.graph import from_edges
 from conftest import category_map
 
@@ -287,6 +290,42 @@ def test_unbiasedness_sees_the_production_walk(path5, monkeypatch):
     assert rep.max_abs_z > 4.0
 
 
+@pytest.mark.parametrize("cfg", [psample(0.5), walk(3)])
+def test_unbiasedness_fails_a_gradient_that_is_not_the_derivative(path5, cfg, monkeypatch):
+    # 1.1 times the gradient is unbiased for 1.1 times the risk, so the
+    # z-scores pass it and only the derivative check can catch it
+    exact = trainer.gradient
+
+    def scaled(*args, **kwargs):
+        grad = exact(*args, **kwargs)
+        grad.embeddings.data *= 1.1
+        return grad
+
+    params = ParamStore(4, 0, seed=5)
+    honest = check_unbiasedness(path5, params, cfg, LossConfig(), 10 ** 4,
+                                np.random.default_rng(7))
+    monkeypatch.setattr(trainer, "gradient", scaled)
+    rep = check_unbiasedness(path5, params, cfg, LossConfig(), 10 ** 4,
+                             np.random.default_rng(7))
+    assert honest.fd_error <= FD_TOLERANCE
+    assert rep.max_abs_z < 4.0 and rep.fd_error > FD_TOLERANCE
+
+
+def test_unbiasedness_memory_is_bounded_by_a_batch():
+    # the 2^16 retention masks of a 16-ring: one dense row of 64 gradient
+    # coordinates per mask would be 32 MiB, and its weighted moments took
+    # about 100 MiB at peak; summed batch by batch the check peaks near 61 MiB
+    g = from_edges(16, np.array([[i, (i + 1) % 16] for i in range(16)]))
+    tracemalloc.start()
+    try:
+        check_unbiasedness(g, ParamStore(4, 0, seed=0), psample(0.5), LossConfig(), 10 ** 4,
+                           np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2 ** 20
+
+
 LABEL_CASES = {
     "p_sampling": psample(0.5),
     "rw_skipgram": SamplerConfig(algorithm="rw_skipgram", walk_length=3, window=2),
@@ -309,6 +348,7 @@ def test_oracles_node_classification(path5, name):
         assert abs(est.mean - exact) < 4 * est.std_error, method
     rep = check_unbiasedness(path5, params, sampler, loss, 10 ** 5, rng, labels=labels)
     assert rep.max_abs_z < 4.0
+    assert rep.fd_error <= FD_TOLERANCE
     # the gradient the check enumerates is the gradient of the exact risk:
     # central differences over every embedding entry, weight and bias
     h, diffs = 1e-6, []
