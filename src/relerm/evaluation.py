@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .graph import Graph, LabelTable, induced_edges
-from .losses import LossConfig, ParamStore, _sigmoid
+from .losses import ParamStore, _sigmoid_and_exp
 from .samplers import SamplerConfig, _first_seen, draw_key
 from .trainer import TrainConfig, train
 
@@ -84,8 +84,9 @@ def make_split(graph: Graph, fraction: float, scheme: str,
             fresh = _first_seen(draw_key(graph, SPLIT_WALK, rng))
             seen = np.concatenate([seen, fresh[~np.isin(fresh, seen)]])
         test = np.sort(seen[:target])
-    train_set = np.setdiff1d(np.arange(v, dtype=np.int64), test)
-    return Split(train_set, test, scheme)
+    in_train = np.ones(v, dtype=bool)
+    in_train[test] = False
+    return Split(np.flatnonzero(in_train), test, scheme)
 
 
 def macro_f1(predicted: np.ndarray, truth: LabelTable, test: np.ndarray) -> float:
@@ -105,7 +106,19 @@ def macro_f1(predicted: np.ndarray, truth: LabelTable, test: np.ndarray) -> floa
 def fit_logistic(features: np.ndarray, targets: np.ndarray,
                  l2: float = 1e-4) -> tuple[np.ndarray, np.ndarray]:
     """Fit independent per-label logistic regressions (weights, bias) by
-    L-BFGS on the mean cross-entropy with a small ridge term."""
+    L-BFGS on the mean cross-entropy with a small ridge term. Each
+    evaluation takes one e = exp(-|z|) of the logits z for both the loss,
+    softplus(z) - y z = max(z, 0) + log1p(e) - y z, and its gradient,
+    sigmoid(z) - y."""
+    if features.ndim != 2 or targets.ndim != 2:
+        raise EvalError(f"features and targets must be 2-D, not {features.ndim}-D "
+                        f"and {targets.ndim}-D")
+    if len(features) != len(targets):
+        raise EvalError(f"{len(features)} feature rows but {len(targets)} target rows")
+    if not len(features):
+        raise EvalError("no rows to fit")
+    if not np.isfinite(features).all():
+        raise EvalError("features are not all finite")
     n, d = features.shape
     L = targets.shape[1]
     y = targets.astype(np.float64)
@@ -114,9 +127,8 @@ def fit_logistic(features: np.ndarray, targets: np.ndarray,
         w = x[: d * L].reshape(d, L)
         b = x[d * L:]
         z = features @ w + b
-        p = _sigmoid(z)
-        # log-sum-exp form of the cross-entropy, stable for large |z|
-        ll = np.logaddexp(0.0, z) - y * z
+        p, e = _sigmoid_and_exp(z)
+        ll = np.maximum(z, 0.0) + np.log1p(e) - y * z
         loss = ll.sum() / n + 0.5 * l2 * (w ** 2).sum()
         gz = (p - y) / n
         gw = features.T @ gz + l2 * w

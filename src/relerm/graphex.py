@@ -12,12 +12,12 @@ which is what makes the embedding-stability experiment well defined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .graph import Graph, LabelTable, induced_subgraph
+from .graph import Graph, induced_subgraph
 from .losses import LossConfig, ParamStore
 from .samplers import SamplerConfig
 from .trainer import TrainConfig, estimate_risk, train

@@ -388,10 +388,16 @@ def _scatter(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, n_rows: in
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return _sigmoid_and_exp(x)[0]
+
+
+def _sigmoid_and_exp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sigmoid(x) and the e = exp(-|x|) it is made of, for a caller that
+    also wants softplus(x) = max(x, 0) + log1p(e)."""
     # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so exp never
     # overflows
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.where(x >= 0, 1.0, e) / (1.0 + e), e
 
 
 @dataclass

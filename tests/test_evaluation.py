@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from relerm import (LabelTable, LossConfig, SamplerConfig, Split, TrainConfig,
                     from_edges, macro_f1, make_split, simultaneous_eval,
@@ -179,6 +182,70 @@ def test_fit_logistic_separable():
     w, b = fit_logistic(x, y)
     p = _sigmoid(x @ w + b)
     assert ((p > 0.5) == y).mean() > 0.99
+
+
+def logaddexp_fit(features, targets, l2=1e-4):
+    """The classifier as it was fit before the loss shared the gradient's
+    exponential: the cross-entropy as np.logaddexp(0, z) - y z."""
+    n, d = features.shape
+    L = targets.shape[1]
+    y = targets.astype(np.float64)
+
+    def objective(x):
+        w = x[: d * L].reshape(d, L)
+        b = x[d * L:]
+        z = features @ w + b
+        loss = (np.logaddexp(0.0, z) - y * z).sum() / n + 0.5 * l2 * (w ** 2).sum()
+        gz = (_sigmoid(z) - y) / n
+        gw = features.T @ gz + l2 * w
+        return loss, np.concatenate([gw.reshape(-1), gz.sum(axis=0)])
+
+    res = minimize(objective, np.zeros(d * L + L), jac=True, method="L-BFGS-B",
+                   options={"maxiter": 500})
+    return res.x[: d * L].reshape(d, L), res.x[d * L:]
+
+
+def logistic_problem(name):
+    rng = np.random.default_rng(17)
+    if name == "blocks":  # 3 labels of planted blocks in noise, some rows multi-label
+        x = rng.normal(size=(300, 6))
+        y = np.zeros((300, 3), dtype=bool)
+        y[np.arange(300), np.arange(300) % 3] = True
+        y[::7, 0] = True
+        x[:, :3] += 1.5 * y
+        return x, y
+    if name == "noise":  # labels independent of the features
+        return rng.normal(size=(120, 4)), rng.random((120, 2)) < 0.3
+    # separable, and features so large that the logits pass |z| = 700,
+    # where exp(-|z|) underflows to 0
+    x = 1e4 * rng.normal(size=(80, 2))
+    return x, np.stack([x[:, 0] > 0, x[:, 1] > x[:, 0]], axis=1)
+
+
+@pytest.mark.parametrize("name", ["blocks", "noise", "huge_logits"])
+def test_fit_logistic_matches_the_logaddexp_fit(name):
+    x, y = logistic_problem(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        w, b = fit_logistic(x, y)
+        w_ref, b_ref = logaddexp_fit(x, y)
+    assert np.allclose(w, w_ref, rtol=0, atol=1e-8)
+    assert np.allclose(b, b_ref, rtol=0, atol=1e-8)
+    if name == "huge_logits":
+        assert np.abs(x @ w + b).max() > 700
+
+
+@pytest.mark.parametrize("features, targets, message", [
+    (np.array([[0.0], [np.nan]]), np.ones((2, 1), dtype=bool), "not all finite"),
+    (np.array([[0.0], [np.inf]]), np.ones((2, 1), dtype=bool), "not all finite"),
+    (np.zeros((3, 2)), np.ones((2, 1), dtype=bool), "3 feature rows but 2 target rows"),
+    (np.zeros((2, 2)), np.ones(2, dtype=bool), "must be 2-D"),
+    (np.zeros(2), np.ones((2, 1), dtype=bool), "must be 2-D"),
+    (np.zeros((0, 2)), np.ones((0, 1), dtype=bool), "no rows"),
+])
+def test_fit_logistic_rejects_bad_input(features, targets, message):
+    with pytest.raises(EvalError, match=message):
+        fit_logistic(features, targets)
 
 
 def test_predict_labels_threshold_and_topk():
