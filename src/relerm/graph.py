@@ -38,7 +38,9 @@ class Graph:
     """Undirected simple graph: CSR adjacency plus a canonical edge list.
 
     Invariants: no self-loops, no duplicate edges, neighbor lists sorted
-    ascending, adjacency symmetric, edge_list rows have u < v.
+    ascending, adjacency symmetric, edge_list rows have u < v. The cached
+    forward starts (each vertex's first neighbour above it, which
+    `induced_edges` gathers from) rely on the sorted neighbour blocks.
     """
 
     offsets: np.ndarray    # int64, length V+1
@@ -62,6 +64,12 @@ class Graph:
         # sorted packed codes u*V+v (u<v) for O(log E) membership tests
         v = self.vertex_count
         return self.edge_list[:, 0].astype(np.int64) * v + self.edge_list[:, 1]
+
+    @cached_property
+    def _forward_starts(self) -> np.ndarray:
+        # a sorted block holds the neighbours below its vertex first, one per
+        # edge_list row that ends at the vertex
+        return self.offsets[:-1] + np.bincount(self.edge_list[:, 1], minlength=self.vertex_count)
 
     def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Vectorized edge membership for pairs (us[i], vs[i]); raises
@@ -114,11 +122,13 @@ class CategoryMap:
                              f"[0, {self.category_count})")
 
 
-def gather_segments(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def gather_segments(offsets: np.ndarray, rows: np.ndarray,
+                    starts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The entries of the selected `rows` of a CSR layout (row r at
     offsets[r]:offsets[r + 1] of a flat array), row after row: the index in
-    `rows` of each entry's owner, and the entry's position in the flat array."""
-    starts = offsets[rows]
+    `rows` of each entry's owner, and the entry's position in the flat array.
+    With per-row `starts`, row r is cut to starts[r]:offsets[r + 1]."""
+    starts = (offsets if starts is None else starts)[rows]
     counts = offsets[rows + 1] - starts
     ends = counts.cumsum()
     at = np.arange(ends[-1] if len(ends) else 0) + (starts - ends + counts).repeat(counts)
@@ -296,14 +306,17 @@ def _diagnose(text: str, noun: str, rules: Sequence[_Rule]) -> NoReturn:
     raise AssertionError("a bulk check of the text failed, but no line breaks a rule")
 
 
-def induced_pairs(graph: Graph, vertices: np.ndarray,
-                  copies: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def induced_pairs(graph: Graph, vertices: np.ndarray, copies: int = 1,
+                  edges: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """All edges and non-edges of `graph` among `vertices`.
 
     Together the two outputs cover every unordered pair within the set
     exactly once, as rows (u, v), u < v, in ascending order. Id i * V + v
     names vertex v of the i-th of `copies` disjoint copies of the graph, as
-    in a batch of draws; pairs stay within a copy.
+    in a batch of draws; pairs stay within a copy. A caller that holds the
+    edges among `vertices` already (as `induced_edges` returns them) passes
+    them as `edges`, and the pairs are split against those rows instead of
+    looking each pair up in the graph.
     """
     verts = np.unique(np.asarray(vertices, dtype=np.int64))
     v = graph.vertex_count
@@ -316,9 +329,16 @@ def induced_pairs(graph: Graph, vertices: np.ndarray,
     at = np.arange(len(verts))
     partners = counts.cumsum().repeat(counts) - 1 - at
     first = at.repeat(partners)
-    second = np.arange(len(first)) - (partners.cumsum() - partners - at - 1)[first]
-    local = verts % v  # the vertex within its copy
-    is_edge = graph.has_edges(local[first], local[second])
+    base = partners.cumsum() - partners - at - 1  # pair (i, j) is number base[i] + j
+    second = np.arange(len(first)) - base[first]
+    if edges is None:
+        local = verts % v  # the vertex within its copy
+        is_edge = graph.has_edges(local[first], local[second])
+    else:
+        # each edge's ends by position in verts, so no code spans the copies
+        i, j = np.searchsorted(verts, edges.T)
+        is_edge = np.zeros(len(first), dtype=bool)
+        is_edge[base[i] + j] = True
     us, vs = verts[first], verts[second]
     pairs = np.concatenate((us[:, None], vs[:, None]), axis=1)
     return pairs[is_edge], pairs[~is_edge]
@@ -330,12 +350,13 @@ def induced_edges(graph: Graph, vertex_mask: np.ndarray) -> np.ndarray:
     edge_list's order). Row i of an (n, V) mask selects from copy i of the
     graph (see `induced_pairs`).
 
-    Gathers the neighbour lists of the selected vertices, so the cost
-    follows their total degree, not E. On a V=10,000, E=60,000 graph (one
-    2 GHz Xeon core) that is about 40 us at 1% of vertices selected against
-    about 0.7 ms for a mask over the edge list; at half of the vertices or
-    more the edge-list mask is faster (about 1.4 against 1.9 ms), a density
-    no sampler default reaches.
+    Gathers each selected vertex's neighbours above it (its forward
+    neighbours, see `Graph`), so the cost follows half their total degree,
+    not E. On a V=10,000, E=61,000 graph (one Xeon core) that is 25-45 us
+    at 1% of vertices selected against 0.5-0.6 ms for a mask over the edge
+    list; from about 40% of the vertices on the edge-list mask is faster
+    (0.8 against 0.9 ms at half, 1.2-1.7 against 2.3-3.3 ms at all of
+    them), a density no sampler default reaches.
     """
     mask = np.asarray(vertex_mask)
     if mask.shape[-1:] != (graph.vertex_count,):
@@ -345,10 +366,11 @@ def induced_edges(graph: Graph, vertex_mask: np.ndarray) -> np.ndarray:
     if len(ids) < 2:
         return np.zeros((0, 2), dtype=np.int64)
     us = ids % graph.vertex_count
-    owner, at = gather_segments(graph.offsets, us)
+    # each vertex's neighbours above it: every edge once, from its lower end
+    owner, at = gather_segments(graph.offsets, us, graph._forward_starts)
     src = ids[owner]
     dst = graph.neighbors[at] + (ids - us)[owner]
-    keep = mask[dst] & (dst > src)
+    keep = mask[dst]
     return np.concatenate((src[keep, None], dst[keep, None]), axis=1)
 
 

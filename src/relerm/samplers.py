@@ -200,12 +200,14 @@ def _outcome_ids(graph: Graph, config: SamplerConfig,
             pos = visits.reshape(-1, 2)
         elif algorithm == "rw_skipgram" and negative != "induced":
             pos = skipgram_pairs(visits, config.window)
+    # p_sampling's pairs so far are exactly the edges among its vertices
+    edges = pos if algorithm == "p_sampling" else None
     if negative == "induced":
-        pos, neg = induced_pairs(graph, verts, n)
+        pos, neg = induced_pairs(graph, verts, n, edges)
     elif algorithm == "rw_induced":
         pos, _ = induced_pairs(graph, verts, n)
     elif algorithm == "p_sampling" and negative == "none" and len(verts):
-        _, neg = induced_pairs(graph, verts, n)
+        _, neg = induced_pairs(graph, verts, n, edges)
     return verts, pos, neg
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import CategoryMap, Graph, LabelTable, gather_segments
+from .graph import _INT64_MAX, CategoryMap, Graph, LabelTable, gather_segments
 from .graph import induced_pairs  # noqa: F401 - unused; a span target of benchmarks/spans.py
 from .losses import LossConfig, ParamStore, SparseGradient, combined_loss, gradient
 from .samplers import (WALK_STARTS, SamplerConfig, UnigramTable, build_unigram, draw,
@@ -107,11 +107,16 @@ def _key_dims(graph: Graph, config: SamplerConfig) -> tuple[int, ...]:
 
 
 def _encode(keys: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    try:
-        return np.ravel_multi_index(tuple(keys.T), dims)
-    except ValueError:
+    """Each key row's integer code, its digits read by Horner's rule (the
+    codes of np.ravel_multi_index, without its per-digit index arrays)."""
+    if math.prod(dims) > _INT64_MAX:
         raise OracleError(f"outcome keys of {len(dims)} digits in base {dims[0]} "
-                          "do not fit int64 codes") from None
+                          "do not fit int64 codes")
+    codes = np.zeros(len(keys), dtype=np.int64)
+    for i, base in enumerate(dims):
+        codes *= base
+        codes += keys[:, i]
+    return codes
 
 
 def _decode(codes: np.ndarray, dims: tuple[int, ...], config: SamplerConfig) -> np.ndarray:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from relerm import from_edges, induced_pairs, load_cache, load_edge_list, \
-    load_labels, save_cache, validate
+from relerm import GraphonSpec, from_edges, induced_pairs, load_cache, load_edge_list, \
+    load_labels, sample_graphex, save_cache, validate
 from relerm.graph import CategoryMap, EmptyGraphError, Graph, GraphError, ParseError, \
     gather_segments, induced_edges
 
@@ -289,19 +289,35 @@ def test_induced_edges_mask(path3):
 
 
 def test_induced_edges_matches_edge_list_mask():
-    # the neighbour-list gather returns exactly the edge-list mask's rows,
-    # in the same order and dtype, isolated vertices and extreme masks included
+    # the forward neighbour gather returns exactly the edge-list mask's rows,
+    # in the same order and dtype, isolated vertices, extreme masks and
+    # (n, V) masks over disjoint copies included, on uniform graphs, a hub
+    # with a sparse rest and a graphex draw
     rng = np.random.default_rng(3)
-    for trial in range(40):
-        v = int(rng.integers(2, 30))
-        edges = rng.integers(v, size=(int(rng.integers(0, 3 * v)), 2))
-        g = from_edges(v, edges[edges[:, 0] != edges[:, 1]])
-        for mask in (np.zeros(v, dtype=bool), np.ones(v, dtype=bool),
-                     rng.random(v) < rng.random()):
-            want = g.edge_list[mask[g.edge_list[:, 0]] & mask[g.edge_list[:, 1]]]
-            got = induced_edges(g, mask)
-            assert got.dtype == np.int64 and got.shape == (len(want), 2)
-            assert np.array_equal(got, want.astype(np.int64))
+
+    def uniform(v):
+        return rng.integers(v, size=(int(rng.integers(0, 3 * v)), 2))
+
+    def hub(v):
+        return np.concatenate([np.stack([np.zeros(v - 1, dtype=np.int64),
+                                         np.arange(1, v)], axis=1)[rng.random(v - 1) < 0.8],
+                               rng.integers(1, v, size=(v // 4, 2))])
+
+    graphs = [from_edges(v, e[e[:, 0] != e[:, 1]])
+              for v, e in ((v, make(v)) for make in (uniform, hub) for _ in range(20)
+                           for v in [int(rng.integers(2, 30))])]
+    graphs.append(sample_graphex(GraphonSpec.exp_decay(), 10, rng).graph)
+    for g in graphs:
+        v = g.vertex_count
+        for shape in ((v,), (3, v)):
+            for mask in (np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool),
+                         rng.random(shape) < rng.random()):
+                want = np.concatenate([
+                    g.edge_list[row[g.edge_list[:, 0]] & row[g.edge_list[:, 1]]] + i * v
+                    for i, row in enumerate(mask.reshape(-1, v))])
+                got = induced_edges(g, mask)
+                assert got.dtype == np.int64 and got.shape == (len(want), 2)
+                assert np.array_equal(got, want.astype(np.int64))
 
 
 def test_validate_clean(path3, triangle, cycle4):

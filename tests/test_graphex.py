@@ -36,11 +36,15 @@ def test_constant_graphon_moments():
 
 
 def test_exp_graphon_mecke_unit():
-    # E[edges] = n^2 * (1/2); light unit version of the acceptance check
+    # light unit version of the acceptance check, at two sizes, so that a
+    # generator that ignores n fails one of them: E[edges] = n^2 / 2 and
+    # Var[edges] = n^2 / 2 + n^3 / 2, the mean of reps counts gated on its
+    # own standard error
+    reps = 20
     rng = np.random.default_rng(2)
-    counts = [sample_graphex(exp_spec(), 50, rng).graph.edge_count
-              for _ in range(10)]
-    assert abs(np.mean(counts) - 1250) < 5 * np.std(counts, ddof=1)
+    for n in (50, 200):
+        counts = [sample_graphex(exp_spec(), n, rng).graph.edge_count for _ in range(reps)]
+        assert abs(np.mean(counts) - n ** 2 / 2) < 4 * np.sqrt((n ** 2 / 2 + n ** 3 / 2) / reps)
 
 
 def test_candidate_budget_guard():

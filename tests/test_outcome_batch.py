@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import relerm.trainer as T
 from relerm import (LabelTable, LossConfig, ParamStore, SamplerConfig, SubgraphBatch,
                     build_unigram, draw, estimate_risk, from_edges)
+from relerm.graph import induced_edges, induced_pairs
 from relerm.losses import combined_loss, gradient
 from relerm.samplers import ALGORITHMS, NEGATIVE_MODES, WALK_STARTS, draw_key, outcome_batch
 from conftest import category_map
@@ -128,6 +129,14 @@ def test_induced_pairs_are_edges_and_non_edges(case):
             assert pair_set(pos) | pair_set(neg) == everything
         else:
             assert len(neg) == 0
+    # handed the edges among the vertices, as p_sampling hands its own,
+    # induced_pairs splits the pairs exactly as its has_edges lookups do
+    verts, copies = np.unique(batch.vertices), len(keys)
+    mask = np.zeros(copies * g.vertex_count, dtype=bool)
+    mask[verts] = True
+    edges = induced_edges(g, mask.reshape(copies, -1))
+    for want, got in zip(induced_pairs(g, verts, copies), induced_pairs(g, verts, copies, edges)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
         if cfg.algorithm == "p_sampling":
             # the retained vertices that kept an induced edge
             assert set(s.vertices.tolist()) == set(pos.reshape(-1).tolist())

@@ -6,7 +6,7 @@ import pytest
 from relerm import (LabelTable, LossConfig, ParamStore, SamplerConfig, TrainConfig,
                     check_unbiasedness, estimate_risk, exact_risk, sgd_step, train)
 from relerm.losses import SparseGradient, SparseRows, combined_loss, gradient, _sigmoid
-from relerm.samplers import draw, outcome_batch
+from relerm.samplers import draw, draw_key, outcome_batch
 from relerm import trainer
 from relerm.trainer import FD_TOLERANCE, OracleError, TrainerError, _enumerate_keys
 from relerm.graph import from_edges
@@ -188,6 +188,33 @@ def test_oracles_reject_walk_keys_beyond_int64(oracle):
     g = from_edges(20, np.array([[i, (i + 1) % 20] for i in range(20)]))
     with pytest.raises(OracleError, match="do not fit int64"):
         oracle(g, SamplerConfig(algorithm="rw_induced", walk_length=14))
+
+
+def test_encode_matches_ravel_multi_index():
+    # np.ravel_multi_index is the reference for the Horner codes, on the
+    # keys draw_key simulates (C-order masks, walks transposed from steps)
+    # and on copies in the other memory order
+    rng = np.random.default_rng(4)
+    edges = rng.integers(10, size=(25, 2))
+    rand10 = from_edges(10, edges[edges[:, 0] != edges[:, 1]])
+    triangle = from_edges(3, np.array([[0, 1], [1, 2], [0, 2]]))
+    for g, cfg in ((rand10, SamplerConfig(algorithm="p_sampling", retention=0.3)),
+                   (triangle, SamplerConfig(algorithm="rw_induced", walk_length=6)),
+                   (rand10, SamplerConfig(algorithm="rw_skipgram", walk_length=4))):
+        dims = trainer._key_dims(g, cfg)
+        keys = draw_key(g, cfg, rng, size=5000)
+        for k in (keys, np.asfortranarray(keys), np.ascontiguousarray(keys)):
+            assert np.array_equal(trainer._encode(k, dims), np.ravel_multi_index(tuple(k.T), dims))
+    # the largest code space that fits int64, and the first one past it
+    for dims in ((3,) * 39, (3,) * 40, (2,) * 62, (2,) * 63, (20,) * 14, (20,) * 15):
+        keys = np.array([[d - 1 for d in dims], [0] * len(dims)])
+        try:
+            want = np.ravel_multi_index(tuple(keys.T), dims)
+        except ValueError:
+            with pytest.raises(OracleError, match="do not fit int64"):
+                trainer._encode(keys, dims)
+        else:
+            assert np.array_equal(trainer._encode(keys, dims), want)
 
 
 @pytest.mark.parametrize("oracle", [_aggregated, _unbiasedness])
