@@ -129,6 +129,10 @@ def test_induced_pairs_are_edges_and_non_edges(case):
             assert pair_set(pos) | pair_set(neg) == everything
         else:
             assert len(neg) == 0
+        if cfg.algorithm == "p_sampling":
+            # the retained vertices that kept an induced edge
+            assert set(s.vertices.tolist()) == set(pos.reshape(-1).tolist())
+            assert keys[i][s.vertices].all()
     # handed the edges among the vertices, as p_sampling hands its own,
     # induced_pairs splits the pairs exactly as its has_edges lookups do
     verts, copies = np.unique(batch.vertices), len(keys)
@@ -137,10 +141,6 @@ def test_induced_pairs_are_edges_and_non_edges(case):
     edges = induced_edges(g, mask.reshape(copies, -1))
     for want, got in zip(induced_pairs(g, verts, copies), induced_pairs(g, verts, copies, edges)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
-        if cfg.algorithm == "p_sampling":
-            # the retained vertices that kept an induced edge
-            assert set(s.vertices.tolist()) == set(pos.reshape(-1).tolist())
-            assert keys[i][s.vertices].all()
 
 
 @pytest.mark.parametrize("negative", NEGATIVE_MODES)
