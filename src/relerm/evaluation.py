@@ -154,7 +154,7 @@ def predict_labels(params: ParamStore, vertices: np.ndarray, truth: LabelTable,
         raise EvalError(f"unknown prediction mode {mode!r}")
     n = len(truth.mask)
     pred = np.zeros((n, truth.label_dim), dtype=bool)
-    lam = params.embedding_matrix(np.asarray(vertices, dtype=np.int64))
+    lam = params.embeddings.rows(vertices)  # (0, d) for no vertices
     z = lam @ params.weights + params.bias
     if mode == "threshold":
         pred[vertices] = z > 0.0

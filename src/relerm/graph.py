@@ -374,29 +374,41 @@ def induced_edges(graph: Graph, vertex_mask: np.ndarray) -> np.ndarray:
     return np.concatenate((src[keep, None], dst[keep, None]), axis=1)
 
 
+def _flagged(where: np.ndarray, message: Callable[[int], str]) -> list[str]:
+    """A report line naming the first of offenders `where` and how many more, if any."""
+    more = f" (and {len(where) - 1} more)" if len(where) > 1 else ""
+    return [message(where[0]) + more] if len(where) else []
+
+
+def _layout_report(offsets, neighbors) -> tuple[list[str], np.ndarray | None]:
+    """`validate`'s lines on the CSR layout alone, O(V + E) without a sort, and
+    each neighbour entry's vertex: none when offsets do not rise from 0 to
+    len(neighbors) or ids leave [0, V), whose line then comes alone."""
+    v = len(offsets) - 1
+    if v < 0 or offsets[0] != 0 or offsets[-1] != len(neighbors) or (np.diff(offsets) < 0).any():
+        return ["offsets malformed"], None
+    if len(neighbors) and (neighbors.min() < 0 or neighbors.max() >= v):
+        return ["neighbor index out of range"], None
+    src = np.repeat(np.arange(v, dtype=np.int64), np.diff(offsets))
+    # entry i + 1 repeats or precedes entry i within one vertex's block
+    return _flagged(np.flatnonzero((src[1:] == src[:-1]) & (neighbors[1:] <= neighbors[:-1])) + 1,
+                    lambda i: f"neighbors of {src[i]} not sorted strictly ascending "
+                              "(duplicate or disorder)"), src
+
+
 def validate(graph: Graph) -> list[str]:
     """Return a list of violated invariants (empty iff the graph is valid):
     one line per kind of violation, naming its first offender in adjacency
     or edge-list order and how many more there are."""
-    v = graph.vertex_count
-    offsets, neighbors, edges = graph.offsets, graph.neighbors, graph.edge_list
-    if len(offsets) < 1 or offsets[0] != 0 or offsets[-1] != len(neighbors) \
-            or (np.diff(offsets) < 0).any():
-        return ["offsets malformed"]
-    if len(neighbors) and (neighbors.min() < 0 or neighbors.max() >= v):
-        return ["neighbor index out of range"]
-    report = []
+    v, neighbors, edges = graph.vertex_count, graph.neighbors, graph.edge_list
+    report, src = _layout_report(graph.offsets, neighbors)
+    if src is None:
+        return report
 
     def flag(where, message):
-        if len(where):
-            more = f" (and {len(where) - 1} more)" if len(where) > 1 else ""
-            report.append(message(where[0]) + more)
+        report.extend(_flagged(where, message))
 
-    src = np.repeat(np.arange(v, dtype=np.int64), np.diff(offsets))
     dst = neighbors.astype(np.int64)
-    # entry i + 1 repeats or precedes entry i within one vertex's block
-    flag(np.flatnonzero((src[1:] == src[:-1]) & (dst[1:] <= dst[:-1])) + 1,
-         lambda i: f"neighbors of {src[i]} not sorted strictly ascending (duplicate or disorder)")
     flag(np.flatnonzero(src == dst), lambda i: f"self-loop at {src[i]}")
     adjacency = np.sort(src * v + dst)
 
@@ -480,5 +492,9 @@ def load_cache(path: str) -> Graph:
     offsets, neighbors, edge_list = unpack_sections(
         data, 24, (("offsets", "<i8", v + 1), ("neighbors", "<i4", 2 * e),
                    ("edge_list", "<i4", 2 * e)), GraphError, "cache")
+    # the layout only, which `induced_edges` relies on; `validate` checks the rest
+    report, _ = _layout_report(offsets, neighbors)
+    if report:
+        raise GraphError(f"bad cache: {report[0]}")
     return Graph(offsets=offsets.astype(np.int64), neighbors=neighbors.astype(np.int32),
                  edge_list=edge_list.astype(np.int32).reshape(e, 2))

@@ -13,6 +13,7 @@ which is what makes the embedding-stability experiment well defined.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -64,7 +65,6 @@ class LatentGraph:
     latents: np.ndarray    # x per surviving vertex
     labels: np.ndarray     # nu per surviving vertex (point-process label)
     point_ids: np.ndarray  # index into the originating candidate draw
-    size: float
 
 
 @dataclass(frozen=True)
@@ -82,13 +82,6 @@ MAX_EXPECTED_CANDIDATES = 2 * 10 ** 6
 # (exp_decay, n = 4,472) a draw peaked at 1.4 GiB RSS, about 140 bytes
 # per edge, and took 5 s on a 2-vCPU VM
 MAX_EXPECTED_EDGES = 10 ** 7
-
-
-@dataclass
-class _CandidateDraw:
-    labels: np.ndarray
-    latents: np.ndarray
-    edges: np.ndarray  # (m, 2) candidate-index pairs
 
 
 def _product_edges(f: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -113,7 +106,7 @@ def _product_edges(f: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         # first position whose value is at most half the level's first
         starts.append(int(np.searchsorted(-fs, -fs[starts[-1]] / 2)))
     levels = list(zip(starts[:-1], starts[1:]))
-    src, dst = [], []
+    src, dst = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for a, (a0, a1) in enumerate(levels):
         for b0, b1 in levels[a:]:
             width, p = b1 - b0, fs[a0] * fs[b0]
@@ -129,53 +122,37 @@ def _product_edges(f: np.ndarray, rng: np.random.Generator) -> np.ndarray:
             keep = rng.random(len(i)) < fs[i] * fs[j] / p
             src.append(i[keep])
             dst.append(j[keep])
-    if not src:
-        return np.zeros((0, 2), dtype=np.int64)
     return order[np.stack([np.concatenate(src), np.concatenate(dst)], axis=1)]
 
 
-def _draw_candidates(spec: GraphonSpec, n: float, rng: np.random.Generator) -> _CandidateDraw:
-    expected = n * spec.x_max
-    if expected > MAX_EXPECTED_CANDIDATES:
-        raise GraphexError(
-            f"expected candidate count {expected:.0f} exceeds memory budget")
-    if spec.edge_rate * n ** 2 > MAX_EXPECTED_EDGES:
-        raise GraphexError(
-            f"expected edge count {spec.edge_rate * n ** 2:.0f} exceeds memory budget "
-            f"{MAX_EXPECTED_EDGES}")
-    m = rng.poisson(expected)
-    labels = rng.uniform(0.0, n, m)
-    latents = rng.uniform(0.0, spec.x_max, m)
-    f = np.asarray(spec.factor(latents), dtype=np.float64)
-    if not ((f >= 0) & (f <= 1)).all():
-        raise GraphexError(f"graphon {spec.name}: factor outside [0, 1]")
-    return _CandidateDraw(labels, latents, _product_edges(f, rng))
-
-
-def _restrict(draw: _CandidateDraw, n: float) -> LatentGraph:
-    """Graph induced by candidates with label <= n, isolated ones dropped."""
-    graph, survivors = induced_subgraph(draw.edges, draw.labels <= n)
-    return LatentGraph(graph=graph,
-                       latents=draw.latents[survivors],
-                       labels=draw.labels[survivors],
-                       point_ids=survivors,
-                       size=n)
-
-
 def sample_graphex(spec: GraphonSpec, n: float, rng: np.random.Generator) -> LatentGraph:
-    """One draw of the graphex generative model at size n."""
-    if n <= 0:
-        raise GraphexError("size must be > 0")
-    return _restrict(_draw_candidates(spec, n, rng), n)
+    """One draw of the graphex generative model at size n: the coupled draw at [n]."""
+    return sample_graphex_coupled(spec, [n], rng)[0]
 
 
 def sample_graphex_coupled(spec: GraphonSpec, sizes: list[float],
                            rng: np.random.Generator) -> list[LatentGraph]:
-    """Nested draws at several sizes from one latent process: the graph at
-    size n is exactly the label<=n restriction of the largest draw."""
+    """Nested draws at a non-empty list of sizes, each > 0, from one latent
+    process: the graph at size n is the graph induced by the candidates of
+    the largest size's draw with label <= n, isolated ones dropped."""
+    if not len(sizes) or not all(isinstance(n, Real) and n > 0 for n in sizes):
+        raise GraphexError(f"sizes {list(sizes)} must be a non-empty list of numbers > 0")
     n_max = max(sizes)
-    draw = _draw_candidates(spec, n_max, rng)
-    return [_restrict(draw, n) for n in sizes]
+    expected, expected_edges = n_max * spec.x_max, spec.edge_rate * n_max ** 2
+    if expected > MAX_EXPECTED_CANDIDATES:
+        raise GraphexError(f"expected candidate count {expected:.0f} exceeds memory budget")
+    if expected_edges > MAX_EXPECTED_EDGES:
+        raise GraphexError(f"expected edge count {expected_edges:.0f} exceeds memory budget "
+                           f"{MAX_EXPECTED_EDGES}")
+    m = rng.poisson(expected)
+    labels = rng.uniform(0.0, n_max, m)
+    latents = rng.uniform(0.0, spec.x_max, m)
+    f = np.asarray(spec.factor(latents), dtype=np.float64)
+    if not ((f >= 0) & (f <= 1)).all():
+        raise GraphexError(f"graphon {spec.name}: factor outside [0, 1]")
+    edges = _product_edges(f, rng)
+    kept = [induced_subgraph(edges, labels <= n) for n in sizes]
+    return [LatentGraph(graph, latents[ids], labels[ids], ids) for graph, ids in kept]
 
 
 def mark_embeddings(lg: LatentGraph, kernel: MarkingKernel,
@@ -187,8 +164,10 @@ def mark_embeddings(lg: LatentGraph, kernel: MarkingKernel,
         mean = np.asarray(kernel.fn(float(lg.latents[v])), dtype=np.float64)
         if mean.shape != (kernel.dim,):
             raise GraphexError("marking kernel returned wrong dimension")
-        marks[v] = mean + kernel.noise_scale * rng.standard_normal(kernel.dim) \
-            if kernel.noise_scale > 0 else mean
+        marks[v] = mean
+    if kernel.noise_scale > 0:
+        # row by row, the numbers of one draw of dim per vertex
+        marks += kernel.noise_scale * rng.standard_normal(marks.shape)
     if not np.isfinite(marks).all():
         raise GraphexError("marking kernel produced non-finite embedding")
     params.embeddings.put(np.arange(len(marks)), marks)

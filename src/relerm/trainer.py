@@ -72,6 +72,8 @@ class TrainConfig:
             errs.append("embedding_dim must be >= 1")
         if not 0 <= self.seed < 2 ** 64:
             errs.append(f"seed {self.seed} must be in [0, 2^64)")
+        if self.eval_every < 0 or self.eval_samples < 1:
+            errs.append("eval_every must be >= 0 and eval_samples >= 1")
         return errs
 
 
@@ -350,6 +352,8 @@ def check_unbiasedness(graph: Graph, params: ParamStore, sampler: SamplerConfig,
     that: the exact gradient against central differences of the exact
     risk, scored on the same batches, along FD_DIRECTIONS unit directions
     drawn from rng after the draws."""
+    if n < 1:
+        raise TrainerError("n must be >= 1")
     # materialize so every coordinate is live
     params.embeddings.materialise(np.arange(graph.vertex_count))
     dims = _key_dims(graph, sampler)

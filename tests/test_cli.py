@@ -312,6 +312,31 @@ def test_cli_simulate_mecke(tmp_path, capsys):
     assert all(r["statistic"] == "edge_count" for r in recs)
 
 
+# sha256 of simulate.jsonl from each experiment at small sizes, recorded
+# when each size's graph came from its own sampling path; risk_convergence
+# marks its vertices with noise 0.1
+GOLDEN_SIMULATE = {
+    "mecke": ("0902ceee7bae077f5de930cbd617469c65970cfe590b81eacce6f16880122455",
+              ["--set", "simulate.replicates=3"]),
+    "risk_convergence": ("340d9be2e193e27e928e4ac65a449616c760addf5c39e272834c5325a70a794c",
+                         ["--set", "simulate.replicates=3"]),
+    "stability": ("a1b965587a00327477eb585b7fa9e4cd9248d65c1dee2914b6641e7076daf288",
+                  ["--set", "simulate.replicates=2", "--set", "train.steps=20",
+                   "--set", "train.embedding_dim=4"]),
+}
+
+
+@pytest.mark.parametrize("experiment", list(GOLDEN_SIMULATE))
+def test_cli_simulate_outputs_are_golden(tmp_path, capsys, experiment):
+    golden, extra = GOLDEN_SIMULATE[experiment]
+    out = tmp_path / "sim"
+    rc = main(["simulate", "--set", "seed=19", "--set", f"output.dir={out}",
+               "--set", f"simulate.experiment={experiment}",
+               "--set", "simulate.sizes=30,60"] + extra)
+    assert rc == 0
+    assert sha256_of(out / "simulate.jsonl") == golden
+
+
 def test_cli_riskcheck_builtin_fixture(tmp_path, capsys):
     out = tmp_path / "rc"
     rc = main(["riskcheck", "--set", "seed=7", "--set", f"output.dir={out}",
@@ -416,6 +441,8 @@ def test_cli_rejects_unknown_key(tmp_path, capsys, command, typo):
     ("sample", "seed=-1", "seed"),
     ("train", "seed=-1", "seed"),
     ("train", f"seed={2 ** 64}", str(2 ** 64)),
+    ("train", "train.eval_samples=0", "eval_samples"),
+    ("train", "train.eval_every=-1", "eval_every"),
     ("train", "loss.mode=category_embedding", "category_embedding"),
     ("eval", "loss.mode=category_embedding", "category_embedding"),
     ("simulate", "loss.mode=category_embedding", "category_embedding"),

@@ -265,6 +265,9 @@ def test_predict_labels_threshold_and_topk():
     assert topk[0, 0] and topk[1, 1]
     with pytest.raises(EvalError):
         predict_labels(params, verts, truth, "nope")
+    for mode in ("threshold", "top_k"):
+        none = predict_labels(params, [], truth, mode)
+        assert none.shape == (2, 3) and not none.any()
 
 
 def test_predict_labels_topk_matches_a_per_vertex_loop():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -422,6 +423,51 @@ def test_cache_roundtrip(tmp_path, cycle4):
     path2 = str(tmp_path / "g2.bin")
     save_cache(cycle4, path2)
     assert open(path, "rb").read() == open(path2, "rb").read()
+
+
+def test_cache_bytes_are_golden(tmp_path):
+    # a ring of 30 with chords; sha256 recorded before load-time checks
+    g = from_edges(30, np.array([[i, (i + 1) % 30] for i in range(30)]
+                                + [[i, (7 * i + 3) % 30] for i in range(30)]))
+    path = tmp_path / "graph.bin"
+    save_cache(g, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() \
+        == "007038b4012dd6f5bc93a524aa7396750839d6d4609ffd135758b7e10497075f"
+
+
+def _saved(tmp_path, offsets, neighbors, edge_list):
+    path = str(tmp_path / "bad.bin")
+    save_cache(Graph(np.asarray(offsets), np.asarray(neighbors), np.asarray(edge_list)), path)
+    return path
+
+
+def test_cache_rejects_unsorted_blocks(tmp_path):
+    # the forward gather of `induced_edges` reads sorted blocks: with every
+    # block reversed it returned [[0,2],[0,1],[1,2],[1,0],[2,0],[3,2]]
+    g = from_edges(5, np.array([[0, 1], [0, 2], [1, 2], [1, 4], [2, 3], [3, 4]]))
+    blocks = np.split(g.neighbors, g.offsets[1:-1])
+    reversed_all = np.concatenate([b[::-1] for b in blocks])
+    with pytest.raises(GraphError, match="neighbors of 0 not sorted strictly ascending"):
+        load_cache(_saved(tmp_path, g.offsets, reversed_all, g.edge_list))
+    # one block permuted (vertex 2's [0, 1, 3] as [0, 3, 1]), the rest sorted
+    permuted = g.neighbors.copy()
+    permuted[g.offsets[2]:g.offsets[3]] = [0, 3, 1]
+    with pytest.raises(GraphError, match=r"neighbors of 2 not sorted strictly ascending "
+                                         r"\(duplicate or disorder\)$"):
+        load_cache(_saved(tmp_path, g.offsets, permuted, g.edge_list))
+    assert np.array_equal(load_cache(_saved(tmp_path, g.offsets, g.neighbors,
+                                            g.edge_list)).neighbors, g.neighbors)
+
+
+def test_cache_rejects_malformed_layout(tmp_path, path3):
+    # offsets must rise from 0 to 2E; neighbour ids must lie in [0, V)
+    for offsets in ([1, 1, 3, 4], [0, 3, 2, 4]):
+        with pytest.raises(GraphError, match="offsets malformed"):
+            load_cache(_saved(tmp_path, offsets, path3.neighbors, path3.edge_list))
+    neighbors = path3.neighbors.copy()
+    neighbors[0] = 3
+    with pytest.raises(GraphError, match="neighbor index out of range"):
+        load_cache(_saved(tmp_path, path3.offsets, neighbors, path3.edge_list))
 
 
 def test_cache_rejects_bad_magic(tmp_path):

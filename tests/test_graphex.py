@@ -64,6 +64,27 @@ def test_candidate_budget_guard():
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("size", [-1, 0, float("nan"), []])
+def test_samplers_reject_bad_sizes(size):
+    rng = np.random.default_rng(0)
+    with pytest.raises(GraphexError, match="sizes"):
+        sample_graphex(exp_spec(), size, rng)
+    with pytest.raises(GraphexError, match="sizes"):
+        sample_graphex_coupled(exp_spec(), size if isinstance(size, list) else [size], rng)
+    with pytest.raises(GraphexError, match="sizes"):
+        sample_graphex_coupled(exp_spec(), [size, 5], rng)
+
+
+def test_sample_graphex_is_the_coupled_draw_at_one_size():
+    one = sample_graphex(exp_spec(), 40, np.random.default_rng(14))
+    (coupled,) = sample_graphex_coupled(exp_spec(), [40], np.random.default_rng(14))
+    for a, b in ((one.graph.offsets, coupled.graph.offsets),
+                 (one.graph.neighbors, coupled.graph.neighbors),
+                 (one.latents, coupled.latents), (one.labels, coupled.labels),
+                 (one.point_ids, coupled.point_ids)):
+        assert np.array_equal(a, b)
+
+
 def test_factor_outside_unit_interval_rejected():
     spec = GraphonSpec(factor=lambda x: 2.0 * np.exp(-x), x_max=5.0, edge_rate=2.0)
     with pytest.raises(GraphexError, match="factor"):
@@ -179,6 +200,18 @@ def test_marking_kernel_noise_mean():
                                       np.random.default_rng(100 + i)).embedding(0)[0]
                       for i in range(400)])
     assert abs(draws.mean() - 1.0) < 4 * 0.5 / np.sqrt(400)
+
+
+def test_marking_kernel_noise_is_one_draw_per_vertex():
+    # reference: the mean, then dim standard normals, vertex after vertex
+    lg = sample_graphex(exp_spec(), 30, np.random.default_rng(15))
+    kernel = MarkingKernel(fn=lambda x: np.array([x, np.exp(-x), 1.0]), dim=3,
+                           noise_scale=0.3)
+    rng = np.random.default_rng(16)
+    want = np.array([kernel.fn(float(x)) + kernel.noise_scale * rng.standard_normal(3)
+                     for x in lg.latents])
+    params = mark_embeddings(lg, kernel, np.random.default_rng(16))
+    assert np.array_equal(params.embedding_matrix(np.arange(lg.graph.vertex_count)), want)
 
 
 def test_marking_kernel_dim_mismatch():

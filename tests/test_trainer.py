@@ -165,6 +165,13 @@ def test_estimate_risk_rejects_bad_n(path3):
                       LossConfig(), 0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_check_unbiasedness_rejects_bad_n(path3, n):
+    with pytest.raises(TrainerError, match="n must be >= 1"):
+        check_unbiasedness(path3, zero_params(3), SamplerConfig(), LossConfig(), n,
+                           np.random.default_rng(0))
+
+
 def test_estimate_risk_rejects_unknown_method(path3):
     with pytest.raises(TrainerError, match="unknown method 'fast'"):
         estimate_risk(path3, None, zero_params(3), SamplerConfig(), LossConfig(), 10,
