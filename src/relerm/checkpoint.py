@@ -46,6 +46,8 @@ def load_checkpoint(path: str) -> ParamStore:
     if version != _VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     dim, label_dim = int(dim), int(label_dim)
+    if dim < 1:
+        raise ValueError(f"checkpoint dim {dim} must be >= 1")
     emb_ids, emb_rows, cat_ids, cat_rows, weights, bias = unpack_sections(
         data, 48, (("embedding ids", "<i8", n_emb), ("embedding rows", "<f8", n_emb * dim),
                    ("category ids", "<i8", n_cat), ("category rows", "<f8", n_cat * dim),

@@ -35,17 +35,18 @@ class EmptyGraphError(GraphError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph: CSR adjacency plus a canonical edge list.
+    """Undirected simple graph in CSR adjacency form.
 
     Invariants: no self-loops, no duplicate edges, neighbor lists sorted
-    ascending, adjacency symmetric, edge_list rows have u < v. The cached
-    forward starts (each vertex's first neighbour above it, which
-    `induced_edges` gathers from) rely on the sorted neighbour blocks.
+    ascending, adjacency symmetric. The edge list is derived from the
+    adjacency, not stored: each vertex's forward neighbours (those above
+    it), so its rows have u < v in lexicographic order. The cached forward
+    starts (each vertex's first neighbour above it, which `induced_edges`
+    gathers from) rely on the sorted neighbour blocks.
     """
 
     offsets: np.ndarray    # int64, length V+1
     neighbors: np.ndarray  # int32, length 2E, sorted within each vertex block
-    edge_list: np.ndarray  # int32, shape (E, 2), u < v, lexicographically sorted
 
     @property
     def vertex_count(self) -> int:
@@ -54,6 +55,13 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return len(self.edge_list)
+
+    @cached_property
+    def edge_list(self) -> np.ndarray:
+        """int32, shape (E, 2): the (u, v) rows, u < v, lexicographically sorted."""
+        src = np.repeat(np.arange(self.vertex_count, dtype=np.int32), self.degrees)
+        idx = np.flatnonzero(self.neighbors > src)
+        return np.column_stack([src[idx], self.neighbors[idx]])
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -148,14 +156,13 @@ def from_edges(vertex_count: int, edges: np.ndarray) -> Graph:
     codes = np.sort(lo * vertex_count + hi)
     codes = codes[np.diff(codes, prepend=-1) != 0]
     lo, hi = np.divmod(codes, vertex_count)
-    edge_list = np.stack([lo, hi], axis=1).astype(np.int32)
     # symmetric CSR: the codes of both orientations, sorted by (source, target)
     src, dst = np.divmod(np.sort(np.concatenate([codes, hi * vertex_count + lo])),
                          vertex_count)
     offsets = np.zeros(vertex_count + 1, dtype=np.int64)
     offsets[1:] = np.bincount(src, minlength=vertex_count)
     np.cumsum(offsets, out=offsets)
-    return Graph(offsets=offsets, neighbors=dst.astype(np.int32), edge_list=edge_list)
+    return Graph(offsets=offsets, neighbors=dst.astype(np.int32))
 
 
 def load_edge_list(
@@ -399,44 +406,18 @@ def _layout_report(offsets, neighbors) -> tuple[list[str], np.ndarray | None]:
 def validate(graph: Graph) -> list[str]:
     """Return a list of violated invariants (empty iff the graph is valid):
     one line per kind of violation, naming its first offender in adjacency
-    or edge-list order and how many more there are."""
-    v, neighbors, edges = graph.vertex_count, graph.neighbors, graph.edge_list
-    report, src = _layout_report(graph.offsets, neighbors)
+    order and how many more there are."""
+    v, dst = graph.vertex_count, graph.neighbors.astype(np.int64)
+    report, src = _layout_report(graph.offsets, graph.neighbors)
     if src is None:
         return report
-
-    def flag(where, message):
-        report.extend(_flagged(where, message))
-
-    dst = neighbors.astype(np.int64)
-    flag(np.flatnonzero(src == dst), lambda i: f"self-loop at {src[i]}")
-    adjacency = np.sort(src * v + dst)
-
-    def absent(codes):
-        """Positions of the codes u*V+w whose pair (u, w) the adjacency lacks."""
-        if not len(adjacency):
-            return np.arange(len(codes))
-        at = np.minimum(np.searchsorted(adjacency, codes), len(adjacency) - 1)
-        return np.flatnonzero(adjacency[at] != codes)
-
-    reverse = dst * v + src
+    report += _flagged(np.flatnonzero(src == dst), lambda i: f"self-loop at {src[i]}")
+    adjacency, reverse = np.sort(src * v + dst), dst * v + src
     if not np.array_equal(np.sort(reverse), adjacency):
-        flag(absent(reverse), lambda i: f"asymmetric adjacency: {src[i]}->{dst[i]} without reverse")
-    a, b = edges[:, 0].astype(np.int64), edges[:, 1].astype(np.int64)
-
-    def pair(i):
-        return f"({a[i]},{b[i]})"
-    flag(np.flatnonzero(a >= b), lambda i: f"edge_list rows not u < v: {pair(i)}")
-    in_range = (np.minimum(a, b) >= 0) & (np.maximum(a, b) < v)
-    flag(np.flatnonzero(~in_range), lambda i: f"edge_list pair {pair(i)} out of range")
-    order = np.lexsort((b, a))  # stable: a repeated row follows its first copy
-    repeat = (a[order][1:] == a[order][:-1]) & (b[order][1:] == b[order][:-1])
-    flag(np.sort(order[1:][repeat]), lambda i: f"duplicate edges in edge_list: {pair(i)}")
-    rows = np.flatnonzero(in_range)
-    flag(rows[absent(a[rows] * v + b[rows])],
-         lambda i: f"edge_list pair {pair(i)} missing from adjacency")
-    if len(dst) != 2 * len(edges):
-        report.append("sum(degrees) != 2 * edge_count")
+        # the entries whose reverse the adjacency lacks
+        at = np.minimum(np.searchsorted(adjacency, reverse), len(adjacency) - 1)
+        report += _flagged(np.flatnonzero(adjacency[at] != reverse),
+                           lambda i: f"asymmetric adjacency: {src[i]}->{dst[i]} without reverse")
     return report
 
 
@@ -492,9 +473,12 @@ def load_cache(path: str) -> Graph:
     offsets, neighbors, edge_list = unpack_sections(
         data, 24, (("offsets", "<i8", v + 1), ("neighbors", "<i4", 2 * e),
                    ("edge_list", "<i4", 2 * e)), GraphError, "cache")
-    # the layout only, which `induced_edges` relies on; `validate` checks the rest
+    # the layout, which `induced_edges` relies on, and the edge list stored
+    # as the adjacency derives it; `validate` checks the rest
     report, _ = _layout_report(offsets, neighbors)
     if report:
         raise GraphError(f"bad cache: {report[0]}")
-    return Graph(offsets=offsets.astype(np.int64), neighbors=neighbors.astype(np.int32),
-                 edge_list=edge_list.astype(np.int32).reshape(e, 2))
+    graph = Graph(offsets=offsets.astype(np.int64), neighbors=neighbors.astype(np.int32))
+    if not np.array_equal(edge_list.reshape(e, 2), graph.edge_list):
+        raise GraphError("bad cache: edge_list section differs from the adjacency's edges")
+    return graph

@@ -427,7 +427,11 @@ def _score_pairs(batch: SubgraphBatch, ids: np.ndarray, labels: LabelTable | Non
     they are scored (the copy ids, or graph ids that draws holding one
     vertex share), the vectors of the distinct ones (in category mode the
     sums of their categories' embeddings), and every pair's dot product.
-    Checks that the mode has the labels or categories it reads."""
+    Checks the config, and that its mode has the labels or categories it
+    reads."""
+    errs = config.validate()
+    if errs:
+        raise NumericError("; ".join(errs))
     if config.mode == "node_classification" and labels is None:
         raise NumericError("node_classification mode requires labels")
     n_verts, v = len(batch.vertices), batch.vertex_count

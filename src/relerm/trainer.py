@@ -31,7 +31,7 @@ import numpy as np
 from .graph import _INT64_MAX, CategoryMap, Graph, LabelTable, gather_segments
 from .graph import induced_pairs  # noqa: F401 - unused; a span target of benchmarks/spans.py
 from .losses import LossConfig, ParamStore, SparseGradient, combined_loss, gradient
-from .samplers import (WALK_STARTS, SamplerConfig, UnigramTable, build_unigram, draw,
+from .samplers import (SamplerConfig, SamplerError, UnigramTable, build_unigram, draw,
                        draw_key, outcome_batch)
 
 
@@ -95,7 +95,11 @@ AUTO_MAX_KEYS = 5 * 10 ** 7  # possible key codes up to which "auto" aggregates
 
 def _key_dims(graph: Graph, config: SamplerConfig) -> tuple[int, ...]:
     """Digits of an outcome key's integer code: one binary digit per
-    vertex of a retention mask, one vertex id per position of a walk."""
+    vertex of a retention mask, one vertex id per position of a walk.
+    Raises SamplerError for an invalid config, as `draw_key` does."""
+    errs = config.validate()
+    if errs:
+        raise SamplerError("; ".join(errs))
     if config.negative == "unigram":
         raise OracleError("unigram negatives are not enumerable")
     if config.algorithm == "p_sampling":
@@ -146,8 +150,6 @@ def _enumerate_keys(graph: Graph, config: SamplerConfig) -> tuple[np.ndarray, np
     n_walks = float((deg.astype(np.float64) ** r)[deg > 0].sum())
     if n_walks > MAX_WALKS:
         raise OracleError(f"{n_walks:.0f} walks exceeds enumeration limit {MAX_WALKS}")
-    if config.walk_start not in WALK_STARTS:
-        raise OracleError(f"unknown walk start {config.walk_start!r}")
     weights = deg if config.walk_start == "degree_proportional" else deg > 0
     start_probs = weights / weights.sum()
     walks = np.flatnonzero(start_probs > 0)[:, None]
@@ -424,7 +426,9 @@ def train(graph: Graph, labels: LabelTable | None, cats: CategoryMap | None,
     """Run `steps` iterations of draw -> gradient -> sgd_step.
 
     Fully reproducible for a fixed seed. The trace records a risk estimate
-    every eval_every steps (step 0 included).
+    every eval_every steps (step 0 included). A given `params` store must
+    have embedding_dim and, in node_classification mode, the labels'
+    label_dim.
     """
     errs = config.validate()
     if errs:
@@ -432,6 +436,12 @@ def train(graph: Graph, labels: LabelTable | None, cats: CategoryMap | None,
     if params is None:
         label_dim = labels.label_dim if labels is not None else 0
         params = ParamStore(config.embedding_dim, label_dim, seed=config.seed)
+    if params.dim != config.embedding_dim:
+        raise TrainerError(f"params of dim {params.dim} for embedding_dim {config.embedding_dim}")
+    if config.loss.mode == "node_classification" and labels is not None \
+            and params.label_dim != labels.label_dim:
+        raise TrainerError(f"params of label_dim {params.label_dim} for labels of "
+                           f"label_dim {labels.label_dim}")
     if config.loss.mode != "category_embedding":  # category mode has no vertex rows
         params.embeddings.reserve(graph.vertex_count)
     rng = np.random.default_rng(config.seed)

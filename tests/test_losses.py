@@ -149,6 +149,19 @@ def test_combined_loss_requires_labels():
                LossConfig(q=0.0, mode="node_classification"))
 
 
+@pytest.mark.parametrize("config,reason", [
+    (LossConfig(mode="nope"), "unknown loss mode 'nope'"),   # was scored as edge_only
+    (LossConfig(prob_clip=0.7), r"prob_clip must be in \(0, 0.5\)"),
+    (LossConfig(prob_clip=0.0), r"prob_clip must be in \(0, 0.5\)"),
+    (LossConfig(q=1.5, mode="node_classification"), r"q must be in \[0, 1\]")])
+@pytest.mark.parametrize("fn", [combined_loss, gradient])
+def test_scoring_rejects_an_invalid_loss_config(fn, config, reason):
+    params = preset_params({0: (1.0,), 1: (1.0,)})
+    labels = LabelTable(1, np.ones((2, 1), dtype=bool), np.ones(2, dtype=bool))
+    with pytest.raises(NumericError, match=reason):
+        fn(make_sample([0, 1], pos=[(0, 1)]), labels, params, config)
+
+
 # -- category embeddings ------------------------------------------------------
 
 def test_category_vertex_embedding():

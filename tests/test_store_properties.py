@@ -170,6 +170,18 @@ def test_checkpoint_rejects_bad_ids(ids, section, tmp_path):
     assert load_checkpoint(path).embeddings.ids().tolist() == other
 
 
+@pytest.mark.parametrize("ids", [[], [0, 3]])
+def test_checkpoint_rejects_dim_zero(ids, tmp_path):
+    # a 48-byte header with dim 0 loaded, and estimate_risk on the store
+    # raised ZeroDivisionError from the row initialiser
+    path = str(tmp_path / "c.bin")
+    write_checkpoint(path, 0, 1, ids, [])
+    with pytest.raises(ValueError, match="checkpoint dim 0 must be >= 1"):
+        load_checkpoint(path)
+    write_checkpoint(path, 1, 1, ids, [])
+    assert load_checkpoint(path).dim == 1
+
+
 @given(params=stores(), data=st.data())
 def test_checkpoint_rejects_non_finite_values(params, data, tmp_path_factory):
     path = str(tmp_path_factory.mktemp("ck") / "c.bin")

@@ -6,7 +6,7 @@ import pytest
 from relerm import (LabelTable, LossConfig, ParamStore, SamplerConfig, TrainConfig,
                     check_unbiasedness, estimate_risk, exact_risk, sgd_step, train)
 from relerm.losses import SparseGradient, SparseRows, combined_loss, gradient, _sigmoid
-from relerm.samplers import draw, draw_key, outcome_batch
+from relerm.samplers import SamplerError, draw, draw_key, outcome_batch
 from relerm import trainer
 from relerm.trainer import FD_TOLERANCE, OracleError, TrainerError, _enumerate_keys
 from relerm.graph import from_edges
@@ -186,6 +186,29 @@ def _aggregated(g, cfg):
 def _unbiasedness(g, cfg):
     return check_unbiasedness(g, ParamStore(2, 0, seed=0), cfg, LossConfig(), 10 ** 4,
                               np.random.default_rng(0))
+
+
+def _exact(g, cfg):
+    return exact_risk(g, None, ParamStore(2, 0, seed=0), cfg, LossConfig())
+
+
+def _loop(g, cfg):
+    return estimate_risk(g, None, ParamStore(2, 0, seed=0), cfg, LossConfig(), 10,
+                         np.random.default_rng(0), method="loop")
+
+
+@pytest.mark.parametrize("oracle", [_exact, _aggregated, _loop, _unbiasedness])
+@pytest.mark.parametrize("cfg,reason", [
+    (SamplerConfig(retention=1.5), "retention must be in"),     # exact_risk read 7.02
+    (SamplerConfig(retention=-0.5), "retention must be in"),    # and 0.52
+    (SamplerConfig(algorithm="rw_induced", walk_length=0), "walk_length must be >= 1"),
+    (SamplerConfig(algorithm="rw_skipgram", walk_length=2, window=0), "window must be >= 1"),
+    (SamplerConfig(algorithm="rw_induced", walk_length=2, walk_start="nope"),
+     "unknown walk_start 'nope'")])
+def test_oracles_reject_an_invalid_sampler_config(path3, oracle, cfg, reason):
+    # the error `draw` raises, before any key is enumerated or drawn
+    with pytest.raises(SamplerError, match=reason):
+        oracle(path3, cfg)
 
 
 @pytest.mark.parametrize("oracle", [_aggregated, _unbiasedness])
@@ -468,6 +491,24 @@ def test_train_q1_logistic_only(path3):
     from test_losses import label_loss, make_sample
     final = label_loss(make_sample([0, 1, 2]), labels, params, cfg.loss)
     assert final < 0.05
+
+
+def test_train_rejects_params_of_another_dim(path3):
+    # a store of dim 4 trained at dim 4 under embedding_dim=8
+    cfg = TrainConfig(sampler=psample(0.5), steps=2, embedding_dim=8)
+    with pytest.raises(TrainerError, match="params of dim 4 for embedding_dim 8"):
+        train(path3, None, None, cfg, params=ParamStore(4, 0, seed=0))
+
+
+def test_train_rejects_params_of_another_label_dim(path3):
+    # numpy's broadcast ValueError surfaced from the first label gradient
+    labels = LabelTable(2, np.eye(3, 2, dtype=bool), np.ones(3, dtype=bool))
+    cfg = TrainConfig(sampler=psample(1.0), loss=LossConfig(q=0.5, mode="node_classification"),
+                      steps=2, embedding_dim=2)
+    with pytest.raises(TrainerError, match="params of label_dim 3 for labels of label_dim 2"):
+        train(path3, labels, None, cfg, params=ParamStore(2, 3, seed=0))
+    params, _ = train(path3, labels, None, cfg, params=ParamStore(2, 2, seed=0))
+    assert params.weights.shape == (2, 2)
 
 
 def test_train_deterministic_repeat(path3):
