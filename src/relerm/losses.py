@@ -21,9 +21,11 @@ same way, as `SparseRows` (ascending ids and one row array).
 The loss and the gradient take a `SubgraphBatch` and give one value per
 draw; one draw is a batch of one. A gradient keeps the batch's id space:
 vertex v of draw i has its row at id i * V + v. One pair-scoring pass
-serves both the loss and its gradient, and every sum of rows into rows goes
-through one scatter kernel. In category mode the pass reads memberships by
-one segment gather over `CategoryMap`'s CSR arrays; the chain rule reuses them.
+serves both the loss and its gradient; it gathers the pairs' end vectors in
+cache-sized blocks, so its memory does not grow with the pair count. Every
+sum of rows into rows goes through one scatter kernel. In category mode the
+pass reads memberships by one segment gather over `CategoryMap`'s CSR
+arrays; the chain rule reuses them.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ from .graph import CategoryMap, LabelTable, gather_segments
 from .samplers import SubgraphBatch
 
 LOSS_MODES = ("edge_only", "node_classification", "category_embedding")
+# bytes of pair-end vectors gathered per scoring block: the (block, 2, d)
+# gather stays in L2 cache, where the step's update reads the same rows
+SCORE_BLOCK_BYTES = 2 ** 19
 
 
 class NumericError(Exception):
@@ -379,7 +384,9 @@ def _scatter(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, n_rows: in
     memory grow with the number of terms, not with n_rows * len(x)."""
     if len(rows) == 0:  # an empty draw: skip the CSR set-up (tens of us)
         return np.zeros((n_rows, x.shape[1]))
-    order = np.argsort(rows, kind="stable")
+    # rows in the narrowest dtype that holds them: numpy radix-sorts 8- and
+    # 16-bit keys, to the same stable order
+    order = np.argsort(rows.astype(np.min_scalar_type(n_rows)), kind="stable")
     indptr = np.zeros(n_rows + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
     coef = csr_array((weights[order], cols[order].astype(np.int32), indptr),
@@ -426,14 +433,19 @@ def _score_pairs(batch: SubgraphBatch, ids: np.ndarray, labels: LabelTable | Non
     """Local indices from one np.unique over `ids`, the batch's entries as
     they are scored (the copy ids, or graph ids that draws holding one
     vertex share), the vectors of the distinct ones (in category mode the
-    sums of their categories' embeddings), and every pair's dot product.
-    Checks the config, and that its mode has the labels or categories it
-    reads."""
+    sums of their categories' embeddings), and every pair's dot product,
+    gathered SCORE_BLOCK_BYTES of pair ends at a time. Checks the config,
+    and that its mode has the labels (of the store's label_dim) or the
+    categories it reads."""
     errs = config.validate()
     if errs:
         raise NumericError("; ".join(errs))
-    if config.mode == "node_classification" and labels is None:
-        raise NumericError("node_classification mode requires labels")
+    if config.mode == "node_classification":
+        if labels is None:
+            raise NumericError("node_classification mode requires labels")
+        if labels.label_dim != params.label_dim:
+            raise NumericError(f"labels of label_dim {labels.label_dim} for params of "
+                               f"label_dim {params.label_dim}")
     n_verts, v = len(batch.vertices), batch.vertex_count
     ids, inverse = np.unique(ids, return_inverse=True)
     local = inverse[n_verts:].reshape(-1, 2)
@@ -452,8 +464,12 @@ def _score_pairs(batch: SubgraphBatch, ids: np.ndarray, labels: LabelTable | Non
         memberships = owner, cat_local, cat_ids
     if not np.isfinite(vectors).all():
         raise NumericError("non-finite embedding")
-    ends = vectors[local]
-    scores = np.einsum("ij,ij->i", ends[:, 0], ends[:, 1])
+    block = max(1, SCORE_BLOCK_BYTES // (16 * max(vectors.shape[1], 1)))
+    scores = np.empty(len(local))
+    for lo in range(0, len(local), block):
+        # vectors[local[lo:lo + block]], with less set-up per call
+        ends = vectors.take(local[lo:lo + block], axis=0)
+        np.einsum("ij,ij->i", ends[:, 0], ends[:, 1], out=scores[lo:lo + block])
     return _Scored(ids, inverse[:n_verts], vectors, local, len(batch.positive_pairs), scores,
                    memberships)
 

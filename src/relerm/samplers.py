@@ -308,7 +308,9 @@ def negative_unigram(graph: Graph, sample: SubgraphBatch, table: UnigramTable,
     candidates = table.sample(rng, size=len(vv))
     cc = candidates + vv - vv % V
     keep = (vv != cc) & ~graph.has_edges(vv % V, candidates)
-    verts = np.concatenate([verts, np.setdiff1d(cc[keep], verts)])
+    # a batch's vertices are distinct, so only the candidates need np.unique
+    new = np.setdiff1d(np.unique(cc[keep]), verts, assume_unique=True)
+    verts = np.concatenate([verts, new])
     negs = np.concatenate([sample.negative_pairs, np.stack([vv[keep], cc[keep]], axis=1)])
     # each draw's new vertices and negatives after its own (a stable sort by draw)
     verts = verts[np.argsort(verts // V, kind="stable")]

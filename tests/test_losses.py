@@ -1,10 +1,13 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from relerm import LabelTable, LossConfig, ParamStore, combined_loss, gradient
-from relerm.losses import NumericError, _score_pairs
+from relerm import (LabelTable, LossConfig, ParamStore, SamplerConfig, build_unigram,
+                    combined_loss, draw, estimate_risk, exact_risk, from_edges, gradient)
+from relerm import losses
+from relerm.losses import NumericError, _entries, _scatter, _score_pairs
 from conftest import batch_of_one as make_sample, category_map
 
 
@@ -162,6 +165,24 @@ def test_scoring_rejects_an_invalid_loss_config(fn, config, reason):
         fn(make_sample([0, 1], pos=[(0, 1)]), labels, params, config)
 
 
+@pytest.mark.parametrize("score", ["exact_risk", "estimate_risk", "combined_loss", "gradient"])
+def test_scoring_rejects_labels_of_another_label_dim(path3, score):
+    # each raised numpy's "operands could not be broadcast" before
+    labels = LabelTable(2, np.ones((3, 2), dtype=bool), np.ones(3, dtype=bool))
+    params = ParamStore(2, 3, seed=0)
+    sampler = SamplerConfig(algorithm="p_sampling", retention=0.5)
+    loss = LossConfig(q=0.5, mode="node_classification")
+    sample = make_sample([0, 1, 2], pos=[(0, 1), (1, 2)])
+    call = {
+        "exact_risk": lambda: exact_risk(path3, labels, params, sampler, loss),
+        "estimate_risk": lambda: estimate_risk(path3, labels, params, sampler, loss, 10,
+                                               np.random.default_rng(0)),
+        "combined_loss": lambda: combined_loss(sample, labels, params, loss),
+        "gradient": lambda: gradient(sample, labels, params, loss)}[score]
+    with pytest.raises(NumericError, match="labels of label_dim 2 for params of label_dim 3"):
+        call()
+
+
 # -- category embeddings ------------------------------------------------------
 
 def test_category_vertex_embedding():
@@ -317,3 +338,66 @@ def test_lazy_init_order_independent():
     # init_ids redirect: vertex 0 of a coupled graph shares point id 5
     c = ParamStore(4, 0, seed=9, init_ids=np.array([5]))
     assert np.array_equal(c.embedding(0), b.embedding(5))
+
+
+# -- scoring kernels ----------------------------------------------------------
+
+@pytest.mark.parametrize("mode", ["edge_only", "category_embedding"])
+@pytest.mark.parametrize("d", [1, 7, 128])
+def test_blocked_scores_equal_one_gather(monkeypatch, mode, d):
+    block = 3
+    monkeypatch.setattr(losses, "SCORE_BLOCK_BYTES", block * 16 * d)
+    rng = np.random.default_rng(d)
+    V = 9
+    params = ParamStore(d, 0, seed=d)
+    cats = category_map([rng.choice(4, size=rng.integers(0, 3), replace=False)
+                         for _ in range(V)], 4)
+    for P in (0, 1, block - 1, block, block + 1, 3 * block + 1):
+        pairs = rng.integers(0, V, size=(P, 2))
+        sample = make_sample(range(V), pos=pairs[:P // 2], neg=pairs[P // 2:], vertex_count=V)
+        sc = _score_pairs(sample, _entries(sample), None, params, LossConfig(mode=mode), cats)
+        ends = sc.vectors[sc.pairs]
+        assert sc.scores.tobytes() == np.einsum("ij,ij->i", ends[:, 0], ends[:, 1]).tobytes()
+
+
+@pytest.mark.parametrize("n_rows", [1, 7, 255, 256, 65535, 65536])
+def test_scatter_equals_an_in_order_loop(n_rows):
+    # n_rows 255 | 256 and 65535 | 65536 switch the sort key from uint8 to
+    # uint16 to uint32
+    rng = np.random.default_rng(n_rows)
+    x = rng.standard_normal((6, 3))
+    x[0] = 0.0  # with a negative weight, a -0.0 term
+    for n_terms in (0, 1, 50):
+        # repeats of the first, middle and last rows, and rows without terms
+        rows = np.where(rng.random(n_terms) < 0.5, rng.integers(0, n_rows, n_terms),
+                        rng.choice([0, n_rows // 2, n_rows - 1], n_terms))
+        cols = rng.integers(0, len(x), n_terms)
+        weights = rng.choice([-1.0, -0.0, 0.5, 2.0], n_terms) * rng.random(n_terms)
+        want = np.zeros((n_rows, x.shape[1]))
+        for r, c, w in zip(rows, cols, weights):
+            want[r] += w * x[c]
+        assert _scatter(rows, cols, weights, n_rows, x).tobytes() == want.tobytes()
+
+
+def test_scoring_memory_is_bounded_by_a_block():
+    # 25 rw_skipgram + unigram draws at d = 128 score about 25,000 pairs, a
+    # (P, 2, d) gather of about 50 MiB, which one-shot scoring held at once
+    rng = np.random.default_rng(0)
+    V = 2000
+    u = np.arange(5 * V) % V  # a ring, then four chords per vertex
+    hop = np.concatenate([np.ones(V, dtype=np.int64), rng.integers(2, V - 1, size=4 * V)])
+    g = from_edges(V, np.column_stack([u, (u + hop) % V]))
+    sampler = SamplerConfig(algorithm="rw_skipgram", walk_length=80, window=10,
+                            negative="unigram", negatives_per_vertex=5, unigram_power=0.75)
+    batch = draw(g, sampler, rng, build_unigram(g, 0.75), size=25)
+    gather = (len(batch.positive_pairs) + len(batch.negative_pairs)) * 2 * 128 * 8
+    params, loss = ParamStore(128, 0, seed=0), LossConfig()
+    gradient(batch, None, params, loss)  # draws every row the batch reads
+    for fn, bound in ((combined_loss, gather / 2), (gradient, gather)):
+        tracemalloc.start()
+        try:
+            fn(batch, None, params, loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (fn.__name__, peak, gather)
