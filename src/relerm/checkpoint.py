@@ -76,7 +76,12 @@ def load_checkpoint(path: str) -> ParamStore:
 
 
 def export_embeddings(table: RowTable, path: str) -> None:
-    """One line per present row, ids ascending: 'id\\tv_1\\t...\\tv_d'."""
+    """One line per present row, ids ascending: 'id\\tv_1\\t...\\tv_d', each
+    value as repr of its Python float. Rows become Python floats 256 at a
+    time, so those of the whole table never exist at once."""
+    ids = table.ids()
     with open(path, "w") as f:
-        for i in table.ids().tolist():
-            f.write(str(i) + "\t" + "\t".join(repr(float(x)) for x in table.data[i]) + "\n")
+        for lo in range(0, len(ids), 256):
+            block = ids[lo:lo + 256]
+            for i, row in zip(block.tolist(), table.data[block].tolist()):
+                f.write(str(i) + "\t" + "\t".join(map(repr, row)) + "\n")

@@ -68,6 +68,11 @@ class Graph:
         return np.diff(self.offsets)
 
     @cached_property
+    def walk_starts(self) -> np.ndarray:
+        """The vertices a uniform_vertex walk starts from: those with a neighbour."""
+        return np.flatnonzero(self.degrees > 0)
+
+    @cached_property
     def _edge_codes(self) -> np.ndarray:
         # sorted packed codes u*V+v (u<v) for O(log E) membership tests
         v = self.vertex_count

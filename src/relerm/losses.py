@@ -192,8 +192,8 @@ class UniformRows:
         # one preallocated block, shifted in place: a cold table's first
         # call often draws every row, so its peak memory is two blocks
         raw = np.empty((len(ids), self.dim), dtype=np.uint64)
-        for row, words in zip(raw, self.seeds[ids]):
-            row[:] = PCG64(_CachedSeed(words)).random_raw(self.dim)
+        for i, words in enumerate(self.seeds[ids]):
+            raw[i] = PCG64(_CachedSeed(words)).random_raw(self.dim)
         # PCG64's words to doubles in [0, 1) as Generator.random makes them,
         # then to [lo, hi) as Generator.uniform does, operation for operation
         lo, hi = -0.5 / self.dim, 0.5 / self.dim
@@ -394,6 +394,26 @@ def _scatter(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, n_rows: in
     return coef @ x
 
 
+def _unique_inverse(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(ids, return_inverse=True) for non-negative integer ids:
+    a stable LSD radix sort over 16-bit digits (numpy radix-sorts uint16
+    keys), as many passes as the largest id has digits, then a flag where
+    the sorted ids change and its running sum."""
+    top = int(ids.max()) if len(ids) else 0
+    order = np.argsort(ids.astype(np.uint16), kind="stable")
+    shift = 16
+    while top >> shift:
+        order = order[np.argsort((ids[order] >> shift).astype(np.uint16), kind="stable")]
+        shift += 16
+    ordered = ids[order]
+    change = np.empty(len(ids), dtype=bool)
+    change[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=change[1:])
+    inverse = np.empty(len(ids), dtype=np.intp)
+    inverse[order] = np.cumsum(change) - 1
+    return ordered[change], inverse
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return _sigmoid_and_exp(x)[0]
 
@@ -430,13 +450,13 @@ def _entries(batch: SubgraphBatch) -> np.ndarray:
 
 def _score_pairs(batch: SubgraphBatch, ids: np.ndarray, labels: LabelTable | None,
                  params: ParamStore, config: LossConfig, cats: CategoryMap | None) -> _Scored:
-    """Local indices from one np.unique over `ids`, the batch's entries as
-    they are scored (the copy ids, or graph ids that draws holding one
-    vertex share), the vectors of the distinct ones (in category mode the
-    sums of their categories' embeddings), and every pair's dot product,
-    gathered SCORE_BLOCK_BYTES of pair ends at a time. Checks the config,
-    and that its mode has the labels (of the store's label_dim) or the
-    categories it reads."""
+    """Local indices from one `_unique_inverse` over `ids`, the batch's
+    entries as they are scored (the copy ids, or graph ids that draws
+    holding one vertex share), the vectors of the distinct ones (in
+    category mode the sums of their categories' embeddings), and every
+    pair's dot product, gathered SCORE_BLOCK_BYTES of pair ends at a time.
+    Checks the config, and that its mode has the labels (of the store's
+    label_dim) or the categories it reads."""
     errs = config.validate()
     if errs:
         raise NumericError("; ".join(errs))
@@ -447,7 +467,7 @@ def _score_pairs(batch: SubgraphBatch, ids: np.ndarray, labels: LabelTable | Non
             raise NumericError(f"labels of label_dim {labels.label_dim} for params of "
                                f"label_dim {params.label_dim}")
     n_verts, v = len(batch.vertices), batch.vertex_count
-    ids, inverse = np.unique(ids, return_inverse=True)
+    ids, inverse = _unique_inverse(ids)
     local = inverse[n_verts:].reshape(-1, 2)
     memberships = ()
     if config.mode != "category_embedding":

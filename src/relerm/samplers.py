@@ -35,6 +35,7 @@ class NoWalkError(SamplerError):
 ALGORITHMS = ("rw_skipgram", "rw_induced", "p_sampling", "uniform_edge")
 NEGATIVE_MODES = ("none", "induced", "unigram")
 WALK_STARTS = ("uniform_vertex", "degree_proportional")
+_WORD = 2 ** 32  # the range of one word of numpy's bounded integer draws
 
 
 @dataclass(frozen=True)
@@ -81,29 +82,67 @@ def _first_seen(seq: np.ndarray) -> np.ndarray:
     return seq[np.sort(idx)]
 
 
+def _bounded_index(word: int, n: int) -> int | None:
+    """The index in [0, n) that numpy's bounded integer draw, rng.integers(n)
+    for 1 < n <= 2^32, makes of one 32-bit word, or None when it rejects
+    the word and takes the next (Lemire's multiply-shift, arXiv:1805.10941)."""
+    m = word * n
+    return None if m & 0xFFFFFFFF < (_WORD - n) % n else m >> 32
+
+
 def random_walk(graph: Graph, r: int, rng: np.random.Generator,
                 start: str = "uniform_vertex", size: int | None = None) -> np.ndarray:
     """Simple random walk of r steps (r+1 vertices); each next vertex is
     drawn uniformly from the current vertex's neighbors. With `size`, an
-    (size, r+1) array of independent walks stepped together."""
+    (size, r+1) array of independent walks stepped together.
+
+    Each step draws what rng.integers(degree) draws. One walk steps in
+    Python ints from words drawn in bulk: rng.integers(n) maps one 32-bit
+    word (more when it rejects one) to its index by `_bounded_index`, and
+    a degree-1 step takes no word, so the walk draws r words at once, takes
+    more if it runs out, and finally rewinds the generator and redraws
+    exactly the words it used. The batch step keeps rng.integers with an
+    array of degrees: the same rule on arrays was slower than numpy's own
+    loop there."""
     if graph.edge_count == 0:
         raise NoWalkError("cannot walk on a graph with no edges")
-    if size == 1:  # the same numbers; a scalar step costs a fifth of a step of one row
+    if size == 1:  # the same numbers; a scalar walk costs a fraction of a batch of one
         return random_walk(graph, r, rng, start)[None]
-    offsets, neighbors, deg = graph.offsets, graph.neighbors, graph.degrees
     if start == "uniform_vertex":
         # isolated vertices cannot start a walk; resampling until non-isolated
         # is uniform over the non-isolated vertices
-        candidates = np.flatnonzero(deg > 0)
-        cur = candidates[rng.integers(len(candidates), size=size)]
+        cur = graph.walk_starts[rng.integers(len(graph.walk_starts), size=size)]
     elif start == "degree_proportional":
         # stationary start: pick a uniform edge endpoint
         e = rng.integers(graph.edge_count, size=size)
         cur = graph.edge_list[e, rng.integers(2, size=size)]
     else:
         raise SamplerError(f"unknown walk start {start!r}")
+    offsets, neighbors = graph.offsets, graph.neighbors
+    if size is None:
+        offset, neighbor, cur = offsets.item, neighbors.item, int(cur)
+        saved = rng.bit_generator.state
+        words = rng.integers(0, _WORD, size=r, dtype=np.uint32).tolist()
+        used = 0
+        walk = [cur]
+        for _ in range(r):
+            lo = offset(cur)
+            n = offset(cur + 1) - lo
+            j = None if n > 1 else 0
+            while j is None:
+                if used == len(words):
+                    words += rng.integers(0, _WORD, size=r, dtype=np.uint32).tolist()
+                j = _bounded_index(words[used], n)
+                used += 1
+            cur = neighbor(lo + j)
+            walk.append(cur)
+        if used < len(words):
+            rng.bit_generator.state = saved
+            rng.integers(0, _WORD, size=used, dtype=np.uint32)
+        return np.array(walk, dtype=np.int64)
     # one row per step, so that each step writes and reads contiguous memory
-    walk = np.empty((r + 1,) + np.shape(cur), dtype=np.int64)
+    deg = graph.degrees
+    walk = np.empty((r + 1, size), dtype=np.int64)
     walk[0] = cur
     for i in range(1, r + 1):
         cur = walk[i - 1]
@@ -308,9 +347,10 @@ def negative_unigram(graph: Graph, sample: SubgraphBatch, table: UnigramTable,
     candidates = table.sample(rng, size=len(vv))
     cc = candidates + vv - vv % V
     keep = (vv != cc) & ~graph.has_edges(vv % V, candidates)
-    # a batch's vertices are distinct, so only the candidates need np.unique
-    new = np.setdiff1d(np.unique(cc[keep]), verts, assume_unique=True)
-    verts = np.concatenate([verts, new])
+    # the batch's vertices are distinct and come first, so the candidates
+    # first seen after them are the new vertices, ascending
+    seen, first = np.unique(np.concatenate([verts, cc[keep]]), return_index=True)
+    verts = np.concatenate([verts, seen[first >= len(verts)]])
     negs = np.concatenate([sample.negative_pairs, np.stack([vv[keep], cc[keep]], axis=1)])
     # each draw's new vertices and negatives after its own (a stable sort by draw)
     verts = verts[np.argsort(verts // V, kind="stable")]

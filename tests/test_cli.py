@@ -92,6 +92,28 @@ def test_export_embeddings(tmp_path):
     assert lines[1] == "2\t1.5\t-2.0"
 
 
+
+def test_export_embeddings_bytes_follow_per_element_repr(tmp_path):
+    # the file's bytes are the per-element rule, repr(float(x)) of each
+    # numpy value, for -0.0, subnormals, huge and integer-valued floats,
+    # over more rows than one block of conversion
+    special = [-0.0, 0.0, 5e-324, -2.5e-310, np.nextafter(2.2250738585072014e-308, 0),
+               1e300, -1e300, 3.0, -1e16, 2.0 ** 53, 1e-5, 0.1, 1 / 3]
+    rng = np.random.default_rng(0)
+    data = rng.uniform(-1, 1, (300, len(special))) * 10.0 ** rng.integers(-320, 300, (300, 1))
+    data[3] = special
+    data[-1] = special[::-1]
+    ids = np.arange(300) * 3 + 1
+    table = RowTable(len(special))
+    table.put(ids, data)
+    path = str(tmp_path / "emb.tsv")
+    export_embeddings(table, path)
+    want = "".join(str(i) + "\t" + "\t".join(repr(float(x)) for x in table.data[i]) + "\n"
+                   for i in ids.tolist())
+    with open(path, "rb") as f:
+        assert f.read() == want.encode()
+    assert "-0.0\t0.0\t5e-324\t" in want and "\t1e+300\t" in want and "\t3.0\t" in want
+
 # -- config parsing -----------------------------------------------------------
 
 def test_parse_config_and_overrides(tmp_path):

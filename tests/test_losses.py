@@ -7,7 +7,7 @@ import pytest
 from relerm import (LabelTable, LossConfig, ParamStore, SamplerConfig, build_unigram,
                     combined_loss, draw, estimate_risk, exact_risk, from_edges, gradient)
 from relerm import losses
-from relerm.losses import NumericError, _entries, _scatter, _score_pairs
+from relerm.losses import NumericError, _entries, _scatter, _score_pairs, _unique_inverse
 from conftest import batch_of_one as make_sample, category_map
 
 
@@ -401,3 +401,25 @@ def test_scoring_memory_is_bounded_by_a_block():
         finally:
             tracemalloc.stop()
         assert peak < bound, (fn.__name__, peak, gather)
+
+
+@pytest.mark.parametrize("ids", [
+    [], [7], [2 ** 16 - 1, 2 ** 16, 0, 2 ** 16 - 1, 1, 2 ** 16],
+    [2 ** 32 + 5, 3, 2 ** 32 + 5, 2 ** 48 + 2 ** 16, 2 ** 32, 3, 2 ** 62],
+])
+def test_unique_inverse_matches_np_unique(ids):
+    ids = np.array(ids, dtype=np.int64)
+    want_ids, want_inverse = np.unique(ids, return_inverse=True)
+    got_ids, got_inverse = _unique_inverse(ids)
+    assert got_ids.dtype == want_ids.dtype and np.array_equal(got_ids, want_ids)
+    assert got_inverse.dtype == want_inverse.dtype and np.array_equal(got_inverse, want_inverse)
+
+
+def test_unique_inverse_matches_np_unique_on_random_ids():
+    rng = np.random.default_rng(0)
+    for top in (3, 2 ** 16, 2 ** 16 + 1, 2 ** 31, 2 ** 40, 2 ** 63 - 1):
+        ids = rng.integers(top, size=3000)
+        ids[::7] = ids[1::7]  # repeats
+        want_ids, want_inverse = np.unique(ids, return_inverse=True)
+        got_ids, got_inverse = _unique_inverse(ids)
+        assert np.array_equal(got_ids, want_ids) and np.array_equal(got_inverse, want_inverse)

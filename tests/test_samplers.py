@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -350,6 +352,45 @@ def test_negative_unigram_conditional_distribution(path5):
         cond = t.probabilities * allowed
         cond = cond / cond.sum()
         assert np.abs(freq - cond).max() < 0.02
+
+
+def _negative_unigram_setdiff(graph, sample, table, k_neg, rng):
+    """negative_unigram as it was defined by a set difference: the distinct
+    kept candidates not among the batch's vertices, then a stable sort by
+    draw on int64 keys."""
+    verts, V = sample.vertices, sample.vertex_count
+    vv = np.repeat(verts, k_neg)
+    candidates = table.sample(rng, size=len(vv))
+    cc = candidates + vv - vv % V
+    keep = (vv != cc) & ~graph.has_edges(vv % V, candidates)
+    new = np.setdiff1d(np.unique(cc[keep]), verts, assume_unique=True)
+    verts = np.concatenate([verts, new])
+    negs = np.concatenate([sample.negative_pairs, np.stack([vv[keep], cc[keep]], axis=1)])
+    verts = verts[np.argsort(verts // V, kind="stable")]
+    negs = negs[np.argsort(negs[:, 0] // V, kind="stable")]
+    return verts, negs
+
+
+@pytest.mark.parametrize("vertex_count", [60, 2 ** 16 + 40])
+@pytest.mark.parametrize("size", [1, 2, 16])
+def test_negative_unigram_matches_setdiff_definition(size, vertex_count):
+    # a ring with chords, so that candidates hit neighbours, the draw's own
+    # vertices and each other; the large graph has ids past 2^16
+    V = vertex_count
+    ring = np.column_stack([np.arange(V), (np.arange(V) + 1) % V])
+    chords = np.column_stack([np.arange(0, V, 7), (np.arange(0, V, 7) + 3) % V])
+    g = from_edges(V, np.concatenate([ring, chords]))
+    table = build_unigram(g, 0.75)
+    cfg = SamplerConfig(algorithm="rw_skipgram", walk_length=30, window=3)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        sample = draw(g, cfg, rng, size=size)
+        ref_rng = copy.deepcopy(rng)
+        out = negative_unigram(g, sample, table, 5, rng)
+        verts, negs = _negative_unigram_setdiff(g, sample, table, 5, ref_rng)
+        assert np.array_equal(out.vertices, verts) and out.vertices.dtype == verts.dtype
+        assert np.array_equal(out.negative_pairs, negs)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # -- dispatcher ---------------------------------------------------------------
