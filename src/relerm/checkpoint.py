@@ -2,16 +2,29 @@
 
 The format is fixed-layout little-endian and contains no timestamps, so a
 deterministic training run produces a bit-identical checkpoint file.
+
+The text export formats each value with Python's float repr, which costs
+far more than writing the file, so a large table is split into contiguous
+row ranges, one per CPU available to the process. Forked children format
+every range but the first into unnamed temporary files, the parent writes
+the first into the destination and appends the others in order, so the
+file's bytes do not depend on the number of ranges.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import shutil
+import signal
 import struct
+import tempfile
+import traceback
 
 import numpy as np
 
 from .graph import unpack_sections
-from .losses import ParamStore, RowTable
+from .losses import MAX_DIM, ParamStore, RowTable
 
 _MAGIC = b"RECK"
 _VERSION = 1
@@ -48,6 +61,8 @@ def load_checkpoint(path: str) -> ParamStore:
     dim, label_dim = int(dim), int(label_dim)
     if dim < 1:
         raise ValueError(f"checkpoint dim {dim} must be >= 1")
+    if dim > MAX_DIM:
+        raise ValueError(f"checkpoint dim {dim} exceeds the bound MAX_DIM = {MAX_DIM}")
     emb_ids, emb_rows, cat_ids, cat_rows, weights, bias = unpack_sections(
         data, 48, (("embedding ids", "<i8", n_emb), ("embedding rows", "<f8", n_emb * dim),
                    ("category ids", "<i8", n_cat), ("category rows", "<f8", n_cat * dim),
@@ -75,13 +90,91 @@ def load_checkpoint(path: str) -> ParamStore:
     return params
 
 
+# values per export range, at least: formatting 2^16 floats takes about 40 ms
+# (2-vCPU VM), ten times a fork of a process of a few hundred MiB
+MIN_RANGE_VALUES = 2 ** 16
+
+
 def export_embeddings(table: RowTable, path: str) -> None:
     """One line per present row, ids ascending: 'id\\tv_1\\t...\\tv_d', each
-    value as repr of its Python float. Rows become Python floats 256 at a
-    time, so those of the whole table never exist at once."""
+    value as repr of its Python float.
+
+    The rows are cut into contiguous ranges, one per available CPU, each of
+    at least MIN_RANGE_VALUES values; a smaller table, or a platform
+    without os.fork, is one range. The bytes are the same for any number
+    of ranges.
+    """
     ids = table.ids()
-    with open(path, "w") as f:
-        for lo in range(0, len(ids), 256):
-            block = ids[lo:lo + 256]
-            for i, row in zip(block.tolist(), table.data[block].tolist()):
-                f.write(str(i) + "\t" + "\t".join(map(repr, row)) + "\n")
+    _export_ranges(table, ids, _range_bounds(len(ids), table.dim), path)
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _range_bounds(n_rows: int, dim: int) -> list[int]:
+    """Row bounds [0, ..., n_rows] of the export's ranges: as many as there
+    are CPUs, while each holds at least MIN_RANGE_VALUES values."""
+    min_rows = -(-MIN_RANGE_VALUES // dim)
+    k = max(1, min(_cpus(), n_rows // min_rows)) if hasattr(os, "fork") else 1
+    return [n_rows * j // k for j in range(k + 1)]
+
+
+def _write_rows(f, table: RowTable, ids: np.ndarray) -> None:
+    """The lines of `ids`. Rows become Python floats 256 at a time, so those
+    of the whole range never exist at once."""
+    for lo in range(0, len(ids), 256):
+        block = ids[lo:lo + 256]
+        for i, row in zip(block.tolist(), table.data[block].tolist()):
+            f.write(str(i) + "\t" + "\t".join(map(repr, row)) + "\n")
+
+
+def _export_ranges(table: RowTable, ids: np.ndarray, bounds: list[int], path: str) -> None:
+    """Write the rows of ids[bounds[j]:bounds[j + 1]] for every j to `path`:
+    the first range from this process, each other from a forked child into
+    an unnamed temporary file in path's directory, appended in order. No
+    child and no part file outlives the call, whether it returns or
+    raises; a child that fails makes it raise OSError naming its range."""
+    children = []  # (pid, lo, hi, part file) of each child not yet reaped, in row order
+    with contextlib.ExitStack() as files:
+        f = files.enter_context(open(path, "w"))
+        try:
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                part = files.enter_context(
+                    tempfile.TemporaryFile("w+", dir=os.path.dirname(os.path.abspath(path))))
+                pid = os.fork()
+                if pid == 0:
+                    _child_writes(part, table, ids[lo:hi])
+                children.append((pid, lo, hi, part))
+            _write_rows(f, table, ids[bounds[0]:bounds[1]])
+            while children:
+                pid, lo, hi, part = children[0]
+                status = os.waitpid(pid, 0)[1]
+                children.pop(0)
+                if status:
+                    raise OSError(f"the child exporting embedding rows {lo} to {hi - 1} "
+                                  f"exited with status {os.waitstatus_to_exitcode(status)}")
+                part.seek(0)
+                shutil.copyfileobj(part, f)
+        finally:
+            for pid, *_ in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _child_writes(part, table: RowTable, ids: np.ndarray) -> None:
+    """In a forked child: write the lines of `ids` to `part` and leave with
+    os._exit, status 0 on success, so no inherited buffer is flushed and no
+    atexit handler runs."""
+    status = 1
+    try:
+        _write_rows(part, table, ids)
+        part.flush()
+        status = 0
+    except BaseException:  # the parent reports the range; the cause goes to stderr
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(status)

@@ -46,6 +46,9 @@ LOSS_MODES = ("edge_only", "node_classification", "category_embedding")
 # bytes of pair-end vectors gathered per scoring block: the (block, 2, d)
 # gather stays in L2 cache, where the step's update reads the same rows
 SCORE_BLOCK_BYTES = 2 ** 19
+# the largest embedding dim that a config or a checkpoint header may give: a
+# row is then 512 KiB, and no dim alone asks for an array past memory
+MAX_DIM = 2 ** 16
 
 
 class NumericError(Exception):
@@ -187,8 +190,11 @@ class UniformRows:
         self.seeds = np.concatenate([self.seeds, seeds])
 
     def __call__(self, ids: np.ndarray) -> np.ndarray:
-        if ids.max() >= len(self.seeds):
-            self._grow(int(ids.max()) + 1)
+        top = int(ids.max())
+        if self.keys is not None and top >= len(self.keys):
+            raise KeyError(f"row id {top} has no key: init_ids holds {len(self.keys)}")
+        if top >= len(self.seeds):
+            self._grow(top + 1)
         # one preallocated block, shifted in place: a cold table's first
         # call often draws every row, so its peak memory is two blocks
         raw = np.empty((len(ids), self.dim), dtype=np.uint64)
@@ -300,7 +306,8 @@ class ParamStore:
     or batch size. The seeds are hashed in bulk and cached per table, 32 B
     per row. `init_ids` optionally maps vertex index -> stable id, the key,
     so coupled graphs of different sizes share initializations for shared
-    vertices. The seed and the init_ids must be >= 0.
+    vertices. The seed and the init_ids must be >= 0; a vertex past the
+    init_ids has no initial row (KeyError).
     """
 
     def __init__(self, dim: int, label_dim: int = 0, seed: int = 0,

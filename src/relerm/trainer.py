@@ -30,7 +30,7 @@ import numpy as np
 
 from .graph import _INT64_MAX, CategoryMap, Graph, LabelTable, gather_segments
 from .graph import induced_pairs  # noqa: F401 - unused; a span target of benchmarks/spans.py
-from .losses import LossConfig, ParamStore, SparseGradient, combined_loss, gradient
+from .losses import MAX_DIM, LossConfig, ParamStore, SparseGradient, combined_loss, gradient
 from .samplers import (SamplerConfig, SamplerError, UnigramTable, build_unigram, draw,
                        draw_key, outcome_batch)
 
@@ -70,6 +70,8 @@ class TrainConfig:
             errs.append("steps must be >= 0")
         if self.embedding_dim < 1:
             errs.append("embedding_dim must be >= 1")
+        if self.embedding_dim > MAX_DIM:
+            errs.append(f"embedding_dim {self.embedding_dim} exceeds the bound MAX_DIM = {MAX_DIM}")
         if not 0 <= self.seed < 2 ** 64:
             errs.append(f"seed {self.seed} must be in [0, 2^64)")
         if self.eval_every < 0 or self.eval_samples < 1:
@@ -443,6 +445,9 @@ def train(graph: Graph, labels: LabelTable | None, cats: CategoryMap | None,
         raise TrainerError(f"params of label_dim {params.label_dim} for labels of "
                            f"label_dim {labels.label_dim}")
     if config.loss.mode != "category_embedding":  # category mode has no vertex rows
+        if params.init_ids is not None and len(params.init_ids) < graph.vertex_count:
+            raise TrainerError(f"init_ids of length {len(params.init_ids)} for a graph of "
+                               f"{graph.vertex_count} vertices")
         params.embeddings.reserve(graph.vertex_count)
     rng = np.random.default_rng(config.seed)
     eval_rng = np.random.default_rng((config.seed, 0xE7A1))

@@ -8,7 +8,7 @@ import pytest
 
 from relerm.checkpoint import (export_embeddings, load_checkpoint,
                                save_checkpoint)
-from relerm import cli, trainer
+from relerm import checkpoint, cli, trainer
 from relerm.cli import main, parse_config, ConfigError
 from relerm.graph import from_edges
 from relerm.losses import LossConfig, ParamStore, RowTable
@@ -93,10 +93,9 @@ def test_export_embeddings(tmp_path):
 
 
 
-def test_export_embeddings_bytes_follow_per_element_repr(tmp_path):
-    # the file's bytes are the per-element rule, repr(float(x)) of each
-    # numpy value, for -0.0, subnormals, huge and integer-valued floats,
-    # over more rows than one block of conversion
+def special_table():
+    """300 rows over more than one block of conversion, two of them the
+    special values, and the bytes the per-element rule gives them."""
     special = [-0.0, 0.0, 5e-324, -2.5e-310, np.nextafter(2.2250738585072014e-308, 0),
                1e300, -1e300, 3.0, -1e16, 2.0 ** 53, 1e-5, 0.1, 1 / 3]
     rng = np.random.default_rng(0)
@@ -106,13 +105,129 @@ def test_export_embeddings_bytes_follow_per_element_repr(tmp_path):
     ids = np.arange(300) * 3 + 1
     table = RowTable(len(special))
     table.put(ids, data)
-    path = str(tmp_path / "emb.tsv")
-    export_embeddings(table, path)
     want = "".join(str(i) + "\t" + "\t".join(repr(float(x)) for x in table.data[i]) + "\n"
                    for i in ids.tolist())
+    return table, want.encode()
+
+
+def test_export_embeddings_bytes_follow_per_element_repr(tmp_path):
+    # the file's bytes are the per-element rule, repr(float(x)) of each
+    # numpy value, for -0.0, subnormals, huge and integer-valued floats,
+    # over more rows than one block of conversion
+    table, want = special_table()
+    path = str(tmp_path / "emb.tsv")
+    export_embeddings(table, path)
     with open(path, "rb") as f:
-        assert f.read() == want.encode()
-    assert "-0.0\t0.0\t5e-324\t" in want and "\t1e+300\t" in want and "\t3.0\t" in want
+        assert f.read() == want
+    assert b"-0.0\t0.0\t5e-324\t" in want and b"\t1e+300\t" in want and b"\t3.0\t" in want
+
+
+# -- the export's ranges ------------------------------------------------------
+
+def even_bounds(n_rows, k):
+    return [n_rows * j // k for j in range(k + 1)]
+
+
+def export_ranges(table, bounds, path):
+    checkpoint._export_ranges(table, table.ids(), bounds, str(path))
+    return path.read_bytes()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 255, 256, 257, 1001])
+def test_export_ranges_match_one_range(n_rows, tmp_path):
+    # 2, 3 and 4 even ranges, and cuts at the 256-row block edges and empty
+    # ranges, write the bytes of one range
+    rng = np.random.default_rng(n_rows)
+    table = RowTable(3)
+    ids = np.sort(rng.choice(5 * n_rows + 1, n_rows, replace=False))
+    table.put(ids, rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(-5, 5, (n_rows, 1)))
+    one = export_ranges(table, [0, n_rows], tmp_path / "one.tsv")
+    export_embeddings(table, str(tmp_path / "export.tsv"))
+    assert (tmp_path / "export.tsv").read_bytes() == one
+    assert one.count(b"\n") == n_rows
+    cuts = [even_bounds(n_rows, k) for k in (2, 3, 4)] + [[0, 0, n_rows], [0, n_rows, n_rows]]
+    if n_rows >= 257:
+        cuts += [[0, 255, 256, 257, n_rows], [0, 256, 512, n_rows], [0, 1, n_rows]]
+    for bounds in cuts:
+        assert export_ranges(table, bounds, tmp_path / "split.tsv") == one, bounds
+    assert sorted(os.listdir(tmp_path)) == ["export.tsv", "one.tsv", "split.tsv"]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_export_ranges_keep_the_special_values(k, tmp_path):
+    table, want = special_table()
+    assert export_ranges(table, even_bounds(300, k), tmp_path / "emb.tsv") == want
+
+
+def test_export_range_bounds(monkeypatch):
+    # one range per CPU while each holds MIN_RANGE_VALUES values; one range
+    # where os.fork is missing
+    monkeypatch.setattr(checkpoint, "_cpus", lambda: 4)
+    bounds, least = checkpoint._range_bounds, checkpoint.MIN_RANGE_VALUES
+    assert bounds(0, 128) == [0, 0]
+    assert bounds(2 * least // 128 - 1, 128) == [0, 2 * least // 128 - 1]
+    assert bounds(9958, 128) == [0, 2489, 4979, 7468, 9958]
+    assert bounds(10 ** 4, 16) == [0, 5000, 10000]
+    for n_rows, dim in ((9958, 128), (10 ** 4, 16), (12345, 7), (3, least + 1), (10 ** 6, 1)):
+        b = bounds(n_rows, dim)
+        assert b[0] == 0 and b[-1] == n_rows and 2 <= len(b) <= 5
+        assert all((hi - lo) * dim >= least for lo, hi in zip(b, b[1:]))
+    monkeypatch.delattr(os, "fork")
+    assert bounds(9958, 128) == [0, 9958]
+
+
+def fail_in(monkeypatch, where):
+    """Make the row writer raise in the children only, or in this process
+    only."""
+    parent, write_rows = os.getpid(), checkpoint._write_rows
+
+    def write(f, table, ids):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise RuntimeError(f"planted failure in the {where}")
+        write_rows(f, table, ids)
+    monkeypatch.setattr(checkpoint, "_write_rows", write)
+
+
+def test_export_child_failure_raises_and_leaves_nothing(tmp_path, monkeypatch, capfd):
+    fail_in(monkeypatch, "child")
+    table, _ = special_table()
+    with pytest.raises(OSError, match="rows 100 to 199 exited with status 1"):
+        checkpoint._export_ranges(table, table.ids(), [0, 100, 200, 300],
+                                  str(tmp_path / "emb.tsv"))
+    assert_no_child_left()
+    assert os.listdir(tmp_path) == ["emb.tsv"]
+    assert "RuntimeError: planted failure in the child" in capfd.readouterr().err
+
+
+def test_export_parent_failure_reaps_the_children(tmp_path, monkeypatch):
+    fail_in(monkeypatch, "parent")
+    table, _ = special_table()
+    with pytest.raises(RuntimeError, match="planted failure in the parent"):
+        checkpoint._export_ranges(table, table.ids(), [0, 100, 200, 300],
+                                  str(tmp_path / "emb.tsv"))
+    assert_no_child_left()
+    assert os.listdir(tmp_path) == ["emb.tsv"]
+
+
+@pytest.fixture
+def split_export(monkeypatch):
+    """Send every export through three ranges, however small its table;
+    the list of the bounds each export used."""
+    used, export = [], checkpoint._export_ranges
+
+    def record(table, ids, bounds, path):
+        used.append(bounds)
+        export(table, ids, bounds, path)
+    monkeypatch.setattr(checkpoint, "MIN_RANGE_VALUES", 1)
+    monkeypatch.setattr(checkpoint, "_cpus", lambda: 3)
+    monkeypatch.setattr(checkpoint, "_export_ranges", record)
+    return used
 
 # -- config parsing -----------------------------------------------------------
 
@@ -262,6 +377,16 @@ def test_train_with_init_ids_outputs_are_golden(tmp_path):
     export_embeddings(params.embeddings, str(tmp_path / "embeddings.tsv"))
     for name in ("checkpoint.bin", "embeddings.tsv"):
         assert sha256_of(tmp_path / name) == GOLDEN_OUTPUTS[f"p_sampling/{name}"], name
+
+
+def test_cli_train_goldens_hold_through_split_export(split_export, tmp_path, capsys):
+    test_cli_train_outputs_are_golden(tmp_path, capsys)
+    assert split_export == [[0, 10, 20, 30]]
+
+
+def test_init_ids_goldens_hold_through_split_export(split_export, tmp_path):
+    test_train_with_init_ids_outputs_are_golden(tmp_path)
+    assert split_export == [[0, 6, 13, 20]]
 
 
 def test_category_embedding_checkpoint_is_golden(tmp_path):

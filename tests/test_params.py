@@ -8,7 +8,7 @@ import pytest
 
 from relerm import (LabelTable, LossConfig, ParamStore, SparseGradient,
                     combined_loss, gradient, sgd_step)
-from relerm.losses import RowTable, SparseRows
+from relerm.losses import MAX_DIM, RowTable, SparseRows
 from relerm.checkpoint import load_checkpoint, save_checkpoint
 from relerm.trainer import TrainConfig
 from conftest import batch_of_one, category_map
@@ -98,6 +98,22 @@ def test_negative_seed_and_init_ids_are_rejected():
     with pytest.raises(ValueError, match="init_ids"):
         ParamStore(4, 0, seed=0, init_ids=np.array([3, -2]))
     assert any("seed -1" in e for e in TrainConfig(seed=-1).validate())
+
+
+def test_row_past_the_init_ids_is_a_key_error():
+    # numpy's IndexError surfaced from the initialiser's seed gather
+    ps = ParamStore(4, 0, seed=0, init_ids=np.arange(5))
+    assert ps.embedding(4).shape == (4,)
+    with pytest.raises(KeyError, match="row id 7 has no key: init_ids holds 5"):
+        ps.embedding(7)
+    with pytest.raises(KeyError, match="row id 9 has no key: init_ids holds 5"):
+        ps.embedding_matrix(np.array([1, 9, 3]))
+
+
+def test_embedding_dim_past_the_bound_is_rejected():
+    assert any(f"embedding_dim {MAX_DIM + 1} exceeds the bound MAX_DIM = {MAX_DIM}" in e
+               for e in TrainConfig(embedding_dim=MAX_DIM + 1).validate())
+    assert not TrainConfig(embedding_dim=MAX_DIM).validate()
 
 
 def test_seed_past_64_bits_fails_before_a_checkpoint_is_written(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from relerm.checkpoint import load_checkpoint, save_checkpoint
 from relerm.graph import GraphError, from_edges, load_cache, save_cache
-from relerm.losses import ParamStore, RowTable
+from relerm.losses import MAX_DIM, ParamStore, RowTable
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -180,6 +180,19 @@ def test_checkpoint_rejects_dim_zero(ids, tmp_path):
         load_checkpoint(path)
     write_checkpoint(path, 1, 1, ids, [])
     assert load_checkpoint(path).dim == 1
+
+
+def test_checkpoint_rejects_dim_past_the_bound(tmp_path):
+    # a 48-byte header with dim 2^40 and no rows loaded, and estimate_risk on
+    # the store raised a raw MemoryError (a (3, 2^40) array, 24 TiB)
+    path = str(tmp_path / "c.bin")
+    for dim in (2 ** 40, MAX_DIM + 1):
+        write_checkpoint(path, dim, 0, [], [])
+        with pytest.raises(ValueError, match=f"checkpoint dim {dim} exceeds the bound "
+                                             f"MAX_DIM = {MAX_DIM}"):
+            load_checkpoint(path)
+    write_checkpoint(path, MAX_DIM, 0, [], [])
+    assert load_checkpoint(path).dim == MAX_DIM
 
 
 @given(params=stores(), data=st.data())

@@ -500,6 +500,16 @@ def test_train_rejects_params_of_another_dim(path3):
         train(path3, None, None, cfg, params=ParamStore(4, 0, seed=0))
 
 
+def test_train_rejects_init_ids_shorter_than_the_graph():
+    # numpy's IndexError ("index 7 is out of bounds") surfaced from the
+    # row initialiser once a draw reached vertex 7
+    ring = from_edges(10, np.array([[i, (i + 1) % 10] for i in range(10)]))
+    cfg = TrainConfig(sampler=psample(0.5), steps=5, embedding_dim=4)
+    with pytest.raises(TrainerError, match="init_ids of length 5 for a graph of 10 vertices"):
+        train(ring, None, None, cfg, params=ParamStore(4, 0, seed=0, init_ids=np.arange(5)))
+    train(ring, None, None, cfg, params=ParamStore(4, 0, seed=0, init_ids=np.arange(10)))
+
+
 def test_train_rejects_params_of_another_label_dim(path3):
     # numpy's broadcast ValueError surfaced from the first label gradient
     labels = LabelTable(2, np.eye(3, 2, dtype=bool), np.ones(3, dtype=bool))
