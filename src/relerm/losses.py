@@ -108,16 +108,17 @@ def _seed_words(n: int) -> list[int]:
 
 def _hash_seeds(entropy: np.ndarray, mults: np.ndarray) -> np.ndarray:
     """SeedSequence(words).generate_state(4, np.uint64) for the entropy
-    words of each row of `entropy`, an (n, L) uint32 array, in uint32
-    arithmetic over all rows at once. `mults` tables the hash multipliers,
-    _powers(_INIT_A, _MULT_A, 4 * max(L, 4) + 1) or more."""
+    words of each column of `entropy`, an (L, n) uint32 array, in uint32
+    arithmetic over all columns at once: word i of every key is row i, so
+    each hash step runs over one contiguous row. Returns (n, 4) seeds.
+    `mults` tables the hash multipliers, _powers(_INIT_A, _MULT_A,
+    4 * max(L, 4) + 1) or more."""
     k = 0
 
-    def hashmix(x: np.ndarray) -> np.ndarray:
-        # the next x.shape[1] hash steps, one per column
+    def hashmix(x: np.ndarray, m: int) -> np.ndarray:
+        # the next m hash steps, one per row of the (m, n) result
         nonlocal k
-        m = x.shape[1]
-        x = (x ^ mults[k:k + m]) * mults[k + 1:k + m + 1]
+        x = (x ^ mults[k:k + m, None]) * mults[k + 1:k + m + 1, None]
         k += m
         return x ^ (x >> 16)
 
@@ -125,21 +126,21 @@ def _hash_seeds(entropy: np.ndarray, mults: np.ndarray) -> np.ndarray:
         r = _MIX_L * x - _MIX_R * y
         return r ^ (r >> 16)
 
-    n, width = entropy.shape
-    pool = np.zeros((n, 4), dtype=np.uint32)
-    pool[:, :min(width, 4)] = entropy[:, :4]
-    pool = hashmix(pool)
+    width, n = entropy.shape
+    pool = np.zeros((4, n), dtype=np.uint32)
+    pool[:min(width, 4)] = entropy[:4]
+    pool = hashmix(pool, 4)
     # every pool word into each other word; a source word is not written
     # while it feeds the other three
     for src in range(4):
         dst = [i for i in range(4) if i != src]
-        pool[:, dst] = mix(pool[:, dst], hashmix(np.repeat(pool[:, src:src + 1], 3, axis=1)))
+        pool[dst] = mix(pool[dst], hashmix(pool[src], 3))
     # entropy past the pool: each word into every pool word
     for src in range(4, width):
-        pool = mix(pool, hashmix(np.repeat(entropy[:, src:src + 1], 4, axis=1)))
-    state = (pool[:, [0, 1, 2, 3, 0, 1, 2, 3]] ^ _STATE_B[:8]) * _STATE_B[1:]
+        pool = mix(pool, hashmix(entropy[src], 4))
+    state = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _STATE_B[:8, None]) * _STATE_B[1:, None]
     state ^= state >> 16
-    return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
 class _CachedSeed(ISeedSequence):
@@ -181,12 +182,17 @@ class UniformRows:
         have = len(self.seeds)
         size = max(size, 2 * have)
         keys = np.arange(have, size) if self.keys is None else self.keys[have:size]
-        words = np.column_stack([np.tile(self.prefix, (len(keys), 1)), keys & _MASK32,
-                                 keys >> 32]).astype(np.uint32)
+        words = np.empty((len(self.prefix) + 2, len(keys)), dtype=np.uint32)
+        words[:-2] = np.array(self.prefix, dtype=np.uint32)[:, None]
+        words[-2] = keys & _MASK32
+        words[-1] = keys >> 32
         wide = keys > _MASK32  # a key of two words
-        seeds = np.empty((len(keys), 4), dtype=np.uint64)
-        seeds[~wide] = _hash_seeds(words[~wide, :-1], self.mults)
-        seeds[wide] = _hash_seeds(words[wide], self.mults)
+        if wide.any():
+            seeds = np.empty((len(keys), 4), dtype=np.uint64)
+            seeds[~wide] = _hash_seeds(words[:-1, ~wide], self.mults)
+            seeds[wide] = _hash_seeds(words[:, wide], self.mults)
+        else:
+            seeds = _hash_seeds(words[:-1], self.mults)
         self.seeds = np.concatenate([self.seeds, seeds])
 
     def __call__(self, ids: np.ndarray) -> np.ndarray:
@@ -195,18 +201,19 @@ class UniformRows:
             raise KeyError(f"row id {top} has no key: init_ids holds {len(self.keys)}")
         if top >= len(self.seeds):
             self._grow(top + 1)
-        # one preallocated block, shifted in place: a cold table's first
-        # call often draws every row, so its peak memory is two blocks
+        # one preallocated block, converted in place: a cold table's first
+        # call often draws every row, and each new page costs a fault
         raw = np.empty((len(ids), self.dim), dtype=np.uint64)
-        for i, words in enumerate(self.seeds[ids]):
-            raw[i] = PCG64(_CachedSeed(words)).random_raw(self.dim)
-        # PCG64's words to doubles in [0, 1) as Generator.random makes them,
-        # then to [lo, hi) as Generator.uniform does, operation for operation
+        holder = _CachedSeed(None)
+        for words, out in zip(self.seeds[ids], raw):
+            holder.words = words
+            out[:] = PCG64(holder).random_raw(self.dim)
+        # PCG64's words to doubles in [lo, hi) as Generator.uniform makes
+        # them, lo + (word >> 11) * 2^-53 * (hi - lo): the factor 2^-53 is a
+        # power of two, so folding it into the width rounds nothing
         lo, hi = -0.5 / self.dim, 0.5 / self.dim
         raw >>= 11
-        rows = raw.astype(np.float64)
-        rows *= 2.0 ** -53
-        rows *= hi - lo
+        rows = np.multiply(raw.view(np.int64), 2.0 ** -53 * (hi - lo), out=raw.view(np.float64))
         rows += lo
         return rows
 

@@ -339,7 +339,10 @@ def negative_unigram(graph: Graph, sample: SubgraphBatch, table: UnigramTable,
     candidates into that draw's copy of the graph; keep (v, c) as a
     negative iff it is a non-edge of the full graph and c != v. A draw's
     new negatives follow its own, and its new candidate vertices are
-    appended after its own vertices."""
+    appended after its own vertices. The table must be of this graph."""
+    if len(table.probabilities) != graph.vertex_count:
+        raise SamplerError(f"unigram table of {len(table.probabilities)} vertices for a "
+                           f"graph of {graph.vertex_count}")
     verts, V = sample.vertices, sample.vertex_count
     if len(verts) == 0 or k_neg == 0:
         return sample

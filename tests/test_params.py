@@ -8,7 +8,8 @@ import pytest
 
 from relerm import (LabelTable, LossConfig, ParamStore, SparseGradient,
                     combined_loss, gradient, sgd_step)
-from relerm.losses import MAX_DIM, RowTable, SparseRows
+from relerm.losses import (_INIT_A, _MULT_A, MAX_DIM, RowTable, SparseRows, UniformRows,
+                           _hash_seeds, _powers)
 from relerm.checkpoint import load_checkpoint, save_checkpoint
 from relerm.trainer import TrainConfig
 from conftest import batch_of_one, category_map
@@ -77,6 +78,34 @@ def test_lazy_init_matches_generator_uniform(dim):
             assert np.array_equal(row, want)
     cat = ParamStore(dim, 0, seed=seed).category_embeddings.row(9)
     assert np.array_equal(cat, np.random.default_rng((seed, 1, 9)).uniform(lo, hi, dim))
+
+
+@pytest.mark.parametrize("dim", [1, 7, 128, MAX_DIM])
+def test_bulk_initial_rows_are_generator_uniform_bytes(dim):
+    # one UniformRows call draws many rows, in any id order, with seeds and
+    # keys of one and two 32-bit words
+    lo, hi = -0.5 / dim, 0.5 / dim
+    keys = np.array([0, 5, 2 ** 32 - 1, 2 ** 32, 3 * 2 ** 40 + 7, 9])
+    ids = np.array([4, 0, 5, 2, 1, 3])
+    for seed in (11, 2 ** 40 + 3):
+        for init_ids in (None, keys):
+            got = UniformRows(seed, 0, dim, init_ids)(ids)
+            for row, v in zip(got, ids.tolist()):
+                key = v if init_ids is None else int(keys[v])
+                want = np.random.default_rng((seed, 0, key)).uniform(lo, hi, dim)
+                assert row.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("width", range(1, 8))
+def test_seed_hash_matches_seed_sequence(width):
+    # _hash_seeds takes word i of every key as row i; entropy past the
+    # pool of four words takes the hash's second loop
+    words = np.random.default_rng(width).integers(0, 2 ** 32, size=(width, 50), dtype=np.uint32)
+    words[:, 0] = 0
+    got = _hash_seeds(words, _powers(_INIT_A, _MULT_A, 4 * max(width, 4) + 1))
+    want = [np.random.SeedSequence(col.tolist()).generate_state(4, np.uint64)
+            for col in words.T]
+    assert got.shape == (50, 4) and np.array_equal(got, want)
 
 
 def test_store_is_freed_without_cyclic_gc():

@@ -331,6 +331,23 @@ def test_negative_unigram_appends_new_vertex(path3):
     pytest.fail("candidate 2 never drawn")
 
 
+def test_unigram_table_of_another_graph_is_rejected(path3):
+    # a 3-path's table on a 6-cycle drew every negative among ids 0-2; a
+    # 6-cycle's table on the 3-path raised GraphError "vertex id 4 outside
+    # [0, 3)"
+    cycle6 = from_edges(6, np.array([[i, (i + 1) % 6] for i in range(6)]))
+    cfg = SamplerConfig(algorithm="rw_skipgram", walk_length=3, window=2, negative="unigram")
+    for graph, other in ((cycle6, path3), (path3, cycle6)):
+        want = (f"unigram table of {other.vertex_count} vertices for a graph of "
+                f"{graph.vertex_count}")
+        with pytest.raises(SamplerError, match=want):
+            draw(graph, cfg, np.random.default_rng(0), build_unigram(other))
+        with pytest.raises(SamplerError, match=want):
+            negative_unigram(graph, batch_of_one([], vertex_count=graph.vertex_count),
+                             build_unigram(other), 2, np.random.default_rng(0))
+    draw(cycle6, cfg, np.random.default_rng(0), build_unigram(cycle6))
+
+
 def test_negative_unigram_conditional_distribution(path5):
     # a batch of three draws on the 5-path, {0}, {4} and {0}, whose
     # non-neighbors are {2, 3, 4}, {0, 1, 2} and {2, 3, 4}: each kept

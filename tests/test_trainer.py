@@ -6,7 +6,7 @@ import pytest
 from relerm import (LabelTable, LossConfig, ParamStore, SamplerConfig, TrainConfig,
                     check_unbiasedness, estimate_risk, exact_risk, sgd_step, train)
 from relerm.losses import SparseGradient, SparseRows, combined_loss, gradient, _sigmoid
-from relerm.samplers import SamplerError, draw, draw_key, outcome_batch
+from relerm.samplers import SamplerError, build_unigram, draw, draw_key, outcome_batch
 from relerm import trainer
 from relerm.trainer import FD_TOLERANCE, OracleError, TrainerError, _enumerate_keys
 from relerm.graph import from_edges
@@ -602,3 +602,129 @@ def test_estimate_risk_uses_given_unigram_table(path3, monkeypatch):
     given = estimate_risk(path3, None, params, sampler, LossConfig(), 50,
                           np.random.default_rng(2), method="loop", unigram_table=table)
     assert given == built
+
+
+# -- training in blocks -------------------------------------------------------
+
+def block_test_graph():
+    # a 5-cycle with the chord 0-2, a pendant 5 on vertex 0, the isolated
+    # edge 6-7 and the isolated vertex 8
+    return from_edges(9, np.array([[0, 1], [1, 2], [2, 3], [3, 4], [0, 4], [0, 2], [0, 5],
+                                   [6, 7]]))
+
+
+def reference_train(graph, labels, cats, config):
+    """`train` as one draw per step: draw -> gradient -> sgd_step, with the
+    risk recorded after the same steps from its own generator."""
+    label_dim = labels.label_dim if labels is not None else 0
+    params = ParamStore(config.embedding_dim, label_dim, seed=config.seed)
+    if config.loss.mode != "category_embedding":
+        params.embeddings.reserve(graph.vertex_count)
+    rng = np.random.default_rng(config.seed)
+    eval_rng = np.random.default_rng((config.seed, 0xE7A1))
+    table = build_unigram(graph, config.sampler.unigram_power) \
+        if config.sampler.negative == "unigram" else None
+    trace = []
+
+    def record(step):
+        est = estimate_risk(graph, labels, params, config.sampler, config.loss,
+                            config.eval_samples, eval_rng, cats, unigram_table=table)
+        trace.append({"step": step, "risk_mean": est.mean, "risk_stderr": est.std_error,
+                      "wallclock": None})
+
+    record(0)
+    for step in range(config.steps):
+        sub = draw(graph, config.sampler, rng, unigram_table=table)
+        g = gradient(sub, labels, params, config.loss, cats)
+        sgd_step(params, g, trainer._learning_rate(config, step))
+        if config.eval_every and (step + 1) % config.eval_every == 0:
+            record(step + 1)
+    if trace[-1]["step"] != config.steps:
+        record(config.steps)
+    return params, trace
+
+
+def outcome_of(params, trace):
+    """A training's bytes: both row tables (data and present mask), the
+    global parameters and the trace."""
+    return ([t.data.tobytes() + t.present.tobytes()
+             for t in (params.embeddings, params.category_embeddings)]
+            + [params.weights.tobytes(), params.bias.tobytes(), trace])
+
+
+@pytest.mark.parametrize("budget", ["one id", "three draws", "default"])
+@pytest.mark.parametrize("mode", ["edge_only", "node_classification", "category_embedding"])
+@pytest.mark.parametrize("negative", ["none", "induced", "unigram"])
+@pytest.mark.parametrize("algorithm", ["rw_skipgram", "rw_induced", "p_sampling",
+                                       "uniform_edge"])
+def test_blocks_train_as_one_draw_per_step(algorithm, negative, mode, budget, monkeypatch):
+    # 13 steps, not a multiple of a three-draw block, with records after
+    # steps 5 and 10, inside blocks; a block of one id holds one draw
+    if budget != "default":
+        monkeypatch.setattr(trainer, "BLOCK_IDS",
+                            1 if budget == "one id" else 3 * trainer.DRAW_IDS)
+    graph = block_test_graph()
+    V = graph.vertex_count
+    rng = np.random.default_rng(4)
+    labels = LabelTable(2, rng.random((V, 2)) < 0.5, rng.random(V) < 0.7)
+    cats = category_map([[v % 3] for v in range(V)], 3)
+    config = TrainConfig(
+        sampler=SamplerConfig(algorithm=algorithm, negative=negative, walk_length=4, window=2,
+                              retention=0.6, edge_count=3, negatives_per_vertex=2),
+        loss=LossConfig(q=0.5, mode=mode), steps=13, lr_start=0.5, lr_end=0.01,
+        embedding_dim=3, seed=7, eval_every=5, eval_samples=3)
+    assert outcome_of(*train(graph, labels, cats, config)) \
+        == outcome_of(*reference_train(graph, labels, cats, config))
+
+
+def test_cold_training_draws_its_rows_once_per_block(monkeypatch):
+    # a cold p-sampling training of 300 steps: the steps draw their initial
+    # rows in one UniformRows call per block of BLOCK_IDS ids, where one
+    # call per step that met a new vertex was made before; the risk
+    # records make their own calls
+    from relerm.losses import UniformRows
+    rng = np.random.default_rng(0)
+    n = 1000
+    pairs = rng.integers(n, size=(4000, 2))
+    graph = from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]])
+    config = TrainConfig(sampler=SamplerConfig(algorithm="p_sampling", retention=0.02),
+                         steps=300, embedding_dim=4, seed=3)
+    calls = {"steps": 0, "records": 0}
+    recording = []
+    init, estimate = UniformRows.__call__, trainer.estimate_risk
+
+    def counted_init(self, ids):
+        calls["records" if recording else "steps"] += 1
+        return init(self, ids)
+
+    def counted_estimate(*args, **kwargs):
+        recording.append(True)
+        try:
+            return estimate(*args, **kwargs)
+        finally:
+            recording.pop()
+
+    monkeypatch.setattr(UniformRows, "__call__", counted_init)
+    monkeypatch.setattr(trainer, "estimate_risk", counted_estimate)
+    params, _ = train(graph, None, None, config)
+    replay = np.random.default_rng(config.seed)
+    held = 0
+    for _ in range(config.steps):
+        sub = draw(graph, config.sampler, replay)
+        held += trainer.DRAW_IDS + sub.vertices.size + sub.positive_pairs.size \
+            + sub.negative_pairs.size
+    assert 1 <= calls["steps"] <= held // trainer.BLOCK_IDS + 1
+    assert calls["records"] >= 1
+    assert params.embeddings.present.sum() > 500
+
+
+def test_estimate_risk_rejects_a_unigram_table_of_another_graph(path3):
+    cycle6 = from_edges(6, np.array([[i, (i + 1) % 6] for i in range(6)]))
+    sampler = SamplerConfig(algorithm="rw_skipgram", walk_length=3, window=2,
+                            negative="unigram")
+    for graph, other in ((cycle6, path3), (path3, cycle6)):
+        with pytest.raises(SamplerError, match=f"unigram table of {other.vertex_count} "
+                                               f"vertices for a graph of {graph.vertex_count}"):
+            estimate_risk(graph, None, ParamStore(2, 0, seed=0), sampler, LossConfig(), 20,
+                          np.random.default_rng(1), method="loop",
+                          unigram_table=build_unigram(other))
