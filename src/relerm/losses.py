@@ -187,12 +187,8 @@ class UniformRows:
         words[-2] = keys & _MASK32
         words[-1] = keys >> 32
         wide = keys > _MASK32  # a key of two words
-        if wide.any():
-            seeds = np.empty((len(keys), 4), dtype=np.uint64)
-            seeds[~wide] = _hash_seeds(words[:-1, ~wide], self.mults)
-            seeds[wide] = _hash_seeds(words[:, wide], self.mults)
-        else:
-            seeds = _hash_seeds(words[:-1], self.mults)
+        seeds = _hash_seeds(words[:-1], self.mults)
+        seeds[wide] = _hash_seeds(words[:, wide], self.mults)
         self.seeds = np.concatenate([self.seeds, seeds])
 
     def __call__(self, ids: np.ndarray) -> np.ndarray:

@@ -440,8 +440,10 @@ def train(graph: Graph, labels: LabelTable | None, cats: CategoryMap | None,
     block's vertex rows materialised in one call; every step then runs as
     if it drew alone, so the result is that of one draw per step. A
     training that raises mid-block may leave present the initial rows of
-    draws it did not reach. Fully reproducible for a fixed seed. The trace records a risk estimate
-    every eval_every steps (step 0 included). A given `params` store must
+    draws it did not reach. Fully reproducible for a fixed seed. The trace
+    records a risk estimate every eval_every steps (step 0 included). With
+    trace_wallclock, a record's wallclock also counts the draws and rows
+    already taken for the rest of its block. A given `params` store must
     have embedding_dim and, in node_classification mode, the labels'
     label_dim.
     """
