@@ -17,8 +17,9 @@ batches it scores the loss at parameters moved both ways along random
 directions and compares the slopes of the exact risk with its gradient.
 The per-draw estimate takes its draws in batches from `draw(..., size=n)`.
 Training steps on the gradient of one draw (a batch of one) per step. A
-draw reads no parameters, so it takes its draws a block ahead and draws
-the block's new vertex rows in one call.
+draw reads no parameters, so it takes its draws a block ahead, several per
+`draw` call where a batch is successive draws, and draws the block's new
+vertex rows in one call.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import numpy as np
 from .graph import _INT64_MAX, CategoryMap, Graph, LabelTable, gather_segments
 from .graph import induced_pairs  # noqa: F401 - unused; a span target of benchmarks/spans.py
 from .losses import MAX_DIM, LossConfig, ParamStore, SparseGradient, combined_loss, gradient
-from .samplers import (SamplerConfig, SamplerError, UnigramTable, build_unigram, draw,
-                       draw_key, outcome_batch)
+from .samplers import (SamplerConfig, SamplerError, UnigramTable, batch_is_successive,
+                       build_unigram, draw, draw_key, key_width, outcome_batch)
 
 
 class TrainerError(Exception):
@@ -300,10 +301,8 @@ def estimate_risk(graph: Graph, labels: LabelTable | None, params: ParamStore,
         table = unigram_table
         if table is None and sampler.negative == "unigram":
             table = build_unigram(graph, sampler.unigram_power)
-        width = {"p_sampling": graph.vertex_count, "uniform_edge": sampler.edge_count}.get(
-            sampler.algorithm, sampler.walk_length + 1)  # the numbers of a key
         batches = _batches(lambda lo, hi: draw(graph, sampler, rng, table, hi - lo),
-                           n_samples, width, params.dim)
+                           n_samples, key_width(graph, sampler), params.dim)
         counts = np.ones(n_samples)
     vals = np.concatenate([combined_loss(b, labels, params, loss, cats) for b in batches])
     mean, var = _weighted_moments(counts, vals, n_samples, ddof=1)
@@ -438,14 +437,18 @@ def train(graph: Graph, labels: LabelTable | None, cats: CategoryMap | None,
 
     The draws come a block at a time, BLOCK_IDS ids ahead, with the
     block's vertex rows materialised in one call; every step then runs as
-    if it drew alone, so the result is that of one draw per step. A
-    training that raises mid-block may leave present the initial rows of
-    draws it did not reach. Fully reproducible for a fixed seed. The trace
-    records a risk estimate every eval_every steps (step 0 included). With
-    trace_wallclock, a record's wallclock also counts the draws and rows
-    already taken for the rest of its block. A given `params` store must
-    have embedding_dim and, in node_classification mode, the labels'
-    label_dim.
+    if it drew alone, so the result is that of one draw per step. Where a
+    batch of k takes the numbers of k successive draws (`batch_is_successive`:
+    p_sampling and uniform_edge without unigram negatives), a block's draws
+    come from `draw(..., size=k)` calls cut into draws by `split`, so the
+    generator's stream does not change; walks and unigram negatives draw
+    one per call. A training that raises mid-block may leave present the
+    initial rows of draws it did not reach. Fully reproducible for a fixed
+    seed. The trace records a risk estimate every eval_every steps (step 0
+    included). With trace_wallclock, a record's wallclock also counts the
+    draws and rows already taken for the rest of its block. A given
+    `params` store must have embedding_dim and, in node_classification
+    mode, the labels' label_dim.
     """
     errs = config.validate()
     if errs:
@@ -484,16 +487,26 @@ def train(graph: Graph, labels: LabelTable | None, cats: CategoryMap | None,
 
     record(0)
 
-    step = 0
+    # where a batch of k is k successive draws, a call takes several: as
+    # many as fit what is left of the block, at the ids per draw so far,
+    # while their keys fit in BLOCK_IDS numbers; the first call takes one
+    batched, width = batch_is_successive(config.sampler), key_width(graph, config.sampler)
+    step = drawn = ids = 0
     while step < config.steps:
         # a draw reads no parameters: take a block of them ahead, from the
         # same rng in the same order, and draw their cold rows in one call
         block, held = [], 0
         while step + len(block) < config.steps and held < BLOCK_IDS:
-            sub = draw(graph, config.sampler, rng, unigram_table=table)
-            block.append(sub)
-            held += DRAW_IDS + sub.vertices.size + sub.positive_pairs.size \
-                + sub.negative_pairs.size
+            k = 1
+            if batched and drawn:
+                per_draw = DRAW_IDS + ids // drawn
+                k = max(1, min(config.steps - step - len(block),
+                               (BLOCK_IDS - held) // per_draw, BLOCK_IDS // (per_draw + width)))
+            batch = draw(graph, config.sampler, rng, table, k)
+            block += batch.split() if k > 1 else [batch]
+            new = batch.vertices.size + batch.positive_pairs.size + batch.negative_pairs.size
+            held += k * DRAW_IDS + new
+            drawn, ids = drawn + k, ids + new
         if vertex_rows:
             params.embeddings.materialise(np.concatenate([sub.vertices for sub in block]))
         for sub in block:

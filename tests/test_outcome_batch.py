@@ -14,7 +14,8 @@ from relerm import (LabelTable, LossConfig, ParamStore, SamplerConfig, SubgraphB
                     build_unigram, draw, estimate_risk, from_edges)
 from relerm.graph import induced_edges, induced_pairs
 from relerm.losses import combined_loss, gradient
-from relerm.samplers import ALGORITHMS, NEGATIVE_MODES, WALK_STARTS, draw_key, outcome_batch
+from relerm.samplers import (ALGORITHMS, NEGATIVE_MODES, WALK_STARTS, batch_is_successive,
+                             draw_key, outcome_batch)
 from conftest import category_map
 
 # a triangle with a pendant path, a second triangle, a tail and an isolated
@@ -254,8 +255,8 @@ def test_draw_batches_take_the_numbers_of_successive_draws(algorithm, negative, 
     # the per-draw estimate takes its draws from successive
     # `draw(..., size=k)` calls and no other numbers: the draws and the
     # generator's final state are those of the same calls on a fresh
-    # generator; p-sampling masks come in (m, V) blocks, so without unigram
-    # negatives they are also those of n successive single draws
+    # generator; where `batch_is_successive` holds, they are also those of
+    # n successive single draws
     if chunk:
         monkeypatch.setattr(T, "SIM_CHUNK", chunk)
     made = []
@@ -275,7 +276,7 @@ def test_draw_batches_take_the_numbers_of_successive_draws(algorithm, negative, 
     want = [draw(IRREGULAR, cfg, b, table, k) for k in sizes]
     got = [batch[i] for batch in made for i in range(len(batch))]
     want = [batch[i] for batch in want for i in range(len(batch))]
-    if algorithm == "p_sampling" and negative != "unigram":
+    if batch_is_successive(cfg):
         singles = [draw(IRREGULAR, cfg, c, table) for _ in range(50)]
         want += singles
         got += got
@@ -287,6 +288,66 @@ def test_draw_batches_take_the_numbers_of_successive_draws(algorithm, negative, 
         assert np.array_equal(s.base_vertex_counts, t.base_vertex_counts)
         assert s.source == t.source
     assert a.bit_generator.state == b.bit_generator.state
+
+
+def same_draws(got, want) -> bool:
+    """Whether two lists of batches hold the same arrays, of the same
+    dtypes and shapes, and the same vertex count and source."""
+    return len(got) == len(want) and all(
+        all(x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+            for x, y in ((s.vertices, t.vertices), (s.positive_pairs, t.positive_pairs),
+                         (s.negative_pairs, t.negative_pairs),
+                         (s.base_vertex_counts, t.base_vertex_counts)))
+        and s.vertex_count == t.vertex_count and s.source == t.source
+        for s, t in zip(got, want))
+
+
+@pytest.mark.parametrize("stash", [False, True], ids=["fresh", "stashed_half_word"])
+@pytest.mark.parametrize("negative", NEGATIVE_MODES)
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_batch_is_successive_draws_exactly_where_the_predicate_holds(algorithm, negative,
+                                                                     stash):
+    # draw(..., size=k) against k successive single draws from the same
+    # state: the draws and the generator's final state agree exactly where
+    # `batch_is_successive` holds (which lets `train` take several draws per
+    # call there), and differ for walks and unigram negatives, whose batches
+    # interleave their draws' numbers. rng.integers(5) first leaves a spare
+    # 32-bit half word in the generator, which edge indices read next
+    cfg = SamplerConfig(algorithm=algorithm, negative=negative, retention=0.7, walk_length=4,
+                        window=3, edge_count=3, negatives_per_vertex=2)
+    table = build_unigram(IRREGULAR, cfg.unigram_power)
+    for seed in range(20):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        if stash:
+            a.integers(5), b.integers(5)
+        k = 3 + seed % 5
+        batch = draw(IRREGULAR, cfg, a, table, size=k)
+        singles = [draw(IRREGULAR, cfg, b, table) for _ in range(k)]
+        same = same_draws(batch.split(), singles) \
+            and a.bit_generator.state == b.bit_generator.state
+        assert same == batch_is_successive(cfg), (seed, k)
+
+
+@given(st.sampled_from(NEGATIVE_MODES).flatmap(lambda negative: sampler_cases(negative=negative)),
+       st.integers(0, 3))
+def test_split_is_every_draw_as_a_batch_of_one(case, k_neg):
+    g, cfg, seed, m = case
+    batch = draw(g, replace(cfg, negatives_per_vertex=k_neg), np.random.default_rng(seed),
+                 size=m)
+    assert same_draws(batch.split(), [batch[i] for i in range(len(batch))])
+
+
+def test_split_keeps_empty_draws():
+    # p-sampling at low retention: draws without a retained edge have no
+    # vertices and no pairs, first, last and between other draws
+    batch = draw(IRREGULAR, SamplerConfig(retention=0.3), np.random.default_rng(1), size=40)
+    parts = batch.split()
+    empty = [len(p.vertices) == 0 for p in parts]
+    assert empty[0] and empty[-1] and not all(empty)
+    assert same_draws(parts, [batch[i] for i in range(len(batch))])
+    for p in parts:
+        assert p.vertices.shape == (len(p.vertices),)
+        assert p.positive_pairs.shape[1:] == p.negative_pairs.shape[1:] == (2,)
 
 
 def test_psampling_mask_block_is_successive_masks():

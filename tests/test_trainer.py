@@ -6,7 +6,8 @@ import pytest
 from relerm import (LabelTable, LossConfig, ParamStore, SamplerConfig, TrainConfig,
                     check_unbiasedness, estimate_risk, exact_risk, sgd_step, train)
 from relerm.losses import SparseGradient, SparseRows, combined_loss, gradient, _sigmoid
-from relerm.samplers import SamplerError, build_unigram, draw, draw_key, outcome_batch
+from relerm.samplers import (SamplerError, batch_is_successive, build_unigram, draw, draw_key,
+                             outcome_batch)
 from relerm import trainer
 from relerm.trainer import FD_TOLERANCE, OracleError, TrainerError, _enumerate_keys
 from relerm.graph import from_edges
@@ -652,17 +653,46 @@ def outcome_of(params, trace):
             + [params.weights.tobytes(), params.bias.tobytes(), trace])
 
 
-@pytest.mark.parametrize("budget", ["one id", "three draws", "default"])
+def training_draw_sizes(monkeypatch):
+    """A list that collects the size of each `draw` call `train` makes for
+    its steps, leaving out the calls of its risk records."""
+    sizes, recording = [], []
+    counted, estimate = trainer.draw, trainer.estimate_risk
+
+    def sized_draw(*args, **kwargs):
+        batch = counted(*args, **kwargs)
+        if not recording:
+            sizes.append(len(batch))
+        return batch
+
+    def recorded_estimate(*args, **kwargs):
+        recording.append(True)
+        try:
+            return estimate(*args, **kwargs)
+        finally:
+            recording.pop()
+
+    monkeypatch.setattr(trainer, "draw", sized_draw)
+    monkeypatch.setattr(trainer, "estimate_risk", recorded_estimate)
+    return sizes
+
+
+@pytest.mark.parametrize("budget", ["one id", "three draws", "eight draws", "default"])
 @pytest.mark.parametrize("mode", ["edge_only", "node_classification", "category_embedding"])
 @pytest.mark.parametrize("negative", ["none", "induced", "unigram"])
 @pytest.mark.parametrize("algorithm", ["rw_skipgram", "rw_induced", "p_sampling",
                                        "uniform_edge"])
 def test_blocks_train_as_one_draw_per_step(algorithm, negative, mode, budget, monkeypatch):
     # 13 steps, not a multiple of a three-draw block, with records after
-    # steps 5 and 10, inside blocks; a block of one id holds one draw
+    # steps 5 and 10, inside blocks; a block of one id holds one draw.
+    # Where a batch is successive draws, a call after the first takes
+    # several: cut by the block's budget (three or eight draws' worth), or
+    # by the steps left (the default budget holds all 13 draws)
     if budget != "default":
-        monkeypatch.setattr(trainer, "BLOCK_IDS",
-                            1 if budget == "one id" else 3 * trainer.DRAW_IDS)
+        monkeypatch.setattr(trainer, "BLOCK_IDS", {"one id": 1,
+                                                   "three draws": 3 * trainer.DRAW_IDS,
+                                                   "eight draws": 8 * trainer.DRAW_IDS}[budget])
+    sizes = training_draw_sizes(monkeypatch)
     graph = block_test_graph()
     V = graph.vertex_count
     rng = np.random.default_rng(4)
@@ -673,8 +703,16 @@ def test_blocks_train_as_one_draw_per_step(algorithm, negative, mode, budget, mo
                               retention=0.6, edge_count=3, negatives_per_vertex=2),
         loss=LossConfig(q=0.5, mode=mode), steps=13, lr_start=0.5, lr_end=0.01,
         embedding_dim=3, seed=7, eval_every=5, eval_samples=3)
-    assert outcome_of(*train(graph, labels, cats, config)) \
-        == outcome_of(*reference_train(graph, labels, cats, config))
+    trained = outcome_of(*train(graph, labels, cats, config))
+    sizes = sizes[:]  # the reference's records draw through trainer.draw too
+    assert trained == outcome_of(*reference_train(graph, labels, cats, config))
+    assert sum(sizes) == config.steps and sizes[0] == 1
+    if budget == "one id" or not batch_is_successive(config.sampler):
+        assert set(sizes) == {1}
+    elif budget == "default":
+        assert sizes == [1, config.steps - 1]
+    else:
+        assert 1 < max(sizes) < config.steps - 1
 
 
 def test_cold_training_draws_its_rows_once_per_block(monkeypatch):
@@ -716,6 +754,20 @@ def test_cold_training_draws_its_rows_once_per_block(monkeypatch):
     assert 1 <= calls["steps"] <= held // trainer.BLOCK_IDS + 1
     assert calls["records"] >= 1
     assert params.embeddings.present.sum() > 500
+
+
+def test_cold_psampling_training_takes_several_draws_per_call(monkeypatch):
+    # 300 p-sampling steps at V = 1000: after a first call of one draw,
+    # each call's keys hold up to BLOCK_IDS numbers, some 60 draws here
+    rng = np.random.default_rng(0)
+    pairs = rng.integers(1000, size=(4000, 2))
+    graph = from_edges(1000, pairs[pairs[:, 0] != pairs[:, 1]])
+    config = TrainConfig(sampler=SamplerConfig(algorithm="p_sampling", retention=0.02),
+                         steps=300, embedding_dim=4, seed=3)
+    sizes = training_draw_sizes(monkeypatch)
+    train(graph, None, None, config)
+    assert sum(sizes) == config.steps and sizes[0] == 1
+    assert len(sizes) < config.steps // 10
 
 
 def test_estimate_risk_rejects_a_unigram_table_of_another_graph(path3):
