@@ -215,8 +215,7 @@ class SubgraphBatch:
     Each draw's vertices are ordered as its sampler produced them: the
     first base_vertex_counts[i] come from the base sampler, the rest were
     appended by unigram negative sampling (they carry no label loss).
-    `batch[i]` is draw i as a batch of one, and `batch.split()` is every
-    draw so."""
+    `batch[i]` is draw i as a batch of one."""
 
     vertices: np.ndarray            # int64
     positive_pairs: np.ndarray      # int64, shape (m, 2), a multiset
@@ -232,26 +231,12 @@ class SubgraphBatch:
         if not -len(self) <= i < len(self):
             raise IndexError(f"draw {i} of a batch of {len(self)}")
         i %= len(self)
-        return self._draw(i, self._cuts((i, i + 1)), 0)
-
-    def split(self) -> list["SubgraphBatch"]:
-        """Every draw as a batch of one, `[batch[i] for i in range(len(batch))]`,
-        with one search per array for all the draws."""
-        cuts = self._cuts(range(len(self) + 1))
-        return [self._draw(i, cuts, i) for i in range(len(self))]
-
-    def _cuts(self, draws) -> list[tuple[np.ndarray, list[int]]]:
-        """Each array with the positions where the given draws start: each
-        array is in draw order, so its first column finds them."""
-        ids = np.asarray(draws) * self.vertex_count
-        return [(x, np.searchsorted(x if x.ndim == 1 else x[:, 0], ids).tolist())
-                for x in (self.vertices, self.positive_pairs, self.negative_pairs)]
-
-    def _draw(self, i: int, cuts: list[tuple[np.ndarray, list[int]]], j: int) -> "SubgraphBatch":
-        """Draw i, which starts at position j of the cuts, moved to the graph's own ids."""
-        lo = i * self.vertex_count
-        return SubgraphBatch(*(x[at[j]:at[j + 1]] - lo for x, at in cuts),
-                             self.base_vertex_counts[i:i + 1], self.vertex_count, self.source)
+        lo, hi = i * self.vertex_count, (i + 1) * self.vertex_count
+        # each array is in draw order, so its first column finds the block
+        parts = [x[slice(*np.searchsorted(x if x.ndim == 1 else x[:, 0], (lo, hi)))] - lo
+                 for x in (self.vertices, self.positive_pairs, self.negative_pairs)]
+        return SubgraphBatch(*parts, self.base_vertex_counts[i:i + 1], self.vertex_count,
+                             self.source)
 
 
 def _outcome_ids(graph: Graph, config: SamplerConfig,
@@ -390,10 +375,9 @@ def negative_unigram(graph: Graph, sample: SubgraphBatch, table: UnigramTable,
     seen, first = np.unique(np.concatenate([verts, cc[keep]]), return_index=True)
     verts = np.concatenate([verts, seen[first >= len(verts)]])
     negs = np.concatenate([sample.negative_pairs, np.stack([vv[keep], cc[keep]], axis=1)])
-    if len(sample) > 1:  # one draw's are in order already
-        # each draw's new vertices and negatives after its own (a stable sort by draw)
-        verts = verts[np.argsort(verts // V, kind="stable")]
-        negs = negs[np.argsort(negs[:, 0] // V, kind="stable")]
+    # each draw's new vertices and negatives after its own (a stable sort by draw)
+    verts = verts[np.argsort(verts // V, kind="stable")]
+    negs = negs[np.argsort(negs[:, 0] // V, kind="stable")]
     return SubgraphBatch(verts, sample.positive_pairs, negs, sample.base_vertex_counts,
                          V, sample.source)
 
@@ -404,8 +388,8 @@ def draw(graph: Graph, config: SamplerConfig, rng: np.random.Generator,
     unigram negative sampling when configured: `size` independent draws
     as one batch (by default one draw, a batch of one). Deterministic
     given the rng state. Where `batch_is_successive(config)` holds
-    (p_sampling and uniform_edge without unigram negatives), the batch's
-    `split()` is the `size` draws that as many calls of one would return,
+    (p_sampling and uniform_edge without unigram negatives), its `batch[i]`
+    are the `size` draws that as many calls of one would return,
     and the generator ends where they would leave it; `train` draws its
     steps so there."""
     sample = outcome_batch(graph, config, draw_key(graph, config, rng, size))

@@ -440,7 +440,7 @@ def train(graph: Graph, labels: LabelTable | None, cats: CategoryMap | None,
     if it drew alone, so the result is that of one draw per step. Where a
     batch of k takes the numbers of k successive draws (`batch_is_successive`:
     p_sampling and uniform_edge without unigram negatives), a block's draws
-    come from `draw(..., size=k)` calls cut into draws by `split`, so the
+    come from `draw(..., size=k)` calls cut into draws by `batch[i]`, so the
     generator's stream does not change; walks and unigram negatives draw
     one per call. A training that raises mid-block may leave present the
     initial rows of draws it did not reach. Fully reproducible for a fixed
@@ -503,7 +503,7 @@ def train(graph: Graph, labels: LabelTable | None, cats: CategoryMap | None,
                 k = max(1, min(config.steps - step - len(block),
                                (BLOCK_IDS - held) // per_draw, BLOCK_IDS // (per_draw + width)))
             batch = draw(graph, config.sampler, rng, table, k)
-            block += batch.split() if k > 1 else [batch]
+            block += [batch[i] for i in range(k)] if k > 1 else [batch]
             new = batch.vertices.size + batch.positive_pairs.size + batch.negative_pairs.size
             held += k * DRAW_IDS + new
             drawn, ids = drawn + k, ids + new

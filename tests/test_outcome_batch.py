@@ -247,49 +247,6 @@ def test_loop_estimate_matches_per_draw_losses(name, mode, chunk, monkeypatch):
     assert abs(est.std_error - se) <= 1e-12 * se
 
 
-@pytest.mark.parametrize("chunk", [None, 40], ids=["one_batch", "chunked"])
-@pytest.mark.parametrize("negative", NEGATIVE_MODES)
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_draw_batches_take_the_numbers_of_successive_draws(algorithm, negative, chunk,
-                                                           monkeypatch):
-    # the per-draw estimate takes its draws from successive
-    # `draw(..., size=k)` calls and no other numbers: the draws and the
-    # generator's final state are those of the same calls on a fresh
-    # generator; where `batch_is_successive` holds, they are also those of
-    # n successive single draws
-    if chunk:
-        monkeypatch.setattr(T, "SIM_CHUNK", chunk)
-    made = []
-
-    def recorded_draw(graph, config, rng, table, size):
-        made.append(draw(graph, config, rng, table, size))
-        return made[-1]
-    monkeypatch.setattr(T, "draw", recorded_draw)
-    cfg = SamplerConfig(algorithm=algorithm, negative=negative, retention=0.4, walk_length=4,
-                        window=3, edge_count=3, negatives_per_vertex=2)
-    table = build_unigram(IRREGULAR, cfg.unigram_power)
-    a, b, c = (np.random.default_rng(9) for _ in range(3))
-    estimate_risk(IRREGULAR, None, fixture_params(IRREGULAR), cfg,
-                  LossConfig(mode="edge_only"), 50, a, method="loop", unigram_table=table)
-    sizes = [len(batch) for batch in made]
-    assert sum(sizes) == 50 and sizes[0] == 1 and len(sizes) > (4 if chunk else 1)
-    want = [draw(IRREGULAR, cfg, b, table, k) for k in sizes]
-    got = [batch[i] for batch in made for i in range(len(batch))]
-    want = [batch[i] for batch in want for i in range(len(batch))]
-    if batch_is_successive(cfg):
-        singles = [draw(IRREGULAR, cfg, c, table) for _ in range(50)]
-        want += singles
-        got += got
-        assert a.bit_generator.state == c.bit_generator.state
-    assert len(got) == len(want)
-    for s, t in zip(got, want):
-        for name in ("vertices", "positive_pairs", "negative_pairs"):
-            assert np.array_equal(getattr(s, name), getattr(t, name))
-        assert np.array_equal(s.base_vertex_counts, t.base_vertex_counts)
-        assert s.source == t.source
-    assert a.bit_generator.state == b.bit_generator.state
-
-
 def same_draws(got, want) -> bool:
     """Whether two lists of batches hold the same arrays, of the same
     dtypes and shapes, and the same vertex count and source."""
@@ -303,51 +260,47 @@ def same_draws(got, want) -> bool:
 
 
 @pytest.mark.parametrize("stash", [False, True], ids=["fresh", "stashed_half_word"])
+@pytest.mark.parametrize("chunk", [None, 40], ids=["one_batch", "chunked"])
 @pytest.mark.parametrize("negative", NEGATIVE_MODES)
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_batch_is_successive_draws_exactly_where_the_predicate_holds(algorithm, negative,
-                                                                     stash):
-    # draw(..., size=k) against k successive single draws from the same
-    # state: the draws and the generator's final state agree exactly where
-    # `batch_is_successive` holds (which lets `train` take several draws per
-    # call there), and differ for walks and unigram negatives, whose batches
-    # interleave their draws' numbers. rng.integers(5) first leaves a spare
-    # 32-bit half word in the generator, which edge indices read next
-    cfg = SamplerConfig(algorithm=algorithm, negative=negative, retention=0.7, walk_length=4,
+def test_draw_batches_take_the_numbers_of_successive_draws(algorithm, negative, chunk, stash,
+                                                           monkeypatch):
+    # the per-draw estimate takes its draws from successive
+    # `draw(..., size=k)` calls and no other numbers: the draws and the
+    # generator's final state are those of the same calls on a fresh
+    # generator. They are also those of n successive single draws exactly
+    # where `batch_is_successive` holds (which lets `train` take several
+    # draws per call there); a batch of several walks or with unigram
+    # negatives interleaves its draws' numbers. rng.integers(5) first leaves a spare 32-bit half word
+    # in the generator, which edge indices read next
+    if chunk:
+        monkeypatch.setattr(T, "SIM_CHUNK", chunk)
+    made = []
+
+    def recorded_draw(graph, config, rng, table, size):
+        made.append(draw(graph, config, rng, table, size))
+        return made[-1]
+    monkeypatch.setattr(T, "draw", recorded_draw)
+    cfg = SamplerConfig(algorithm=algorithm, negative=negative, retention=0.4, walk_length=4,
                         window=3, edge_count=3, negatives_per_vertex=2)
     table = build_unigram(IRREGULAR, cfg.unigram_power)
-    for seed in range(20):
-        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        if stash:
-            a.integers(5), b.integers(5)
-        k = 3 + seed % 5
-        batch = draw(IRREGULAR, cfg, a, table, size=k)
-        singles = [draw(IRREGULAR, cfg, b, table) for _ in range(k)]
-        same = same_draws(batch.split(), singles) \
-            and a.bit_generator.state == b.bit_generator.state
-        assert same == batch_is_successive(cfg), (seed, k)
-
-
-@given(st.sampled_from(NEGATIVE_MODES).flatmap(lambda negative: sampler_cases(negative=negative)),
-       st.integers(0, 3))
-def test_split_is_every_draw_as_a_batch_of_one(case, k_neg):
-    g, cfg, seed, m = case
-    batch = draw(g, replace(cfg, negatives_per_vertex=k_neg), np.random.default_rng(seed),
-                 size=m)
-    assert same_draws(batch.split(), [batch[i] for i in range(len(batch))])
-
-
-def test_split_keeps_empty_draws():
-    # p-sampling at low retention: draws without a retained edge have no
-    # vertices and no pairs, first, last and between other draws
-    batch = draw(IRREGULAR, SamplerConfig(retention=0.3), np.random.default_rng(1), size=40)
-    parts = batch.split()
-    empty = [len(p.vertices) == 0 for p in parts]
-    assert empty[0] and empty[-1] and not all(empty)
-    assert same_draws(parts, [batch[i] for i in range(len(batch))])
-    for p in parts:
-        assert p.vertices.shape == (len(p.vertices),)
-        assert p.positive_pairs.shape[1:] == p.negative_pairs.shape[1:] == (2,)
+    a, b, c = (np.random.default_rng(9) for _ in range(3))
+    if stash:
+        a.integers(5), b.integers(5), c.integers(5)
+    estimate_risk(IRREGULAR, None, fixture_params(IRREGULAR), cfg,
+                  LossConfig(mode="edge_only"), 50, a, method="loop", unigram_table=table)
+    sizes = [len(batch) for batch in made]
+    assert sum(sizes) == 50 and sizes[0] == 1 and len(sizes) > (4 if chunk else 1)
+    want = [draw(IRREGULAR, cfg, b, table, k) for k in sizes]
+    got = [batch[i] for batch in made for i in range(len(batch))]
+    want = [batch[i] for batch in want for i in range(len(batch))]
+    assert same_draws(got, want) and a.bit_generator.state == b.bit_generator.state
+    singles = [draw(IRREGULAR, cfg, c, table) for _ in range(50)]
+    successive = same_draws(got, singles) and a.bit_generator.state == c.bit_generator.state
+    if batch_is_successive(cfg):
+        assert successive
+    elif max(sizes) > 1:
+        assert not successive
 
 
 def test_psampling_mask_block_is_successive_masks():
